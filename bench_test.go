@@ -227,8 +227,9 @@ func BenchmarkWarehouse(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSearch compares CreateList's binary search against the
-// linear-scan ablation at a regime where the interval cover is sparse.
+// BenchmarkAblationSearch compares the reference CreateList's binary
+// search against its linear-scan ablation at a regime where the interval
+// cover is sparse.
 func BenchmarkAblationSearch(b *testing.B) {
 	for _, linear := range []bool{false, true} {
 		name := "binary"
@@ -237,11 +238,10 @@ func BenchmarkAblationSearch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 10, Quantize: true})
-			fw, err := core.NewWithDelta(1024, 8, 0.5, 0.5)
+			fw, err := core.NewReference(1024, 8, 0.5, 0.5, linear)
 			if err != nil {
 				b.Fatal(err)
 			}
-			fw.SetLinearScan(linear)
 			for i := 0; i < 1024; i++ {
 				fw.Push(g.Next())
 			}
@@ -333,7 +333,7 @@ func BenchmarkGKInsert(b *testing.B) {
 
 func BenchmarkPublicAPIRoundTrip(b *testing.B) {
 	// End-to-end through the facade: push + periodic query.
-	fw, err := streamhist.NewFixedWindowDelta(1024, 12, 0.1, 0.1)
+	fw, err := streamhist.NewFixedWindow(1024, 12, 0.1, streamhist.WithDelta(0.1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,11 +5,11 @@
 //
 //	go run ./cmd/benchsmoke -o BENCH_pr4.json
 //
-// The report covers the rebuild-engine configurations (cold search, probe
-// memo, warm-started CreateList, and both) at the headline configuration
-// n=4096, B=12, eps=0.1 with the default growth factor eps/(2B), the
-// amortized cost of the incremental cover-repair engine over trials
-// spanning whole fallback periods, plus a
+// The report covers the cold CreateList reference against the production
+// exact rebuild (warm-started, memoized CreateList) at the headline
+// configuration n=4096, B=12, eps=0.1 with the default growth factor
+// eps/(2B), the amortized cost of the incremental cover-repair engine over
+// trials spanning whole fallback periods, plus a
 // scaling grid over window size and bucket budget, the attached-overhead
 // of the instrumentation layers (metrics registry and flight-recorder
 // tracing), and a server shard-scaling grid: end-to-end ingest latency
@@ -30,8 +30,8 @@
 //	go run ./cmd/benchsmoke -check BENCH_pr4.json
 //
 // re-measures the headline configurations and fails (exit 1) if the
-// warm+memo product configuration regressed more than -tolerance
-// (default 15%) against the committed baseline, or if any variant
+// production engine (result key warm_memo) regressed more than -tolerance
+// (default 15%) against the committed baseline, or if either engine
 // allocates more per push than its committed baseline. It also holds the
 // tracing layer to its absolute budget: a detached flight recorder must
 // add zero allocations and an attached one at most -trace-tolerance
@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"streamhist"
+	"streamhist/internal/core"
 	"streamhist/internal/resilience"
 	"streamhist/internal/server"
 )
@@ -84,23 +85,18 @@ type measurement struct {
 	OpsPerTrial int     `json:"ops_per_trial"`
 }
 
-// variant is one rebuild-engine configuration under test.
-type variant struct {
-	name       string
-	warm, memo bool
-}
-
-var rebuildVariants = []variant{
-	{"cold", false, false},
-	{"memo", false, true},
-	{"warm", true, false},
-	{"warm_memo", true, true},
+// maintainer is what a runner drives: the production Maintainer or the
+// cold CreateList reference.
+type maintainer interface {
+	Push(float64)
+	PushBatch([]float64)
+	Delta() float64
 }
 
 // runner is one maintainer mid-measurement: the maintainer, its private
 // cursor into the shared value sequence, and its per-trial samples.
 type runner struct {
-	m      *streamhist.Maintainer
+	m      maintainer
 	pre    func() // optional per-push bookkeeping timed with the push
 	pos    int
 	nsMin  float64
@@ -173,16 +169,11 @@ func utilValues(n int) []float64 {
 	return streamhist.Series(g, n)
 }
 
-// newRunner builds a steady-state maintainer: constructed with the given
-// rebuild-engine switches, window filled in one batch from the front of
-// vals. delta <= 0 selects the default eps/(2B).
-func newRunner(cfg benchConfig, delta float64, warm, memo bool, reg *streamhist.Metrics, vals []float64, extra ...streamhist.Option) (*runner, error) {
-	opts := []streamhist.Option{
-		streamhist.WithWarmStart(warm),
-		streamhist.WithProbeMemo(memo),
-		streamhist.WithMetrics(reg),
-	}
-	opts = append(opts, extra...)
+// newRunner builds a steady-state production maintainer, window filled
+// in one batch from the front of vals. delta <= 0 selects the default
+// eps/(2B).
+func newRunner(cfg benchConfig, delta float64, reg *streamhist.Metrics, vals []float64, extra ...streamhist.Option) (*runner, error) {
+	opts := append([]streamhist.Option{streamhist.WithMetrics(reg)}, extra...)
 	if delta > 0 {
 		opts = append(opts, streamhist.WithDelta(delta))
 	}
@@ -194,31 +185,39 @@ func newRunner(cfg benchConfig, delta float64, warm, memo bool, reg *streamhist.
 	return &runner{m: m, pos: cfg.Window}, nil
 }
 
-// measureRebuildVariants measures the four rebuild-engine configurations
-// at one benchConfig and returns name -> measurement plus the resolved
+// newReferenceRunner is newRunner for the cold CreateList reference.
+func newReferenceRunner(cfg benchConfig, delta float64, vals []float64) (*runner, error) {
+	if delta <= 0 {
+		delta = cfg.Eps / (2 * float64(cfg.Buckets))
+	}
+	ref, err := core.NewReference(cfg.Window, cfg.Buckets, cfg.Eps, delta, false)
+	if err != nil {
+		return nil, err
+	}
+	ref.PushBatch(vals[:cfg.Window])
+	return &runner{m: ref, pos: cfg.Window}, nil
+}
+
+// measureEngines measures the reference and the production exact rebuild
+// at one benchConfig, interleaved, and returns them plus the resolved
 // growth factor.
-func measureRebuildVariants(cfg benchConfig, delta float64, trials, warmup, ops int) (map[string]measurement, float64, error) {
+func measureEngines(cfg benchConfig, delta float64, trials, warmup, ops int) (ref, prod measurement, resolved float64, err error) {
 	vals := utilValues(cfg.Window + warmup + trials*ops)
-	rs := make([]*runner, len(rebuildVariants))
-	for i, v := range rebuildVariants {
-		r, err := newRunner(cfg, delta, v.warm, v.memo, nil, vals)
-		if err != nil {
-			return nil, 0, err
-		}
-		rs[i] = r
+	rr, err := newReferenceRunner(cfg, delta, vals)
+	if err != nil {
+		return ref, prod, 0, err
 	}
-	resolved := rs[0].m.Delta()
-	ms := measureInterleaved(rs, vals, trials, warmup, ops)
-	out := make(map[string]measurement, len(ms))
-	for i, v := range rebuildVariants {
-		out[v.name] = ms[i]
+	rp, err := newRunner(cfg, delta, nil, vals)
+	if err != nil {
+		return ref, prod, 0, err
 	}
-	return out, resolved, nil
+	ms := measureInterleaved([]*runner{rr, rp}, vals, trials, warmup, ops)
+	return ms[0], ms[1], rp.m.Delta(), nil
 }
 
 // measureIncremental measures the incremental cover-repair engine at the
-// headline configuration against the warm+memo exact-rebuild baseline it
-// falls back to. Unlike the variant table, trials span whole fallback
+// headline configuration against the exact-rebuild baseline it falls
+// back to. Unlike the variant table, trials span whole fallback
 // periods: the incremental engine's cost is bimodal — cheap repair passes
 // punctuated by a scheduled exact rebuild every K pushes — so each trial
 // pushes 2K continuous points (always exactly two scheduled rebuilds, at
@@ -227,19 +226,17 @@ func measureRebuildVariants(cfg benchConfig, delta float64, trials, warmup, ops 
 // scheduled rebuilds and flatter the engine.
 func measureIncremental(trials int) (wm, incr measurement, fullEvery int, err error) {
 	cfg := benchConfig{Window: 4096, Buckets: 12, Eps: 0.1}
-	// The derived fallback period at the default growth factor:
-	// K = 1/(2*delta) with delta = eps/(2B), i.e. K = B/eps. Pinned
-	// explicitly so the trial length provably covers whole periods.
+	// The fallback period the engine derives at the default growth
+	// factor: K = 1/(2*delta) with delta = eps/(2B), i.e. K = B/eps. The
+	// trial length is two periods, so every trial covers whole periods.
 	fullEvery = int(float64(cfg.Buckets) / cfg.Eps)
 	ops := 2 * fullEvery
 	vals := utilValues(cfg.Window + (trials+1)*ops)
-	rw, err := newRunner(cfg, 0, true, true, nil, vals)
+	rw, err := newRunner(cfg, 0, nil, vals)
 	if err != nil {
 		return wm, incr, 0, err
 	}
-	ri, err := newRunner(cfg, 0, true, true, nil, vals,
-		streamhist.WithIncrementalRebuild(true),
-		streamhist.WithIncrementalBudget(fullEvery, 0))
+	ri, err := newRunner(cfg, 0, nil, vals, streamhist.WithIncrementalRebuild(true))
 	if err != nil {
 		return wm, incr, 0, err
 	}
@@ -248,7 +245,7 @@ func measureIncremental(trials int) (wm, incr measurement, fullEvery int, err er
 }
 
 // scalingRow is one cell of the window-size x bucket-budget grid: the
-// cold path against the warm+memo product configuration.
+// cold reference against the production exact rebuild.
 type scalingRow struct {
 	benchConfig
 	ColdNs     float64 `json:"cold_ns_per_op"`
@@ -271,11 +268,11 @@ func scalingGrid(trials, warmup, ops int) ([]scalingRow, error) {
 		vals := utilValues(n + warmup + trials*ops)
 		for _, b := range []int{8, 12, 16} {
 			cfg := benchConfig{Window: n, Buckets: b, Eps: eps, Delta: delta}
-			cold, err := newRunner(cfg, delta, false, false, nil, vals)
+			cold, err := newReferenceRunner(cfg, delta, vals)
 			if err != nil {
 				return nil, err
 			}
-			wm, err := newRunner(cfg, delta, true, true, nil, vals)
+			wm, err := newRunner(cfg, delta, nil, vals)
 			if err != nil {
 				return nil, err
 			}
@@ -306,11 +303,11 @@ func scalingGrid(trials, warmup, ops int) ([]scalingRow, error) {
 func metricsOverhead(rounds, warmup, ops int) (off, on measurement, pct float64, err error) {
 	cfg := benchConfig{Window: 1024, Buckets: 12, Eps: 0.1, Delta: 0.1}
 	vals := utilValues(cfg.Window + warmup + rounds*ops)
-	roff, err := newRunner(cfg, cfg.Delta, true, true, nil, vals)
+	roff, err := newRunner(cfg, cfg.Delta, nil, vals)
 	if err != nil {
 		return off, on, 0, err
 	}
-	ron, err := newRunner(cfg, cfg.Delta, true, true, streamhist.NewMetrics(), vals)
+	ron, err := newRunner(cfg, cfg.Delta, streamhist.NewMetrics(), vals)
 	if err != nil {
 		return off, on, 0, err
 	}
@@ -326,7 +323,7 @@ func metricsOverhead(rounds, warmup, ops int) (off, on measurement, pct float64,
 func traceOverhead(rounds, warmup, ops int) (off, on measurement, pct float64, err error) {
 	cfg := benchConfig{Window: 1024, Buckets: 12, Eps: 0.1, Delta: 0.1}
 	vals := utilValues(cfg.Window + warmup + rounds*ops)
-	roff, err := newRunner(cfg, cfg.Delta, true, true, nil, vals)
+	roff, err := newRunner(cfg, cfg.Delta, nil, vals)
 	if err != nil {
 		return off, on, 0, err
 	}
@@ -334,7 +331,7 @@ func traceOverhead(rounds, warmup, ops int) (off, on measurement, pct float64, e
 	if err != nil {
 		return off, on, 0, err
 	}
-	ron, err := newRunner(cfg, cfg.Delta, true, true, nil, vals, streamhist.WithTracing(tr))
+	ron, err := newRunner(cfg, cfg.Delta, nil, vals, streamhist.WithTracing(tr))
 	if err != nil {
 		return off, on, 0, err
 	}
@@ -352,11 +349,11 @@ func traceOverhead(rounds, warmup, ops int) (off, on measurement, pct float64, e
 func resilienceOverhead(rounds, warmup, ops int) (off, on measurement, pct float64, err error) {
 	cfg := benchConfig{Window: 1024, Buckets: 12, Eps: 0.1, Delta: 0.1}
 	vals := utilValues(cfg.Window + warmup + rounds*ops)
-	roff, err := newRunner(cfg, cfg.Delta, true, true, nil, vals)
+	roff, err := newRunner(cfg, cfg.Delta, nil, vals)
 	if err != nil {
 		return off, on, 0, err
 	}
-	ron, err := newRunner(cfg, cfg.Delta, true, true, nil, vals)
+	ron, err := newRunner(cfg, cfg.Delta, nil, vals)
 	if err != nil {
 		return off, on, 0, err
 	}
@@ -544,13 +541,15 @@ type report struct {
 	ShardScaling          []shardRow   `json:"shard_scaling"`
 }
 
-// headline measures the four rebuild variants at the configuration the
-// README quotes: n=4096, B=12, eps=0.1 at the default growth factor.
+// headline measures the reference and the production exact rebuild at
+// the configuration the README quotes: n=4096, B=12, eps=0.1 at the
+// default growth factor. The result keys are the cold and warm_memo
+// variants of earlier reports, so -check gates against them unchanged.
 func headline(trials, warmup, ops int) (map[string]measurement, benchConfig, error) {
 	cfg := benchConfig{Window: 4096, Buckets: 12, Eps: 0.1}
-	results, delta, err := measureRebuildVariants(cfg, 0, trials, warmup, ops)
+	ref, prod, delta, err := measureEngines(cfg, 0, trials, warmup, ops)
 	cfg.Delta = delta
-	return results, cfg, err
+	return map[string]measurement{"cold": ref, "warm_memo": prod}, cfg, err
 }
 
 // gateFailure is one tripped -check gate, named so a CI log grep for
@@ -587,9 +586,9 @@ func check(baselinePath string, tolerancePct, traceTolerancePct, resilienceToler
 		fmt.Printf("benchsmoke: %-10s %12.0f ns/op (baseline %12.0f, %+.1f%%), %d allocs/op\n",
 			name, now.NsPerOp, was.NsPerOp, 100*(now.NsPerOp-was.NsPerOp)/was.NsPerOp, now.AllocsPerOp)
 	}
-	// The latency gate covers only the product configuration: the other
-	// variants exist as ablation baselines and their committed numbers
-	// are documentation, not a budget.
+	// The latency gate covers only the production engine: the reference
+	// exists as the ablation baseline and its committed number is
+	// documentation, not a budget.
 	now, was := results["warm_memo"], base.Results["warm_memo"]
 	if was.NsPerOp > 0 {
 		if pct := 100 * (now.NsPerOp - was.NsPerOp) / was.NsPerOp; pct > tolerancePct {

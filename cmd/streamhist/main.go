@@ -164,10 +164,11 @@ func runTimeWindow(r io.Reader, maxPoints, b int, eps, delta float64, span time.
 	if delta <= 0 {
 		delta = eps
 	}
-	tw, err := streamhist.NewTimeWindow(maxPoints, b, eps, delta, span)
+	m, err := streamhist.NewFixedWindow(maxPoints, b, eps, streamhist.WithDelta(delta), streamhist.WithSpan(span))
 	if err != nil {
 		return err
 	}
+	tw := m.TimeWindow()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	line := 0

@@ -9,11 +9,11 @@ import (
 )
 
 func TestConcurrentFixedWindowSingleThreadMatchesPlain(t *testing.T) {
-	cf, err := streamhist.NewConcurrentFixedWindowDelta(64, 6, 0.2, 0.2)
+	cf, err := streamhist.NewFixedWindow(64, 6, 0.2, streamhist.WithConcurrency(), streamhist.WithDelta(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := streamhist.NewFixedWindowDelta(64, 6, 0.2, 0.2)
+	fw, err := streamhist.NewFixedWindow(64, 6, 0.2, streamhist.WithDelta(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +42,11 @@ func TestConcurrentFixedWindowSingleThreadMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestConcurrentFixedWindowRace hammers the wrapper from producer and
-// consumer goroutines; run with -race to exercise the synchronization.
+// TestConcurrentFixedWindowRace hammers a WithConcurrency maintainer from
+// producer and consumer goroutines, mutating the histogram copies it
+// returns; run with -race to exercise the synchronization.
 func TestConcurrentFixedWindowRace(t *testing.T) {
-	cf, err := streamhist.NewConcurrentFixedWindowDelta(128, 4, 0.5, 0.5)
+	cf, err := streamhist.NewFixedWindow(128, 4, 0.5, streamhist.WithConcurrency(), streamhist.WithDelta(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestConcurrentFixedWindowRace(t *testing.T) {
 }
 
 func TestPushBatchMatchesPushLazy(t *testing.T) {
-	a, _ := streamhist.NewFixedWindowDelta(32, 4, 0.3, 0.3)
-	b, _ := streamhist.NewFixedWindowDelta(32, 4, 0.3, 0.3)
+	a, _ := streamhist.NewFixedWindow(32, 4, 0.3, streamhist.WithDelta(0.3))
+	b, _ := streamhist.NewFixedWindow(32, 4, 0.3, streamhist.WithDelta(0.3))
 	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 102, Quantize: true})
 	batch := streamhist.Series(g, 100)
 	a.PushBatch(batch)

@@ -9,7 +9,7 @@ import (
 // The headline use: maintain an approximate histogram over the most
 // recent points of a stream and answer range sums from it.
 func ExampleNewFixedWindow() {
-	fw, err := streamhist.NewFixedWindowDelta(8, 2, 1, 1)
+	fw, err := streamhist.NewFixedWindow(8, 2, 1, streamhist.WithDelta(1))
 	if err != nil {
 		panic(err)
 	}

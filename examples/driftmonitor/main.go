@@ -17,7 +17,7 @@ func main() {
 		window  = 512
 		buckets = 8
 	)
-	fw, err := streamhist.NewFixedWindowDelta(window, buckets, 0.1, 0.1)
+	fw, err := streamhist.NewFixedWindow(window, buckets, 0.1, streamhist.WithDelta(0.1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ const (
 func main() {
 	// Per-point maintenance over an hour-long window: the fixed-window
 	// algorithm of the paper.
-	fw, err := streamhist.NewFixedWindowDelta(secondsPerHour, buckets, eps, eps)
+	fw, err := streamhist.NewFixedWindow(secondsPerHour, buckets, eps, streamhist.WithDelta(eps))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func main() {
 	// NewFixedWindow uses the worst-case growth factor eps/(2B); the
 	// paper's own experiments plug eps in directly, which is what we do
 	// here — near-optimal in practice and much faster per point.
-	fw, err := streamhist.NewFixedWindowDelta(window, buckets, eps, eps)
+	fw, err := streamhist.NewFixedWindow(window, buckets, eps, streamhist.WithDelta(eps))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestPipelineStreamToSummaries(t *testing.T) {
 		t.Fatalf("parsed %d values", len(parsed))
 	}
 
-	fw, err := streamhist.NewFixedWindowDelta(512, 8, 0.1, 0.1)
+	fw, err := streamhist.NewFixedWindow(512, 8, 0.1, streamhist.WithDelta(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,8 @@ func sortFloats(a []float64) {
 // recovery story end to end.
 func TestSnapshotThroughFacade(t *testing.T) {
 	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 153, Quantize: true})
-	fw, _ := streamhist.NewFixedWindowDelta(128, 6, 0.2, 0.2)
+	m, _ := streamhist.NewFixedWindow(128, 6, 0.2, streamhist.WithDelta(0.2))
+	fw := m.FixedWindow()
 	agg, _ := streamhist.NewAgglomerative(6, 0.2)
 	for i := 0; i < 1000; i++ {
 		v := g.Next()

@@ -5,32 +5,26 @@ import (
 	"testing"
 )
 
-// benchPushVariant measures steady-state Push cost (window already full,
-// so every push slides and rebuilds) under one rebuild-engine
-// configuration. Modest sizes keep `go test -bench` quick; the scaling
-// curves over larger windows live in cmd/benchsmoke.
-func benchPushVariant(b *testing.B, warm, memo, incr bool) {
-	const (
-		n     = 1024
-		bkts  = 8
-		eps   = 0.1
-		delta = 0.1
-	)
-	fw, err := NewWithDelta(n, bkts, eps, delta)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fw.SetWarmStart(warm)
-	fw.SetProbeMemo(memo)
-	fw.SetIncrementalRebuild(incr)
+// Modest sizes keep `go test -bench` quick; the scaling curves over
+// larger windows live in cmd/benchsmoke.
+const (
+	benchN       = 1024
+	benchBuckets = 8
+	benchEps     = 0.1
+	benchDelta   = 0.1
+)
+
+// benchPush measures steady-state Push cost of one maintainer: the window
+// is already full, so every push slides and maintains.
+func benchPush(b *testing.B, fw interface{ Push(float64) }) {
 	rng := rand.New(rand.NewSource(17))
-	vals := make([]float64, 4*n)
+	vals := make([]float64, 4*benchN)
 	for i := range vals {
 		// Quantized utilization-style values: plateaus with jumps, the
 		// regime the paper's Utilization workload models.
 		vals[i] = float64(rng.Intn(100))
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < benchN; i++ {
 		fw.Push(vals[i%len(vals)])
 	}
 	b.ReportAllocs()
@@ -40,17 +34,33 @@ func benchPushVariant(b *testing.B, warm, memo, incr bool) {
 	}
 }
 
-func BenchmarkPushCold(b *testing.B)     { benchPushVariant(b, false, false, false) }
-func BenchmarkPushMemo(b *testing.B)     { benchPushVariant(b, false, true, false) }
-func BenchmarkPushWarm(b *testing.B)     { benchPushVariant(b, true, false, false) }
-func BenchmarkPushWarmMemo(b *testing.B) { benchPushVariant(b, true, true, false) }
+func benchWindow(b *testing.B, incr bool) *FixedWindow {
+	fw, err := NewWithDelta(benchN, benchBuckets, benchEps, benchDelta)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fw.SetIncrementalRebuild(incr)
+	return fw
+}
+
+// BenchmarkPushReference measures the cold CreateList oracle.
+func BenchmarkPushReference(b *testing.B) {
+	ref, err := NewReference(benchN, benchBuckets, benchEps, benchDelta, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPush(b, ref)
+}
+
+// BenchmarkPushExact measures the production exact rebuild: warm-started,
+// memoized CreateList.
+func BenchmarkPushExact(b *testing.B) { benchPush(b, benchWindow(b, false)) }
 
 // BenchmarkPushIncremental measures the incremental cover-repair path at
-// the same sizes as the exact-rebuild variants above. Scheduled exact
-// rebuilds (every K passes) are inside the measured loop, so the number
-// reported is the honest amortized per-push cost, not the cost of a
-// repair-only pass.
-func BenchmarkPushIncremental(b *testing.B) { benchPushVariant(b, true, true, true) }
+// the same sizes. Scheduled exact rebuilds (every K passes) are inside the
+// measured loop, so the number reported is the honest amortized per-push
+// cost, not the cost of a repair-only pass.
+func BenchmarkPushIncremental(b *testing.B) { benchPush(b, benchWindow(b, true)) }
 
 // BenchmarkPushIncrementalAmortized streams a long, continuous sequence
 // (64k points by default — always a multiple of the full-rebuild period

@@ -9,10 +9,15 @@
 // HERROR[.,k] grows by at most a (1+delta) factor within each interval,
 // delta = eps/(2B). Unlike the agglomerative algorithm, these queues cannot
 // be carried from one window to the next (section 4.4: a shifted function
-// invalidates the interval cover), so they are rebuilt from scratch on every
-// arrival — but cheaply, via CreateList: a recursion that locates each next
-// interval endpoint by binary search, evaluating HERROR only at O(log n)
-// probe positions per interval rather than at every buffer position.
+// invalidates the interval cover), so every maintenance pass re-derives
+// them with CreateList: a recursion that locates each next interval
+// endpoint by binary search, evaluating HERROR only at O(log n) probe
+// positions per interval rather than at every buffer position. The
+// production rebuild seeds each search from the previous pass's cover
+// shifted by the slide and memoizes probes within a level; both leave the
+// produced queues bit-identical to the paper's cold search, which
+// Reference keeps as the test oracle. The optional incremental engine
+// (incremental.go) repairs the previous cover in place instead.
 // HERROR at a probe is evaluated by minimizing over the (few) stored
 // endpoints of the queue one level below, never over all n positions.
 package core
@@ -53,10 +58,6 @@ type FixedWindow struct {
 	herrTop float64 // approximate HERROR[w-1, B] after the last rebuild
 	dirty   bool    // lazy mode: queues stale, rebuild before next query
 
-	linearScan bool // ablation: build interval lists by linear scan
-	warm       bool // warm-started CreateList (default on; off is the cold ablation)
-	memoOn     bool // per-rebuild HERROR probe memo (default on)
-
 	// Warm start: the previous rebuild's interval queues, swapped with
 	// queues at the start of each rebuild so both sets of backing arrays
 	// reach steady-state capacity and stay allocation-free.
@@ -82,8 +83,8 @@ type FixedWindow struct {
 	// true while re-validating, repairing and extending the cover in
 	// place.
 	incrOn     bool
-	incrEvery  int   // exact rebuild at least every this many passes (0 = derived)
-	incrBudget int   // endpoint repairs per pass before falling back (0 = derived)
+	incrEvery  int   // test override of the exact-rebuild period (0 = derived)
+	incrBudget int   // test override of the per-pass repair budget (0 = derived)
 	incrValid  bool  // queues hold a maintainable cover
 	incrSince  int   // incremental passes since the last exact rebuild
 	incrCursor []int // per-level rotating re-validation cursors
@@ -93,9 +94,9 @@ type FixedWindow struct {
 	evals      int64 // HERROR evaluations since creation
 	candidates int64 // candidate endpoints inspected across evaluations
 	memoHits   int64 // probes answered from the memo
-	memoMisses int64 // probes computed and stored (memo enabled only)
+	memoMisses int64 // probes computed and stored in the memo
 	warmHits   int64 // intervals whose endpoint was seeded from prev
-	warmMisses int64 // intervals that fell back to searchEndpoint
+	warmMisses int64 // intervals that fell back to gallopEndpoint
 
 	incrHits      int64 // maintenance passes completed incrementally
 	incrRepairs   int64 // interval endpoints repaired by re-search
@@ -133,11 +134,11 @@ type memoEnt struct {
 // handle is an allocation-free no-op, keeping Push at its uninstrumented
 // cost when no registry is attached.
 type fwMetrics struct {
-	push        *obs.Track   // full-maintenance Push latency
-	rebuilds    *obs.Counter // interval-queue rebuilds
-	createLists *obs.Counter // CreateList invocations (one per level per rebuild)
-	evals       *obs.Counter // HERROR evaluations (binary-search probes)
-	candidates  *obs.Counter // boundary candidates inspected across evaluations
+	push          *obs.Track   // full-maintenance Push latency
+	rebuilds      *obs.Counter // interval-queue rebuilds
+	createLists   *obs.Counter // CreateList invocations (one per level per rebuild)
+	evals         *obs.Counter // HERROR evaluations (binary-search probes)
+	candidates    *obs.Counter // boundary candidates inspected across evaluations
 	flushes       *obs.Counter // lazy/batched maintenance passes
 	flushPoints   *obs.Counter // points applied by those passes
 	memoHits      *obs.Counter // probe-memo hits
@@ -154,11 +155,11 @@ type fwMetrics struct {
 // (their counts aggregate). A nil registry detaches instrumentation.
 func (f *FixedWindow) SetRegistry(reg *obs.Registry) {
 	f.m = fwMetrics{
-		push:        reg.Track("streamhist_core_push_seconds", "Full per-point maintenance (Push) latency in seconds."),
-		rebuilds:    reg.Counter("streamhist_core_rebuilds_total", "Interval-queue rebuilds (one per Push, one per lazy flush)."),
-		createLists: reg.Counter("streamhist_core_createlist_total", "CreateList invocations (one per queue level per rebuild)."),
-		evals:       reg.Counter("streamhist_core_herr_evals_total", "Approximate HERROR evaluations (binary-search probes)."),
-		candidates:  reg.Counter("streamhist_core_herr_candidates_total", "Boundary candidates inspected across HERROR evaluations."),
+		push:          reg.Track("streamhist_core_push_seconds", "Full per-point maintenance (Push) latency in seconds."),
+		rebuilds:      reg.Counter("streamhist_core_rebuilds_total", "Interval-queue rebuilds (one per Push, one per lazy flush)."),
+		createLists:   reg.Counter("streamhist_core_createlist_total", "CreateList invocations (one per queue level per rebuild)."),
+		evals:         reg.Counter("streamhist_core_herr_evals_total", "Approximate HERROR evaluations (binary-search probes)."),
+		candidates:    reg.Counter("streamhist_core_herr_candidates_total", "Boundary candidates inspected across HERROR evaluations."),
 		flushes:       reg.Counter("streamhist_core_lazy_flushes_total", "Deferred maintenance passes (PushLazy bursts and PushBatch calls)."),
 		flushPoints:   reg.Counter("streamhist_core_lazy_flush_points_total", "Points applied by deferred maintenance passes."),
 		memoHits:      reg.Counter("streamhist_core_memo_hits_total", "HERROR probes answered from the per-rebuild memo."),
@@ -222,9 +223,10 @@ func NewWithDelta(n, b int, eps, delta float64) (*FixedWindow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	f := &FixedWindow{b: b, eps: eps, delta: delta, sums: sums, warm: true, memoOn: true}
+	f := &FixedWindow{b: b, eps: eps, delta: delta, sums: sums}
 	if b > 1 {
 		f.queues = make([][]iv, b-1)
+		f.prev = make([][]iv, b-1)
 	}
 	return f, nil
 }
@@ -247,27 +249,6 @@ func (f *FixedWindow) Epsilon() float64 { return f.eps }
 // Delta returns the per-level growth factor in use.
 func (f *FixedWindow) Delta() float64 { return f.delta }
 
-// SetLinearScan switches CreateList between the paper's binary search
-// (false, default) and a position-by-position linear scan (true). Both
-// produce the same interval cover; the ablation benchmarks compare their
-// cost. Linear scan also disables warm-started endpoint seeding so the
-// ablation stays a pure position-by-position walk.
-func (f *FixedWindow) SetLinearScan(on bool) { f.linearScan = on }
-
-// SetWarmStart toggles warm-started CreateList (default on): each
-// interval's endpoint search is seeded from the corresponding endpoint of
-// the previous rebuild's cover, shifted by the window slide. The seed is
-// verified against the same predicate the binary search uses, so the
-// produced cover is identical to the cold path's; off is the cold
-// ablation.
-func (f *FixedWindow) SetWarmStart(on bool) { f.warm = on }
-
-// SetProbeMemo toggles the per-rebuild HERROR probe memo (default on).
-// Within one CreateList level every probe position yields the same value,
-// so memoization changes no results — off is the ablation that re-derives
-// every overlapping probe, as the pre-memo engine did.
-func (f *FixedWindow) SetProbeMemo(on bool) { f.memoOn = on }
-
 // Evals returns the number of HERROR evaluations performed so far, and
 // the number of candidate boundaries inspected across them. Probes
 // answered by the memo are not evaluations; add MemoStats hits for the
@@ -277,8 +258,6 @@ func (f *FixedWindow) Evals() (evaluations, candidatesInspected int64) {
 }
 
 // MemoStats returns the probe-memo hit and miss counts since creation.
-// Misses count only probes that went through an enabled memo; with the
-// memo disabled both numbers stop advancing.
 func (f *FixedWindow) MemoStats() (hits, misses int64) {
 	return f.memoHits, f.memoMisses
 }
@@ -380,20 +359,12 @@ func (f *FixedWindow) rebuild() {
 		}
 	}
 	ws := f.sums.WindowStart()
-	if f.warm && f.b > 1 {
-		// Retire the current queues as the warm-start source. lastWS dates
-		// them, so the slide between the two windows maps old positions to
-		// new ones even across batched arrivals or evictions.
-		if f.prev == nil {
-			f.prev = make([][]iv, f.b-1)
-		}
-		f.queues, f.prev = f.prev, f.queues
-		f.shift = int(ws - f.lastWS)
-	}
-	if f.memoOn && len(f.memo) < f.sums.Capacity() {
-		f.memo = make([]memoEnt, f.sums.Capacity())
-		f.epoch = 0 // stamps restart below the zeroed table
-	}
+	f.ensureMemo()
+	// Retire the current queues as the warm-start source. lastWS dates
+	// them, so the slide between the two windows maps old positions to
+	// new ones even across batched arrivals or evictions.
+	f.queues, f.prev = f.prev, f.queues
+	f.shift = int(ws - f.lastWS)
 	for k := 1; k <= f.b-1; k++ {
 		f.epoch++ // new level: all memo entries become vacant in O(1)
 		f.queues[k-1] = f.queues[k-1][:0]
@@ -461,6 +432,15 @@ func (f *FixedWindow) rebuild() {
 	f.checkCover(w)
 }
 
+// ensureMemo sizes the probe memo to the window capacity on the first
+// maintenance pass; steady state allocates nothing.
+func (f *FixedWindow) ensureMemo() {
+	if len(f.memo) < f.sums.Capacity() {
+		f.memo = make([]memoEnt, f.sums.Capacity())
+		f.epoch = 0 // stamps restart below the zeroed table
+	}
+}
+
 // exportCounters publishes the deltas of the cumulative instrumentation
 // counters to the attached registry. Both maintenance paths end with it;
 // the exp* cursors make repeated calls idempotent.
@@ -484,54 +464,39 @@ func (f *FixedWindow) exportCounters() {
 // CreateList[a,b,k]), appending to queues[k-1]. Written iteratively: the
 // paper's tail recursion "insert c; CreateList(c+1,b,k)" is a loop.
 //
-// With warm start enabled, each interval's endpoint is first guessed from
-// the previous rebuild's cover at this level, shifted by the window slide:
-// consecutive windows differ by a one-point shift (a batch flush slides by
-// the burst size), so a stable cover verifies in O(1) probes per interval
-// instead of the O(log interval-length) of the gallop + binary search. The
-// guess is accepted only if the search's own post-condition holds —
-// predicate true at the guess, false just past it — so the produced cover
-// is the one the cold path would build.
+// Each interval's endpoint is first guessed from the previous pass's
+// cover at this level, shifted by the window slide: consecutive windows
+// differ by a one-point shift (a batch flush slides by the burst size), so
+// a stable cover verifies in O(1) probes per interval instead of the
+// O(log interval-length) of the gallop + binary search. The guess is
+// accepted only if the search's own post-condition holds — predicate true
+// at the guess, false just past it — so the produced cover is the one the
+// cold search (Reference) builds.
 func (f *FixedWindow) createList(a, b, k int) {
 	q := &f.queues[k-1]
-	warm := f.warm && !f.linearScan
-	var prev []iv
-	if warm {
-		prev = f.prev[k-1]
-	}
+	prev := f.prev[k-1]
 	j := 0 // cursor into prev; interval starts only move right
 	lo := a
 	for lo <= b {
 		t := f.evalHErr(lo, k)
-		var c int
-		var herrC float64
-		switch {
-		case lo == b:
-			c, herrC = lo, t
-		case f.linearScan:
-			c, herrC = f.linearEndpoint(lo, b, k, t)
-		default:
-			c = -1
-			if warm {
-				oldPos := lo + f.shift
-				for j < len(prev) && prev[j].B < oldPos {
-					j++
-				}
-				if j < len(prev) {
-					g := prev[j].B - f.shift
-					if g < lo {
-						g = lo
-					}
-					if g > b {
-						g = b
-					}
-					c, herrC = f.warmEndpoint(lo, b, k, t, g)
-				} else {
-					f.warmMisses++ // cover outgrew the previous window
-				}
+		c, herrC := lo, t
+		if lo < b {
+			oldPos := lo + f.shift
+			for j < len(prev) && prev[j].B < oldPos {
+				j++
 			}
-			if c < 0 {
-				c, herrC = f.searchEndpoint(lo, b, k, t)
+			if j < len(prev) {
+				g := prev[j].B - f.shift
+				if g < lo {
+					g = lo
+				}
+				if g > b {
+					g = b
+				}
+				c, herrC = f.warmEndpoint(lo, b, k, t, g)
+			} else {
+				f.warmMisses++ // cover outgrew the previous window
+				c, herrC = f.gallopEndpoint(lo, b, k, (1+f.delta)*t, t)
 			}
 		}
 		*q = append(*q, iv{A: lo, B: c, HErrA: t, HErrB: herrC})
@@ -542,7 +507,7 @@ func (f *FixedWindow) createList(a, b, k int) {
 // warmEndpoint locates the interval endpoint starting from a warm-start
 // guess g in [lo..hi]. When the cover is stable across the window slide
 // the guess verifies with at most two probes — predicate true at g, false
-// at g+1, the same post-condition searchEndpoint establishes — so the
+// at g+1, the same post-condition gallopEndpoint establishes — so the
 // interval costs O(1) evaluations. When the cover drifted, it gallops
 // from the guess toward the true endpoint and binary-searches the
 // bracket, costing O(log drift) instead of O(log interval-length). Under
@@ -577,55 +542,37 @@ func (f *FixedWindow) warmEndpoint(lo, hi, k int, t float64, g int) (int, float6
 	return f.gallopEndpoint(g+1, hi, k, thr, v)
 }
 
-// searchEndpoint finds the maximal c in [lo..hi] with
-// HERROR[c,k] <= (1+delta)*t (or c == hi). HERROR[.,k] is non-decreasing,
-// so the predicate is monotone up to the (1+delta)-bounded evaluation
-// slack, which the approximation analysis absorbs. It gallops from lo
-// (probing at doubling distances) before binary-searching the bracketed
-// range, so the cost is O(log interval-length) evaluations rather than
-// O(log n) — the two are equal for long intervals, and galloping is far
-// cheaper in the small-delta regime where intervals span a few positions.
-func (f *FixedWindow) searchEndpoint(lo, hi, k int, t float64) (int, float64) {
-	return f.gallopEndpoint(lo, hi, k, (1+f.delta)*t, t)
-}
-
-// gallopEndpoint gallops from l (where the predicate holds with value
-// val) at roughly doubling distances until a probe fails, then
-// binary-searches the bracketed range.
+// gallopEndpoint finds the maximal c in [l..hi] with HERROR[c,k] <= thr
+// (or c == hi), given that the predicate holds at l with value val.
+// HERROR[.,k] is non-decreasing, so the predicate is monotone up to the
+// (1+delta)-bounded evaluation slack, which the approximation analysis
+// absorbs. It gallops from l at roughly doubling distances until a probe
+// fails, then binary-searches the bracketed range, so the cost is
+// O(log interval-length) evaluations rather than O(log n) — the two are
+// equal for long intervals, and galloping is far cheaper in the
+// small-delta regime where intervals span a few positions.
 //
-// With the probe memo enabled the gallop probes power-of-two-aligned
-// positions instead of l+2^t: iteration t probes the first multiple of
-// 2^t past l, which advances geometrically just like the classic gallop
-// (same O(log distance) probe count) but lands on positions that are
-// independent of the search's starting point. Adjacent interval
-// searches within a level then probe the same aligned positions, and
-// the memo collapses the repeats to array loads. Either probe schedule
-// brackets the same endpoint under the monotone predicate.
+// The gallop probes power-of-two-aligned positions instead of l+2^t:
+// iteration t probes the first multiple of 2^t past l, which advances
+// geometrically just like the classic gallop (same O(log distance) probe
+// count) but lands on positions that are independent of the search's
+// starting point. Adjacent interval searches within a level then probe
+// the same aligned positions, and the memo collapses the repeats to array
+// loads. Either probe schedule brackets the same endpoint under the
+// monotone predicate.
 func (f *FixedWindow) gallopEndpoint(l, hi, k int, thr, val float64) (int, float64) {
 	h := hi
-	if f.memoOn {
-		for t := 0; ; t++ {
-			p := ((l >> t) + 1) << t
-			if p > hi {
-				break
-			}
-			v := f.evalHErr(p, k)
-			if v > thr {
-				h = p - 1
-				break
-			}
-			l = p
-			val = v
-		}
-		return f.bisectEndpoint(l, h, k, thr, val)
-	}
-	for step := 1; l+step <= hi; step *= 2 {
-		v := f.evalHErr(l+step, k)
-		if v > thr {
-			h = l + step - 1
+	for t := 0; ; t++ {
+		p := ((l >> t) + 1) << t
+		if p > hi {
 			break
 		}
-		l += step
+		v := f.evalHErr(p, k)
+		if v > thr {
+			h = p - 1
+			break
+		}
+		l = p
 		val = v
 	}
 	return f.bisectEndpoint(l, h, k, thr, val)
@@ -635,52 +582,25 @@ func (f *FixedWindow) gallopEndpoint(l, hi, k int, thr, val float64) (int, float
 // predicate, given that it holds at l with value val and fails just past
 // h.
 //
-// With the probe memo enabled it probes the coarsest power-of-two-
-// aligned position inside (l..h] instead of the midpoint — the probe a
-// binary trie descent would make. The bracket still shrinks
-// geometrically, and trie-aligned probes recur across the searches of a
-// level far more often than bracket-dependent midpoints do, feeding the
-// memo. Both probe rules are exact binary searches over the same
-// monotone predicate, so they return the identical endpoint.
+// It probes the coarsest power-of-two-aligned position inside (l..h]
+// instead of the midpoint — the probe a binary trie descent would make.
+// The bracket still shrinks geometrically, and trie-aligned probes recur
+// across the searches of a level far more often than bracket-dependent
+// midpoints do, feeding the memo. Both probe rules are exact binary
+// searches over the same monotone predicate, so they return the
+// identical endpoint.
 func (f *FixedWindow) bisectEndpoint(l, h, k int, thr, val float64) (int, float64) {
-	if f.memoOn {
-		for l < h {
-			t := bits.Len(uint(l^h)) - 1
-			p := ((l >> t) + 1) << t // coarsest aligned position in (l..h]
-			if v := f.evalHErr(p, k); v <= thr {
-				l = p
-				val = v
-			} else {
-				h = p - 1
-			}
-		}
-		return l, val
-	}
 	for l < h {
-		mid := int(uint(l+h+1) >> 1)
-		if v := f.evalHErr(mid, k); v <= thr {
-			l = mid
+		t := bits.Len(uint(l^h)) - 1
+		p := ((l >> t) + 1) << t // coarsest aligned position in (l..h]
+		if v := f.evalHErr(p, k); v <= thr {
+			l = p
 			val = v
 		} else {
-			h = mid - 1
+			h = p - 1
 		}
 	}
 	return l, val
-}
-
-// linearEndpoint is the ablation variant: advance one position at a time.
-func (f *FixedWindow) linearEndpoint(lo, hi, k int, t float64) (int, float64) {
-	thr := (1 + f.delta) * t
-	c, val := lo, t
-	for c < hi {
-		v := f.evalHErr(c+1, k)
-		if v > thr {
-			break
-		}
-		c++
-		val = v
-	}
-	return c, val
 }
 
 // evalHErr returns the approximate HERROR[c,k], consulting the per-level
@@ -694,17 +614,13 @@ func (f *FixedWindow) linearEndpoint(lo, hi, k int, t float64) (int, float64) {
 // epoch bumps must use the same k (rebuild bumps the epoch per level).
 // Callers probing across levels outside a rebuild must use herrAt.
 func (f *FixedWindow) evalHErr(c, k int) float64 {
-	if f.memoOn {
-		if e := &f.memo[c]; e.stamp == f.epoch {
-			f.memoHits++
-			return e.val
-		}
+	if e := &f.memo[c]; e.stamp == f.epoch {
+		f.memoHits++
+		return e.val
 	}
 	v := f.herrAt(c, k)
-	if f.memoOn {
-		f.memoMisses++
-		f.memo[c] = memoEnt{stamp: f.epoch, val: v}
-	}
+	f.memoMisses++
+	f.memo[c] = memoEnt{stamp: f.epoch, val: v}
 	return v
 }
 
@@ -739,7 +655,7 @@ func (f *FixedWindow) herrAt(c, k int) float64 {
 	// stay in registers across the scan, where the 80-byte evaluator
 	// struct cost a block copy per probe. The arithmetic is the same
 	// expression Suffix.SQError evaluates, so results are bit-identical
-	// (pinned by the cold-vs-optimized equivalence suite).
+	// (pinned by the reference-vs-production equivalence suite).
 	psum, psq := f.sums.Anchored()
 	sumHi, sqHi := psum[c+1], psq[c+1]
 	for i := idx; i >= 0; i-- {
@@ -878,9 +794,8 @@ type Interval struct {
 }
 
 // Cover returns a copy of the interval cover at level k (1 <= k <= B-1).
-// The cross-check suites compare covers between the warm/memo engine and
-// the cold ablation; outside tests it is a debugging aid, not a hot-path
-// API.
+// The cross-check suites compare covers between the production engine and
+// Reference; outside tests it is a debugging aid, not a hot-path API.
 func (f *FixedWindow) Cover(k int) []Interval {
 	f.ensureFresh()
 	if k < 1 || k > len(f.queues) {

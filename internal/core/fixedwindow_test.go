@@ -166,8 +166,10 @@ func TestLinearScanMatchesBinarySearch(t *testing.T) {
 	data := datagen.Series(g, 200)
 
 	bs, _ := New(64, 4, 0.2)
-	ls, _ := New(64, 4, 0.2)
-	ls.SetLinearScan(true)
+	ls, err := NewReference(64, 4, 0.2, bs.Delta(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range data {
 		bs.Push(v)
 		ls.Push(v)

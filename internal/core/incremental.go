@@ -17,8 +17,8 @@ import (
 // (1+delta) containment check fails — galloping backward from the stale
 // endpoint — and extends coverage to the new right edge. Staleness is
 // bounded two ways: the rotating cursor re-validates every interval at
-// least once between exact rebuilds, and a full warm+memo rebuild runs at
-// least every K passes (K derived from delta by default). Either a repair
+// least once between exact rebuilds, and a full exact rebuild runs at
+// least every K passes (K derived from delta). Either a repair
 // cascade exceeding the per-pass budget or the K-pass schedule falls back
 // to the exact createList path, so the engine degrades to the verified
 // baseline instead of accumulating drift. See DESIGN.md section 11 for
@@ -36,14 +36,13 @@ const (
 // SetIncrementalRebuild toggles the incremental cover-repair engine
 // (default off). When on, per-point maintenance re-validates and repairs
 // the existing interval queues instead of rebuilding them, falling back
-// to the exact warm/memo createList path on a repair-budget overrun and
-// at least every K passes (SetIncrementalBudget). Unlike the warm-start
-// and probe-memo toggles the produced cover is not bit-identical to the
-// cold path's: stored HERROR bounds may be stale by up to one
-// fallback period, which widens the per-level containment factor from
-// (1+delta) to at most (1+delta)^2 between exact rebuilds — the
-// approximation-bound equivalence suite pins the resulting ApproxError
-// drift. The linear-scan ablation bypasses the incremental path.
+// to the exact createList path on a repair-budget overrun and at least
+// every K = 1/(2 delta) passes (clamped to [8, 4096]). Unlike the exact
+// rebuild the produced cover is not bit-identical to the cold search's:
+// stored HERROR bounds may be stale by up to one fallback period, which
+// widens the per-level containment factor from (1+delta) to at most
+// (1+delta)^2 between exact rebuilds — the approximation-bound
+// equivalence suite pins the resulting ApproxError drift.
 func (f *FixedWindow) SetIncrementalRebuild(on bool) { f.incrOn = on }
 
 // IncrementalRebuild reports whether the incremental cover-repair engine
@@ -51,16 +50,6 @@ func (f *FixedWindow) SetIncrementalRebuild(on bool) { f.incrOn = on }
 // maintenance (cheap under incremental repair) and deferring to the next
 // query's flush.
 func (f *FixedWindow) IncrementalRebuild() bool { return f.incrOn }
-
-// SetIncrementalBudget configures the staleness budget of the incremental
-// engine: fullEvery is the maximum number of incremental passes between
-// exact rebuilds, and repairs caps endpoint re-searches per pass before
-// the pass aborts to a full rebuild. Zero selects the derived defaults:
-// fullEvery = 1/(2 delta) clamped to [8, 4096], repairs = a quarter of
-// the current cover size (at least 16).
-func (f *FixedWindow) SetIncrementalBudget(fullEvery, repairs int) {
-	f.incrEvery, f.incrBudget = fullEvery, repairs
-}
 
 // IncrementalStats returns, since creation, the number of maintenance
 // passes completed incrementally, the number of interval endpoints
@@ -91,7 +80,7 @@ func (f *FixedWindow) maintain() {
 	f.rebuild()
 }
 
-// incrEveryEff resolves the full-rebuild period K.
+// incrEveryEff resolves the full-rebuild period K = 1/(2 delta).
 func (f *FixedWindow) incrEveryEff() int {
 	if f.incrEvery > 0 {
 		return f.incrEvery
@@ -106,7 +95,8 @@ func (f *FixedWindow) incrEveryEff() int {
 	return k
 }
 
-// incrBudgetEff resolves the per-pass repair budget.
+// incrBudgetEff resolves the per-pass repair budget: a quarter of the
+// current cover size, at least 16.
 func (f *FixedWindow) incrBudgetEff() int {
 	if f.incrBudget > 0 {
 		return f.incrBudget
@@ -133,7 +123,7 @@ func (f *FixedWindow) incrBudgetEff() int {
 //
 //streamhist:hotpath
 func (f *FixedWindow) incrementalPass() bool {
-	if !f.incrValid || f.b <= 1 || f.linearScan {
+	if !f.incrValid || f.b <= 1 {
 		return false
 	}
 	w := f.sums.Len()
@@ -148,13 +138,7 @@ func (f *FixedWindow) incrementalPass() bool {
 	if shift < 0 || shift >= f.lastW {
 		return false // cover fully evicted: nothing to repair
 	}
-	if f.memoOn && len(f.memo) < f.sums.Capacity() {
-		f.memo = make([]memoEnt, f.sums.Capacity())
-		f.epoch = 0
-	}
-	if f.prev == nil {
-		f.prev = make([][]iv, f.b-1)
-	}
+	f.ensureMemo()
 	if len(f.incrCursor) < f.b-1 {
 		f.incrCursor = make([]int, f.b-1)
 	}
@@ -287,7 +271,7 @@ func (f *FixedWindow) incrLevel(k, shift, w int, budget *int) bool {
 			}
 		}
 		t := f.evalHErr(lo, k)
-		c, hc := f.searchEndpoint(lo, w-1, k, t)
+		c, hc := f.gallopEndpoint(lo, w-1, k, thrMul*t, t)
 		dst = append(dst, iv{A: lo, B: c, HErrA: t, HErrB: hc})
 		lo = c + 1
 	}

@@ -56,7 +56,7 @@ func TestIncrFallbackRatioUnderBudgetOverrun(t *testing.T) {
 	regS := obs.NewRegistry()
 	starved.SetRegistry(regS)
 	starved.SetIncrementalRebuild(true)
-	starved.SetIncrementalBudget(1<<20, 1)
+	starved.incrEvery, starved.incrBudget = 1<<20, 1
 	push(starved, 7, 4*n)
 
 	hits, _, fallbacks := starved.IncrementalStats()

@@ -9,32 +9,28 @@ import (
 	"streamhist/internal/vopt"
 )
 
-// rebuildVariants enumerates the rebuild-engine configurations whose
-// results must be indistinguishable: the probe memo and the warm start
-// are pure evaluation-order optimizations, so every combination has to
-// produce bit-identical interval queues, ApproxError and histograms.
-var rebuildVariants = []struct {
-	name       string
-	warm, memo bool
-}{
-	{"cold", false, false},
-	{"memo", false, true},
-	{"warm", true, false},
-	{"warm+memo", true, true},
-}
-
-func newVariant(t *testing.T, n, b int, eps, delta float64, warm, memo bool) *FixedWindow {
+// newExact builds a production maintainer; delta == 0 selects the
+// default eps/(2B).
+func newExact(t *testing.T, n, b int, eps, delta float64) *FixedWindow {
 	t.Helper()
-	fw, err := New(n, b, eps) // delta == 0: the default eps/(2B)
-	if delta != 0 {
-		fw, err = NewWithDelta(n, b, eps, delta)
+	if delta == 0 {
+		delta = eps / (2 * float64(b))
 	}
+	fw, err := NewWithDelta(n, b, eps, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw.SetWarmStart(warm)
-	fw.SetProbeMemo(memo)
 	return fw
+}
+
+// refFor builds the cold CreateList reference with fw's parameters.
+func refFor(t *testing.T, fw *FixedWindow) *Reference {
+	t.Helper()
+	ref, err := NewReference(fw.Capacity(), fw.Buckets(), fw.Epsilon(), fw.Delta(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }
 
 // requireSameState asserts that two maintainers hold bit-identical
@@ -84,47 +80,42 @@ func requireSameState(t *testing.T, ctx string, ref, opt *FixedWindow) {
 	}
 }
 
-// TestRebuildEquivalenceRandom drives all rebuild variants through a
-// randomized stream long enough to fill the window, slide it through a
-// full wrap-around of the prefix arrays, and checks the complete state
-// after every push.
+// TestRebuildEquivalenceRandom drives the production engine and the
+// reference through a randomized stream long enough to fill the window,
+// slide it through a full wrap-around of the prefix arrays, and checks
+// the complete state after every push.
 func TestRebuildEquivalenceRandom(t *testing.T) {
 	const n, b = 96, 6
 	for _, eps := range []float64{0.1, 0.5} {
 		for seed := int64(1); seed <= 3; seed++ {
-			ref := newVariant(t, n, b, eps, 0, false, false)
-			opts := make([]*FixedWindow, 0, len(rebuildVariants)-1)
-			for _, v := range rebuildVariants[1:] {
-				opts = append(opts, newVariant(t, n, b, eps, 0, v.warm, v.memo))
-			}
+			opt := newExact(t, n, b, eps, 0)
+			ref := refFor(t, opt)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 3*n; i++ { // > 2n: crosses the prefix-array rebase
 				x := rng.NormFloat64()*10 + float64(i%7)
 				ref.Push(x)
-				for j, opt := range opts {
-					opt.Push(x)
-					requireSameState(t, rebuildVariants[j+1].name, ref, opt)
-				}
+				opt.Push(x)
+				requireSameState(t, "random", ref.FixedWindow, opt)
 			}
 		}
 	}
 }
 
 // TestRebuildEquivalenceShapes replays the adversarial window shapes of
-// the matrix sweep through every rebuild variant.
+// the matrix sweep through the production engine and the reference.
 func TestRebuildEquivalenceShapes(t *testing.T) {
 	const n = 48
 	for name, gen := range adversarialShapes {
 		for _, b := range []int{2, 5} {
 			for _, delta := range []float64{0.1, 0.5} {
-				ref := newVariant(t, n, b, delta, delta, false, false)
-				opt := newVariant(t, n, b, delta, delta, true, true)
+				opt := newExact(t, n, b, delta, delta)
+				ref := refFor(t, opt)
 				rngR := rand.New(rand.NewSource(220))
 				rngO := rand.New(rand.NewSource(220))
 				for i := 0; i < n+64; i++ {
 					ref.Push(gen(i, rngR))
 					opt.Push(gen(i, rngO))
-					requireSameState(t, name, ref, opt)
+					requireSameState(t, name, ref.FixedWindow, opt)
 				}
 			}
 		}
@@ -137,8 +128,8 @@ func TestRebuildEquivalenceShapes(t *testing.T) {
 // than the window itself.
 func TestRebuildEquivalenceBatched(t *testing.T) {
 	const n, b = 64, 5
-	ref := newVariant(t, n, b, 0.1, 0, false, false)
-	opt := newVariant(t, n, b, 0.1, 0, true, true)
+	opt := newExact(t, n, b, 0.1, 0)
+	ref := refFor(t, opt)
 	rng := rand.New(rand.NewSource(7))
 	step := 0
 	feed := func(k int) []float64 {
@@ -170,13 +161,13 @@ func TestRebuildEquivalenceBatched(t *testing.T) {
 			ref.PushBatch(vs)
 			opt.PushBatch(vs)
 		}
-		requireSameState(t, "batched", ref, opt)
+		requireSameState(t, "batched", ref.FixedWindow, opt)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Incremental cover repair. Unlike warm start and the probe memo, the
-// incremental engine is NOT bit-identical to the cold path: stored HERROR
+// Incremental cover repair. Unlike the exact rebuild, the incremental
+// engine is NOT bit-identical to the reference: stored HERROR
 // bounds may be stale by up to one fallback period K. Staleness has two
 // consequences the tests below pin. Within a window, the per-level
 // containment factor widens from (1+delta) to (1+delta)^2 between exact
@@ -194,11 +185,11 @@ func TestRebuildEquivalenceBatched(t *testing.T) {
 // reported SSE is the exact SSE of the chosen bucketization, so it is
 // bounded below by the true optimum on the CURRENT window.
 
-// newIncrVariant builds a maintainer running the incremental cover-repair
-// engine over the default warm+memo fallback path.
-func newIncrVariant(t *testing.T, n, b int, eps, delta float64) *FixedWindow {
+// newIncr builds a maintainer running the incremental cover-repair
+// engine over the exact-rebuild fallback path.
+func newIncr(t *testing.T, n, b int, eps, delta float64) *FixedWindow {
 	t.Helper()
-	fw := newVariant(t, n, b, eps, delta, true, true)
+	fw := newExact(t, n, b, eps, delta)
 	fw.SetIncrementalRebuild(true)
 	return fw
 }
@@ -255,8 +246,8 @@ func TestIncrementalApproxBoundRandom(t *testing.T) {
 	const n, b = 96, 6
 	for _, eps := range []float64{0.1, 0.5} {
 		for seed := int64(1); seed <= 3; seed++ {
-			cold := newVariant(t, n, b, eps, 0, false, false)
-			incr := newIncrVariant(t, n, b, eps, 0)
+			incr := newIncr(t, n, b, eps, 0)
+			cold := refFor(t, incr)
 			factor := math.Pow(1+incr.Delta(), 4*float64(b))
 			trail := newColdTrail(incr.incrEveryEff())
 			rng := rand.New(rand.NewSource(seed))
@@ -292,8 +283,8 @@ func TestIncrementalApproxBoundShapes(t *testing.T) {
 	for name, gen := range adversarialShapes {
 		for _, b := range []int{2, 5} {
 			for _, delta := range []float64{0.1, 0.5} {
-				cold := newVariant(t, n, b, delta, delta, false, false)
-				incr := newIncrVariant(t, n, b, delta, delta)
+				incr := newIncr(t, n, b, delta, delta)
+				cold := refFor(t, incr)
 				factor := math.Pow(1+delta, 4*float64(b))
 				trail := newColdTrail(incr.incrEveryEff())
 				rngC := rand.New(rand.NewSource(220))
@@ -340,8 +331,8 @@ func TestIncrementalApproxBoundShapes(t *testing.T) {
 // safe warm-start seed because every seed is predicate-verified.
 func TestIncrementalTogglesMidStream(t *testing.T) {
 	const n, b = 80, 6
-	ref := newVariant(t, n, b, 0.2, 0, false, false)
-	opt := newIncrVariant(t, n, b, 0.2, 0)
+	opt := newIncr(t, n, b, 0.2, 0)
+	ref := refFor(t, opt)
 	factor := math.Pow(1+opt.Delta(), 4*float64(b))
 	trail := newColdTrail(opt.incrEveryEff())
 	rng := rand.New(rand.NewSource(11))
@@ -357,24 +348,24 @@ func TestIncrementalTogglesMidStream(t *testing.T) {
 			ref.Push(y)
 			trail.push(ref.ApproxError())
 			opt.Push(y)
-			requireSameState(t, "incr-toggle-off", ref, opt)
+			requireSameState(t, "incr-toggle-off", ref.FixedWindow, opt)
 			opt.SetIncrementalRebuild(true)
 		}
 	}
 }
 
-// TestIncrementalBudgetKnobs sweeps explicit staleness budgets — from
-// "exact rebuild every other pass" down to "one repair per pass" — and
-// checks the envelope holds for each: the budget trades work for
+// TestIncrementalBudgetKnobs overrides the derived staleness budgets —
+// from "exact rebuild every other pass" down to "one repair per pass" —
+// and checks the envelope holds for each: the budget trades work for
 // staleness inside the bound, never correctness.
 func TestIncrementalBudgetKnobs(t *testing.T) {
 	const n, b = 64, 5
 	for _, budget := range []struct{ every, repairs int }{
 		{2, 0}, {16, 0}, {1024, 1}, {0, 1},
 	} {
-		cold := newVariant(t, n, b, 0.2, 0, false, false)
-		incr := newIncrVariant(t, n, b, 0.2, 0)
-		incr.SetIncrementalBudget(budget.every, budget.repairs)
+		incr := newIncr(t, n, b, 0.2, 0)
+		cold := refFor(t, incr)
+		incr.incrEvery, incr.incrBudget = budget.every, budget.repairs
 		factor := math.Pow(1+incr.Delta(), 4*float64(b))
 		trail := newColdTrail(incr.incrEveryEff())
 		rng := rand.New(rand.NewSource(17))
@@ -389,15 +380,13 @@ func TestIncrementalBudgetKnobs(t *testing.T) {
 }
 
 // TestIncrementalSnapshotRoundTrip pins two restore properties: the
-// incremental engine's configuration survives UnmarshalBinary as an
-// attachment (like the instrumentation), and the restored state is the
-// exact rebuild of the snapshotted window — indistinguishable from a cold
-// maintainer fed the same window — after which incremental maintenance
-// resumes.
+// incremental engine's switch survives UnmarshalBinary as an attachment
+// (like the instrumentation), and the restored state is the exact rebuild
+// of the snapshotted window — indistinguishable from the reference fed the
+// same window — after which incremental maintenance resumes.
 func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	const n, b = 64, 5
-	src := newIncrVariant(t, n, b, 0.1, 0)
-	src.SetIncrementalBudget(16, 8)
+	src := newIncr(t, n, b, 0.1, 0)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 2*n; i++ {
 		src.Push(rng.NormFloat64() * 40)
@@ -406,20 +395,18 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newIncrVariant(t, n, b, 0.1, 0)
-	dst.SetIncrementalBudget(16, 8)
+	dst := newIncr(t, n, b, 0.1, 0)
 	if err := dst.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if !dst.incrOn || dst.incrEvery != 16 || dst.incrBudget != 8 {
-		t.Fatalf("incremental config lost in restore: on=%v every=%d budget=%d",
-			dst.incrOn, dst.incrEvery, dst.incrBudget)
+	if !dst.incrOn {
+		t.Fatal("incremental switch lost in restore")
 	}
-	cold := newVariant(t, n, b, 0.1, 0, false, false)
+	cold := refFor(t, src)
 	for _, v := range src.Window() {
 		cold.PushLazy(v)
 	}
-	requireSameState(t, "restored", cold, dst)
+	requireSameState(t, "restored", cold.FixedWindow, dst)
 	// Maintenance after the restore runs incrementally again.
 	h0, _, _ := dst.IncrementalStats()
 	factor := math.Pow(1+dst.Delta(), 4*float64(b))
@@ -442,8 +429,8 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 // is bit-identical to PushLazy per element followed by one flush.
 func TestIncrementalPushBatchSinglePass(t *testing.T) {
 	const n, b = 64, 5
-	batch := newIncrVariant(t, n, b, 0.1, 0)
-	lazy := newIncrVariant(t, n, b, 0.1, 0)
+	batch := newIncr(t, n, b, 0.1, 0)
+	lazy := newIncr(t, n, b, 0.1, 0)
 	rng := rand.New(rand.NewSource(9))
 	batch.Push(1) // establish a cover so every later pass is hit-or-fallback
 	lazy.Push(1)
@@ -518,25 +505,5 @@ func TestTimeWindowPushBatchEquivalence(t *testing.T) {
 	h1, _, f1 := itw.fw.IncrementalStats()
 	if passes := (h1 - h0) + (f1 - f0); passes != 1 {
 		t.Fatalf("time-window batch: %d maintenance passes, want 1", passes)
-	}
-}
-
-// TestRebuildtogglesMidStream flips the optimizations off and on while a
-// stream is in flight: a maintainer reconfigured mid-stream must keep
-// matching the cold reference exactly.
-func TestRebuildTogglesMidStream(t *testing.T) {
-	const n, b = 80, 6
-	ref := newVariant(t, n, b, 0.2, 0, false, false)
-	opt := newVariant(t, n, b, 0.2, 0, true, true)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 4*n; i++ {
-		if i%(n/2) == 0 {
-			opt.SetWarmStart(i%n == 0)
-			opt.SetProbeMemo(i%(3*n/2) != 0)
-		}
-		x := rng.Float64() * 100
-		ref.Push(x)
-		opt.Push(x)
-		requireSameState(t, "toggle", ref, opt)
 	}
 }

@@ -7,9 +7,12 @@ import (
 	"streamhist/internal/prefix"
 )
 
-// snapshot format: magic "SFW1", then b, eps, delta, linearScan, seen,
-// window values. The interval queues are a pure function of the window, so
-// they are rebuilt on restore rather than persisted.
+// snapshot format: magic "SFW1", then n, b, eps, delta, a reserved byte,
+// seen, window values. The reserved byte once selected the linear-scan
+// ablation: it is written as 0 and ignored on read, so no snapshot can
+// switch a restored window off the production engine. The interval queues
+// are a pure function of the window, so they are rebuilt on restore rather
+// than persisted.
 const snapshotMagic = "SFW1"
 
 // MaxSnapshotWindow bounds the window capacity UnmarshalBinary will
@@ -26,7 +29,7 @@ func (f *FixedWindow) MarshalBinary() ([]byte, error) {
 	w.Int(f.b)
 	w.Float64(f.eps)
 	w.Float64(f.delta)
-	w.Bool(f.linearScan)
+	w.Bool(false) // reserved
 	w.Int64(f.sums.Seen())
 	w.Floats(f.sums.Values())
 	return w.Bytes(), nil
@@ -50,7 +53,7 @@ func (f *FixedWindow) UnmarshalBinary(data []byte) error {
 	}
 	eps := r.Float64()
 	delta := r.Float64()
-	linear := r.Bool()
+	r.Bool() // reserved
 	seen := r.Int64()
 	values := r.Floats()
 	if err := r.Done(); err != nil {
@@ -60,19 +63,17 @@ func (f *FixedWindow) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: snapshot config invalid: %w", err)
 	}
-	restored.linearScan = linear
 	sums, err := prefix.RestoreSlidingSums(n, values, seen)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	restored.sums = sums
-	restored.m = f.m // the metrics attachment survives a restore
+	restored.m = f.m                                        // the metrics attachment survives a restore
 	restored.tr, restored.traceParent = f.tr, f.traceParent // so does the flight recorder
-	// The incremental-engine configuration is an attachment like the
+	// The incremental-engine switch is an attachment like the
 	// instrumentation, not window state: it survives the restore, and the
 	// exact rebuild below re-establishes a fresh cover for it to maintain.
 	restored.incrOn = f.incrOn
-	restored.incrEvery, restored.incrBudget = f.incrEvery, f.incrBudget
 	restored.rebuild()
 	*f = *restored
 	return nil

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"streamhist/internal/codec"
 	"streamhist/internal/datagen"
 )
 
@@ -92,21 +93,48 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestSnapshotPreservesLinearScan(t *testing.T) {
-	orig, _ := New(16, 3, 0.5)
-	orig.SetLinearScan(true)
-	for i := 0; i < 20; i++ {
-		orig.Push(float64(i % 5))
+// sfw1Blob hand-encodes an SFW1 snapshot. reserved is the byte earlier
+// releases read as the linear-scan ablation switch.
+func sfw1Blob(reserved bool, n, b int, eps, delta float64, seen int64, window []float64) []byte {
+	w := codec.NewWriter(snapshotMagic)
+	w.Int(n)
+	w.Int(b)
+	w.Float64(eps)
+	w.Float64(delta)
+	w.Bool(reserved)
+	w.Int64(seen)
+	w.Floats(window)
+	return w.Bytes()
+}
+
+// TestSnapshotIgnoresLinearScanByte pins that snapshot input cannot
+// select an ablation engine: a blob with the old linear-scan byte set
+// restores onto the production engine — its warm-start and memo counters
+// advance on the next flush — in exactly the state the same blob without
+// the byte restores to.
+func TestSnapshotIgnoresLinearScanByte(t *testing.T) {
+	window := make([]float64, 48)
+	for i := range window {
+		window[i] = float64((i * 7) % 11)
 	}
-	data, err := orig.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	restore := func(reserved bool) *FixedWindow {
+		var fw FixedWindow
+		if err := fw.UnmarshalBinary(sfw1Blob(reserved, 64, 4, 0.2, 0.05, 100, window)); err != nil {
+			t.Fatal(err)
+		}
+		return &fw
 	}
-	var restored FixedWindow
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
+	set, clean := restore(true), restore(false)
+	requireSameState(t, "restored", clean, set)
+	seeded0, fallbacks0 := set.WarmStats()
+	hits0, misses0 := set.MemoStats()
+	set.PushLazy(3)
+	clean.PushLazy(3)
+	requireSameState(t, "flushed", clean, set)
+	if seeded, fallbacks := set.WarmStats(); seeded+fallbacks == seeded0+fallbacks0 {
+		t.Error("flush did not run the warm-started CreateList")
 	}
-	if !restored.linearScan {
-		t.Error("linearScan flag lost")
+	if hits, misses := set.MemoStats(); hits+misses == hits0+misses0 {
+		t.Error("flush did not consult the probe memo")
 	}
 }

@@ -75,25 +75,11 @@ func (tw *TimeWindow) SetTracer(tr *trace.Recorder) { tw.fw.SetTracer(tr) }
 // FixedWindow.SetTraceParent).
 func (tw *TimeWindow) SetTraceParent(p trace.SpanID) { tw.fw.SetTraceParent(p) }
 
-// SetWarmStart toggles warm-started CreateList on the underlying
-// maintainer (see FixedWindow.SetWarmStart).
-func (tw *TimeWindow) SetWarmStart(on bool) { tw.fw.SetWarmStart(on) }
-
-// SetProbeMemo toggles the per-rebuild HERROR probe memo on the
-// underlying maintainer (see FixedWindow.SetProbeMemo).
-func (tw *TimeWindow) SetProbeMemo(on bool) { tw.fw.SetProbeMemo(on) }
-
 // SetIncrementalRebuild toggles incremental cover repair on the
 // underlying maintainer (see FixedWindow.SetIncrementalRebuild). Age
 // evictions are window slides like any other, so the incremental pass
 // covers them too.
 func (tw *TimeWindow) SetIncrementalRebuild(on bool) { tw.fw.SetIncrementalRebuild(on) }
-
-// SetIncrementalBudget configures the incremental engine's staleness
-// budget (see FixedWindow.SetIncrementalBudget).
-func (tw *TimeWindow) SetIncrementalBudget(fullEvery, repairs int) {
-	tw.fw.SetIncrementalBudget(fullEvery, repairs)
-}
 
 // Len returns the number of points currently inside the window.
 func (tw *TimeWindow) Len() int { return tw.size }

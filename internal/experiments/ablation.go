@@ -54,15 +54,13 @@ func ablationDelta(cfg Config) (*Table, error) {
 	}
 	for _, delta := range deltas {
 		g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: cfg.Seed + 10, Quantize: true})
-		fw, err := core.NewWithDelta(n, b, eps, delta)
+		// The cold reference: this table characterizes the delta parameter
+		// itself, so the production engine's warm start and probe memo
+		// would distort the evals/pt column.
+		fw, err := core.NewReference(n, b, eps, delta, false)
 		if err != nil {
 			return nil, err
 		}
-		// Pin the cold rebuild path: this table characterizes the delta
-		// parameter itself, so the warm-start and probe-memo optimizations
-		// (on by default) would distort the evals/pt column.
-		fw.SetWarmStart(false)
-		fw.SetProbeMemo(false)
 		for i := 0; i < n; i++ {
 			fw.Push(g.Next())
 		}
@@ -124,16 +122,13 @@ func ablationSearch(cfg Config) (*Table, error) {
 			var evalCells, timeCells []string
 			for _, linear := range []bool{false, true} {
 				g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: cfg.Seed + 11, Quantize: true})
-				fw, err := core.NewWithDelta(n, b, 0.5, delta)
+				// The cold reference for the same reason as the delta table:
+				// this compares the paper's two endpoint-location strategies,
+				// not the production engine's optimizations layered on top.
+				fw, err := core.NewReference(n, b, 0.5, delta, linear)
 				if err != nil {
 					return nil, err
 				}
-				fw.SetLinearScan(linear)
-				// Cold path for the same reason as the delta table: this
-				// compares the paper's two endpoint-location strategies, not
-				// the rebuild-engine optimizations layered on top.
-				fw.SetWarmStart(false)
-				fw.SetProbeMemo(false)
 				for i := 0; i < n; i++ {
 					fw.Push(g.Next())
 				}

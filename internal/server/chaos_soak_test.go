@@ -238,7 +238,7 @@ func runSoakSeed(t *testing.T, seed int64) (sawDegraded bool) {
 		}
 		return true
 	})
-	sawDegraded = s.rm.degradedEntries.Value() > 0
+	sawDegraded = reg.Counter("streamhist_degraded_entries_total", "").Value() > 0
 
 	// Crash: stop the shard loops, supervisors and checkpoint loops
 	// without the graceful final checkpoint, then recover from disk.

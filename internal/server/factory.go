@@ -11,11 +11,11 @@ import (
 // engine's per-key factory: every new stream gets the summary set of a
 // maintainer built by streamhist.NewFixedWindow(n, b, eps, mopts...).
 // Use it with WithFactory to give tenant streams library-configured
-// windows (growth factor, warm start, probe memo):
+// windows (growth factor, incremental repair):
 //
 //	srv, err := server.New(0, 0, 0, 0,
 //		server.WithFactory(server.MaintainerFactory(4096, 32, 0.1,
-//			streamhist.WithDelta(0.005), streamhist.WithWarmStart(true))))
+//			streamhist.WithDelta(0.005), streamhist.WithIncrementalRebuild(true))))
 //
 // Time-based maintainers (streamhist.WithSpan) have no fixed window and
 // cannot back a stream; the factory then fails stream creation.

@@ -194,8 +194,7 @@ func Open(opts Options) (*Server, error) {
 		opts:     opts,
 		fs:       opts.FS,
 		om:       newHTTPMetrics(opts.Metrics),
-		cm:       newCkptMetrics(opts.Metrics),
-		rm:       newResilienceMetrics(opts.Metrics),
+		panics:   opts.Metrics.Counter("streamhist_handler_panics_total", "Handler panics contained by the recovery middleware."),
 	}
 	s.state.Store(stateStarting)
 	s.tr = opts.Trace

@@ -104,7 +104,7 @@ func (s *Server) recoverware(next http.Handler) http.Handler {
 				// handle it.
 				panic(p)
 			}
-			s.rm.panics.Inc()
+			s.panics.Inc()
 			if _, locked := p.(*shard.LockedPanic); !locked {
 				s.tr.Instant(trace.EvPanic, 0, 0, 0, 0, 0)
 				s.logger.Error("handler panic contained", "panic", fmt.Sprint(p), "path", r.URL.Path)

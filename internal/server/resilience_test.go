@@ -253,7 +253,7 @@ func TestCheckpointPruneFailureCounted(t *testing.T) {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 	}
-	if got := s.cm.failures.Value(); got == 0 {
+	if got := reg.Counter("streamhist_checkpoint_failures_total", "").Value(); got == 0 {
 		t.Error("prune failure not counted in checkpoint failures")
 	}
 	chaos.Clear()

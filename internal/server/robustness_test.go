@@ -11,6 +11,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamhist"
+	"streamhist/internal/codec"
+	"streamhist/internal/shard"
 )
 
 func TestIngestOversizedBodyReturns413(t *testing.T) {
@@ -227,6 +231,110 @@ func TestRestoreDurable(t *testing.T) {
 	}
 	if rec := do(t, s2, http.MethodGet, "/histogram", ""); rec.Code != http.StatusOK {
 		t.Errorf("histogram after recovery: %d", rec.Code)
+	}
+}
+
+// TestRestoreKeepsEngine: /restore decodes into the window the server's
+// factory builds for the key, so a restored stream runs the engine every
+// other stream on the server runs — the same one crash recovery would
+// give it at the next restart.
+func TestRestoreKeepsEngine(t *testing.T) {
+	src := newTestServer(t)
+	do(t, src, http.MethodPost, "/ingest", "1\n2\n3\n4\n5\n6\n7\n8\n")
+	snap := do(t, src, http.MethodGet, "/snapshot", "")
+	if snap.Code != http.StatusOK {
+		t.Fatalf("snapshot: %d", snap.Code)
+	}
+	for _, tc := range []struct {
+		name string
+		srv  func() (*Server, error)
+		incr bool
+	}{
+		{"default", func() (*Server, error) { return New(64, 4, 0.2, 0.2) }, false},
+		{"WithIncremental", func() (*Server, error) { return New(64, 4, 0.2, 0.2, WithIncremental()) }, true},
+		{"MaintainerFactory", func() (*Server, error) {
+			return New(0, 0, 0, 0, WithFactory(MaintainerFactory(64, 4, 0.2,
+				streamhist.WithDelta(0.2), streamhist.WithIncrementalRebuild(true))))
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.srv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = s.Close() })
+			if rec := do(t, s, http.MethodPost, "/v1/streams/r/restore", snap.Body.String()); rec.Code != http.StatusOK {
+				t.Fatalf("restore: %d: %s", rec.Code, rec.Body)
+			}
+			var incr bool
+			if err := s.eng.View("r", func(st *shard.State) error {
+				incr = st.FW.IncrementalRebuild()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if incr != tc.incr {
+				t.Errorf("restored stream incremental = %v, want %v", incr, tc.incr)
+			}
+		})
+	}
+}
+
+// TestRestoreIgnoresLinearScanByte: a /restore body cannot select an
+// ablation engine. A hand-built SFW1 blob with the byte earlier releases
+// read as the linear-scan switch restores onto the production engine —
+// its warm-start and memo counters advance on the next flush — and
+// serves the histogram the same blob without the byte does.
+func TestRestoreIgnoresLinearScanByte(t *testing.T) {
+	s := newTestServer(t)
+	window := make([]float64, 48)
+	for i := range window {
+		window[i] = float64((i * 7) % 11)
+	}
+	for key, reserved := range map[string]bool{"set": true, "clean": false} {
+		w := codec.NewWriter("SFW1")
+		w.Int(64)
+		w.Int(4)
+		w.Float64(0.2)
+		w.Float64(0.2)
+		w.Bool(reserved)
+		w.Int64(100)
+		w.Floats(window)
+		if rec := do(t, s, http.MethodPost, "/v1/streams/"+key+"/restore", string(w.Bytes())); rec.Code != http.StatusOK {
+			t.Fatalf("restore %s: %d: %s", key, rec.Code, rec.Body)
+		}
+	}
+	requireSameHistogram := func(ctx string) {
+		t.Helper()
+		set := do(t, s, http.MethodGet, "/v1/streams/set/histogram", "")
+		clean := do(t, s, http.MethodGet, "/v1/streams/clean/histogram", "")
+		if set.Code != http.StatusOK || !bytes.Equal(set.Body.Bytes(), clean.Body.Bytes()) {
+			t.Fatalf("%s: histogram with the byte set %d %s, without %s", ctx, set.Code, set.Body, clean.Body)
+		}
+	}
+	engineWork := func() (warm, memo int64) {
+		t.Helper()
+		if err := s.eng.View("set", func(st *shard.State) error {
+			seeded, fallbacks := st.FW.WarmStats()
+			hits, misses := st.FW.MemoStats()
+			warm, memo = seeded+fallbacks, hits+misses
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return warm, memo
+	}
+	requireSameHistogram("restored")
+	warm0, memo0 := engineWork()
+	for _, key := range []string{"set", "clean"} {
+		if rec := do(t, s, http.MethodPost, "/v1/streams/"+key+"/ingest", "3\n"); rec.Code != http.StatusOK {
+			t.Fatalf("ingest %s: %d", key, rec.Code)
+		}
+	}
+	requireSameHistogram("flushed")
+	if warm1, memo1 := engineWork(); warm1 == warm0 || memo1 == memo0 {
+		t.Errorf("flush ran no warm-started, memoized CreateList: warm %d -> %d, memo %d -> %d",
+			warm0, warm1, memo0, memo1)
 	}
 }
 

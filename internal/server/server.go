@@ -102,12 +102,12 @@ type Server struct {
 	inflight chan struct{}
 	state    atomic.Int32
 
-	// Observability (zero/nil without Options.Metrics; nil tr is the
-	// disabled flight recorder). cm and rm share registry handles with the
-	// engine's copies — same metric names resolve to the same counters.
-	om *httpMetrics
-	cm ckptMetrics
-	rm resilienceMetrics
+	// Observability (nil without Options.Metrics; nil tr is the disabled
+	// flight recorder). The engine owns the checkpoint and resilience
+	// series; panics is the one the HTTP layer increments itself, and
+	// shares the engine's handle by name.
+	om     *httpMetrics
+	panics *obs.Counter
 	// driftReanchors counts drift-detector re-anchors fired through the
 	// HTTP drift endpoint (the shard auditors share the same series by
 	// name). Nil without Options.Metrics.
@@ -683,14 +683,13 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, key strin
 		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
 		return
 	}
-	restored := &core.FixedWindow{}
-	if err := restored.UnmarshalBinary(blob); err != nil {
-		writeError(w, http.StatusBadRequest, errBadSnapshot, "invalid snapshot: %v", err)
-		return
-	}
-	seen, length, rerr := s.eng.Restore(key, restored)
+	seen, length, rerr := s.eng.Restore(key, blob)
 	if rerr != nil {
 		if s.writeEngineError(w, key, rerr) {
+			return
+		}
+		if errors.Is(rerr, shard.ErrBadSnapshot) {
+			writeError(w, http.StatusBadRequest, errBadSnapshot, "%v", rerr)
 			return
 		}
 		writeError(w, http.StatusInternalServerError, errInternal, "%v", rerr)

@@ -142,14 +142,11 @@ func (sh *shard) loadStreams() error {
 			if serr != nil {
 				return fmt.Errorf("shard %d: %w", sh.id, serr)
 			}
-			if uerr := st.FW.UnmarshalBinary(fwBlob); uerr != nil {
-				return fmt.Errorf("shard %d: checkpoint stream %q unusable: %w", sh.id, key, uerr)
-			}
 			// The snapshot's recorded configuration supersedes the factory's;
-			// re-derive the auxiliaries so their parameters follow it.
-			st, serr = NewState(st.FW)
-			if serr != nil {
-				return fmt.Errorf("shard %d: %w", sh.id, serr)
+			// the auxiliaries follow it, so attach again in case
+			// restoreWindow rebuilt them.
+			if st, serr = restoreWindow(st, fwBlob); serr != nil {
+				return fmt.Errorf("shard %d: checkpoint stream %q unusable: %w", sh.id, key, serr)
 			}
 			st.attach(sh.eng.cfg.Metrics, sh.eng.cfg.Trace)
 			sh.wireAudit(key, st)

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamhist/internal/core"
 	"streamhist/internal/faults"
 	"streamhist/internal/obs"
 	"streamhist/internal/quality"
@@ -56,6 +55,8 @@ var (
 	ErrQuarantined = errors.New("shard: state quarantined after a panic")
 	// ErrDegraded: durability is down and the policy refuses writes.
 	ErrDegraded = errors.New("shard: durability degraded")
+	// ErrBadSnapshot: a restore body is not a valid window snapshot.
+	ErrBadSnapshot = errors.New("shard: invalid snapshot")
 )
 
 // Config configures NewEngine.
@@ -520,25 +521,27 @@ func (e *Engine) Seen(key string) int64 {
 	return seen
 }
 
-// Restore replaces key's stream with the given fixed window (an uploaded
-// snapshot), creating the stream if needed. The auxiliaries restart
-// empty, derived from the restored window's parameters. On a durable
-// engine the replacement is checkpointed and the stripe's WAL reset
-// before Restore returns, so the acknowledgment implies durability.
-func (e *Engine) Restore(key string, fw *core.FixedWindow) (seen int64, length int, err error) {
+// Restore replaces key's stream with the window snapshot blob (an
+// uploaded snapshot), creating the stream if needed. The snapshot is
+// decoded into the window the factory builds for key, so the stream
+// keeps the engine the factory chose; a blob that does not decode fails
+// with ErrBadSnapshot. The auxiliaries restart empty, derived from the
+// restored window's parameters. On a durable engine the replacement is
+// checkpointed and the stripe's WAL reset before Restore returns, so the
+// acknowledgment implies durability.
+func (e *Engine) Restore(key string, blob []byte) (seen int64, length int, err error) {
 	sh := e.shardFor(key)
 	if sh.quarantined.Load() {
 		return 0, 0, ErrQuarantined
 	}
-	fw.SetRegistry(e.cfg.Metrics)
-	if e.cfg.Trace != nil {
-		fw.SetTracer(e.cfg.Trace)
-	}
-	st, err := NewState(fw)
+	st, err := e.cfg.Factory(key)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("shard: stream factory: %w", err)
 	}
-	st.Agg.SetRegistry(e.cfg.Metrics)
+	if st, err = restoreWindow(st, blob); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	st.attach(e.cfg.Metrics, e.cfg.Trace)
 	sh.wireAudit(key, st)
 	// Lock order matches checkpointing: ckptMu then mu. The shard lock is
 	// held across the swap, the container save and the WAL reset, so no
@@ -561,7 +564,7 @@ func (e *Engine) Restore(key string, fw *core.FixedWindow) (seen int64, length i
 	e.failAt("restore.apply")
 	sh.installState(key, st)
 	sh.dirtyGen++
-	seen, length = fw.Seen(), fw.Len()
+	seen, length = st.FW.Seen(), st.FW.Len()
 	if sh.w != nil {
 		// Everything currently in the log — active segment included —
 		// predates the restored state; record NextSeq so replay skips it

@@ -398,3 +398,47 @@ func TestTenantChurnSoak(t *testing.T) {
 	}
 	leakcheck.Check(t, before)
 }
+
+// TestRestoreAuxiliariesFollowSnapshot: Restore decodes into the
+// factory's window, and the auxiliaries take the restored window's bucket
+// budget and epsilon — the factory's when the snapshot matches them, a
+// fresh set when it does not. A body that does not decode is
+// ErrBadSnapshot and leaves the stream as it was.
+func TestRestoreAuxiliariesFollowSnapshot(t *testing.T) {
+	e := testEngine(t, Config{})
+	snapshot := func(b int, eps float64) []byte {
+		fw, err := core.New(32, b, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.PushBatch([]float64{1, 5, 2, 8, 3})
+		blob, err := fw.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	for _, tc := range []struct {
+		b   int
+		eps float64
+	}{{4, 0.1}, {6, 0.2}} {
+		if _, _, err := e.Restore("r", snapshot(tc.b, tc.eps)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.View("r", func(st *State) error {
+			if st.FW.Buckets() != tc.b || st.Agg.Buckets() != tc.b || st.Agg.Epsilon() != tc.eps {
+				t.Errorf("snapshot B=%d eps=%g: window B=%d, agglom B=%d eps=%g",
+					tc.b, tc.eps, st.FW.Buckets(), st.Agg.Buckets(), st.Agg.Epsilon())
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := e.Restore("r", []byte("garbage")); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("garbage restore: %v, want ErrBadSnapshot", err)
+	}
+	if got := e.Seen("r"); got != 5 {
+		t.Errorf("seen after a failed restore = %d, want 5", got)
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"streamhist/internal/agglom"
@@ -65,6 +66,22 @@ func NewState(fw *core.FixedWindow) (*State, error) {
 		return nil, err
 	}
 	return &State{FW: fw, Agg: agg, GK: gk, Sed: sed, Det: det}, nil
+}
+
+// restoreWindow decodes blob into st's window — the factory's, so the
+// stream keeps the engine the factory chose. When the snapshot keeps the
+// factory's bucket budget and epsilon, the auxiliaries st already holds
+// fit the restored window and st is returned; otherwise a fresh state is
+// built around the window, so the auxiliaries follow the snapshot.
+func restoreWindow(st *State, blob []byte) (*State, error) {
+	b, eps := st.FW.Buckets(), st.FW.Epsilon()
+	if err := st.FW.UnmarshalBinary(blob); err != nil {
+		return nil, err
+	}
+	if st.FW.Buckets() == b && math.Float64bits(st.FW.Epsilon()) == math.Float64bits(eps) {
+		return st, nil
+	}
+	return NewState(st.FW)
 }
 
 // attach wires the state's instrumentation into the engine's registry

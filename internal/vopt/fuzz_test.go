@@ -10,11 +10,11 @@ import (
 // FuzzCreateList drives the fixed-window CreateList maintainer (section 4.5
 // of the paper) with arbitrary byte streams and cross-checks, after every
 // push, (a) the approximation guarantee against the exact DP:
-// ApproxError <= (1+eps) * HERROR_opt, and (b) the warm-started, memoized
-// rebuild engine against a cold maintainer fed the same stream: identical
-// ApproxError bits and identical interval covers at every level. The first
-// byte picks the window capacity, bucket budget and precision; the rest
-// are the stream.
+// ApproxError <= (1+eps) * HERROR_opt, and (b) the production rebuild
+// engine against the cold CreateList reference fed the same stream:
+// identical ApproxError bits and identical interval covers at every level.
+// The first byte picks the window capacity, bucket budget and precision;
+// the rest are the stream.
 func FuzzCreateList(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0, 0, 0, 255, 255, 255, 0, 255})
@@ -33,12 +33,10 @@ func FuzzCreateList(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := core.New(n, b, eps)
+		cold, err := core.NewReference(n, b, eps, fw.Delta(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold.SetWarmStart(false)
-		cold.SetProbeMemo(false)
 		for _, c := range data[1:] {
 			fw.Push(float64(c))
 			cold.Push(float64(c))

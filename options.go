@@ -19,14 +19,7 @@ type config struct {
 	concurrent bool
 	metrics    *Metrics
 	tracer     *Tracer
-	warmSet    bool // WithWarmStart given
-	warm       bool
-	memoSet    bool // WithProbeMemo given
-	memo       bool
-	incrSet    bool // WithIncrementalRebuild given
 	incr       bool
-	incrEvery  int // WithIncrementalBudget: exact rebuild at least every K passes
-	incrRepair int // WithIncrementalBudget: endpoint repairs per pass
 }
 
 // WithDelta sets an explicit per-level growth factor instead of the
@@ -46,45 +39,17 @@ func WithSpan(span time.Duration) Option {
 	return func(c *config) { c.span = span }
 }
 
-// WithWarmStart toggles warm-started CreateList: each rebuild seeds its
-// interval endpoint searches from the previous rebuild's cover shifted by
-// the window slide, verifying every guess so the produced cover is
-// bit-identical to the cold search's. On by default; WithWarmStart(false)
-// selects the cold path, kept as the ablation baseline.
-func WithWarmStart(on bool) Option {
-	return func(c *config) { c.warmSet, c.warm = true, on }
-}
-
-// WithProbeMemo toggles the per-rebuild HERROR probe memo, which
-// deduplicates the repeated probes adjacent endpoint searches make at
-// shared positions. On by default; WithProbeMemo(false) disables it for
-// ablation.
-func WithProbeMemo(on bool) Option {
-	return func(c *config) { c.memoSet, c.memo = true, on }
-}
-
 // WithIncrementalRebuild toggles the incremental cover-repair engine
 // (default off): per-point maintenance re-validates and repairs the
 // previous interval queues against their HERROR bounds instead of
-// rebuilding them, falling back to the exact warm/memo rebuild on a
-// repair-budget overrun and at least every K passes. The maintained
+// rebuilding them, falling back to the exact rebuild on a repair-budget
+// overrun and at least every K = 1/(2*delta) passes. The maintained
 // cover is approximation-bound rather than bit-identical: ApproxError
 // stays within the staleness budget of the exact engine's (see
 // DESIGN.md section 11) while amortized push cost drops by an order of
 // magnitude.
 func WithIncrementalRebuild(on bool) Option {
-	return func(c *config) { c.incrSet, c.incr = true, on }
-}
-
-// WithIncrementalBudget sets the incremental engine's staleness budget:
-// an exact rebuild at least every fullEvery passes and at most repairs
-// endpoint re-searches per pass before falling back. Zeros keep the
-// derived defaults (fullEvery = 1/(2*delta) clamped to [8, 4096];
-// repairs = a quarter of the cover). Implies nothing about
-// WithIncrementalRebuild — the budget only takes effect while the
-// engine is on.
-func WithIncrementalBudget(fullEvery, repairs int) Option {
-	return func(c *config) { c.incrEvery, c.incrRepair = fullEvery, repairs }
+	return func(c *config) { c.incr = on }
 }
 
 // WithConcurrency makes every method of the returned maintainer safe for
@@ -115,10 +80,9 @@ func WithTracing(tr *Tracer) Option {
 // Maintainer is a stream histogram maintainer constructed by
 // NewFixedWindow: an epsilon-approximate B-bucket V-optimal histogram
 // over a sliding window, where the window is the last n points (default)
-// or the last span of stream time (WithSpan). It is the options-based
-// successor to the FixedWindow / TimeWindow / ConcurrentFixedWindow
-// constructor family; FixedWindow and TimeWindow expose the underlying
-// maintainer for code that needs the full low-level surface.
+// or the last span of stream time (WithSpan). FixedWindow and TimeWindow
+// expose the underlying maintainer for code that needs the full
+// low-level surface.
 type Maintainer struct {
 	// mu serializes all access when WithConcurrency is set; otherwise it is
 	// never locked and the maintainer is single-goroutine like FixedWindow.
@@ -159,8 +123,8 @@ func (l *lockIf) enabled() bool { return l.on }
 // within a (1+eps) factor of the optimal b-bucket SSE of the window.
 // Per-point maintenance costs O((b^3/eps^2) log^3 n). Options select the
 // growth factor (WithDelta), a time-based window (WithSpan), locking
-// (WithConcurrency), instrumentation (WithMetrics, WithTracing) and the rebuild-engine
-// optimizations (WithWarmStart, WithProbeMemo — both on by default).
+// (WithConcurrency), instrumentation (WithMetrics, WithTracing) and the
+// incremental cover-repair engine (WithIncrementalRebuild).
 func NewFixedWindow(n, b int, eps float64, opts ...Option) (*Maintainer, error) {
 	var cfg config
 	for _, o := range opts {
@@ -208,33 +172,10 @@ func NewFixedWindow(n, b int, eps float64, opts ...Option) (*Maintainer, error) 
 		fw.SetTracer(cfg.tracer)
 		m.fw = fw
 	}
-	if cfg.warmSet {
-		if m.tw != nil {
-			m.tw.SetWarmStart(cfg.warm)
-		} else {
-			m.fw.SetWarmStart(cfg.warm)
-		}
-	}
-	if cfg.memoSet {
-		if m.tw != nil {
-			m.tw.SetProbeMemo(cfg.memo)
-		} else {
-			m.fw.SetProbeMemo(cfg.memo)
-		}
-	}
-	if cfg.incrSet {
-		if m.tw != nil {
-			m.tw.SetIncrementalRebuild(cfg.incr)
-		} else {
-			m.fw.SetIncrementalRebuild(cfg.incr)
-		}
-	}
-	if cfg.incrEvery != 0 || cfg.incrRepair != 0 {
-		if m.tw != nil {
-			m.tw.SetIncrementalBudget(cfg.incrEvery, cfg.incrRepair)
-		} else {
-			m.fw.SetIncrementalBudget(cfg.incrEvery, cfg.incrRepair)
-		}
+	if m.tw != nil {
+		m.tw.SetIncrementalRebuild(cfg.incr)
+	} else {
+		m.fw.SetIncrementalRebuild(cfg.incr)
 	}
 	return m, nil
 }

@@ -2,7 +2,6 @@ package streamhist_test
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,109 +9,6 @@ import (
 
 	"streamhist"
 )
-
-// TestDeprecatedWrapperEquivalence proves the deprecated constructor zoo
-// and the options-based NewFixedWindow maintain identical structures:
-// same buckets, same SSE, same approximate error, point for point.
-func TestDeprecatedWrapperEquivalence(t *testing.T) {
-	data := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 42, Quantize: true}), 300)
-
-	t.Run("FixedWindowDelta", func(t *testing.T) {
-		old, err := streamhist.NewFixedWindowDelta(64, 6, 0.2, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := streamhist.NewFixedWindow(64, 6, 0.2, streamhist.WithDelta(0.2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range data {
-			old.Push(v)
-			opt.Push(v)
-		}
-		if a, b := old.ApproxError(), opt.ApproxError(); a != b {
-			t.Errorf("approx error %v != %v", a, b)
-		}
-		oh, err := old.Histogram()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nh, err := opt.Histogram()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oh.SSE != nh.SSE || !reflect.DeepEqual(oh.Histogram.Buckets, nh.Histogram.Buckets) {
-			t.Errorf("histograms differ: %+v vs %+v", oh, nh)
-		}
-	})
-
-	t.Run("TimeWindow", func(t *testing.T) {
-		old, err := streamhist.NewTimeWindow(128, 4, 0.3, 0.3, time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := streamhist.NewFixedWindow(128, 4, 0.3, streamhist.WithDelta(0.3), streamhist.WithSpan(time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := time.Unix(1700000000, 0)
-		for i, v := range data {
-			ts := base.Add(time.Duration(i) * time.Second)
-			if err := old.Push(ts, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := opt.PushAt(ts, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if a, b := old.Len(), opt.Len(); a != b {
-			t.Fatalf("len %d != %d", a, b)
-		}
-		oh, err := old.Histogram()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nh, err := opt.Histogram()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oh.SSE != nh.SSE || !reflect.DeepEqual(oh.Histogram.Buckets, nh.Histogram.Buckets) {
-			t.Errorf("histograms differ: %+v vs %+v", oh, nh)
-		}
-		if opt.Span() != time.Minute {
-			t.Errorf("Span = %v", opt.Span())
-		}
-	})
-
-	t.Run("ConcurrentFixedWindow", func(t *testing.T) {
-		old, err := streamhist.NewConcurrentFixedWindow(64, 6, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := streamhist.NewFixedWindow(64, 6, 0.2, streamhist.WithConcurrency())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range data {
-			old.Push(v)
-			opt.Push(v)
-		}
-		if a, b := old.ApproxError(), opt.ApproxError(); a != b {
-			t.Errorf("approx error %v != %v", a, b)
-		}
-		oh, err := old.Histogram()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nh, err := opt.Histogram()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oh.SSE != nh.SSE || !reflect.DeepEqual(oh.Histogram.Buckets, nh.Histogram.Buckets) {
-			t.Errorf("histograms differ: %+v vs %+v", oh, nh)
-		}
-	})
-}
 
 // TestMaintainerDefaults checks the option defaulting matches the
 // documented eps/(2B) growth factor and the sentinel error contract.
@@ -129,6 +25,13 @@ func TestMaintainerDefaults(t *testing.T) {
 	}
 	if m.FixedWindow() == nil || m.TimeWindow() != nil {
 		t.Error("count-based maintainer exposes wrong underlying type")
+	}
+	tm, err := streamhist.NewFixedWindow(32, 4, 0.2, streamhist.WithSpan(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.Span() != time.Minute || tm.TimeWindow() == nil || tm.FixedWindow() != nil {
+		t.Errorf("time-based maintainer: Span = %v, exposes wrong underlying type", tm.Span())
 	}
 
 	for _, tc := range []struct {

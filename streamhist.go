@@ -1,8 +1,6 @@
 package streamhist
 
 import (
-	"time"
-
 	"streamhist/internal/agglom"
 	"streamhist/internal/core"
 	"streamhist/internal/histogram"
@@ -21,11 +19,12 @@ type Histogram = histogram.Histogram
 // FixedWindow incrementally maintains an epsilon-approximate B-bucket
 // V-optimal histogram over the most recent n stream points — Algorithm
 // FixedWindowHistogram, the paper's primary contribution. Push consumes
-// points; Histogram and ApproxError query the current window. The rebuild
-// engine offers three gears: the exact cold path, the bit-identical
-// warm+memo path (WithWarmStart, WithProbeMemo; both on by default), and
-// the approximation-bound incremental cover-repair path
-// (WithIncrementalRebuild) that amortizes the per-push full rebuild away.
+// points; Histogram and ApproxError query the current window. By default
+// every maintenance pass rebuilds the interval queues exactly, with
+// warm-started, memoized CreateList searches whose output is
+// bit-identical to the paper's cold search; WithIncrementalRebuild
+// switches to the approximation-bound incremental cover-repair engine
+// that amortizes the per-push full rebuild away.
 type FixedWindow = core.FixedWindow
 
 // FixedWindowResult is the histogram extracted from a FixedWindow together
@@ -45,38 +44,10 @@ type AgglomerativeResult = agglom.Result
 // OptimalResult is an exactly optimal histogram with its SSE.
 type OptimalResult = vopt.Result
 
-// NewFixedWindowDelta creates a fixed-window maintainer with an explicit
-// per-level growth factor delta instead of the default eps/(2b). Larger
-// delta trades accuracy for speed — the graceful tradeoff the paper
-// advertises.
-//
-// Deprecated: use NewFixedWindow with WithDelta, which maintains the
-// identical structure (see TestDeprecatedWrapperEquivalence).
-func NewFixedWindowDelta(n, b int, eps, delta float64) (*FixedWindow, error) {
-	m, err := NewFixedWindow(n, b, eps, WithDelta(delta))
-	if err != nil {
-		return nil, err
-	}
-	return m.FixedWindow(), nil
-}
-
 // TimeWindow maintains an approximate histogram over the points of the
 // last span of stream time (the paper's "latest T seconds" framing):
 // points carry timestamps and expire by age rather than by count.
 type TimeWindow = core.TimeWindow
-
-// NewTimeWindow creates a time-based maintainer holding up to maxPoints
-// buffered points covering the trailing span.
-//
-// Deprecated: use NewFixedWindow with WithSpan (and WithDelta for an
-// explicit growth factor); the underlying maintainer is the same.
-func NewTimeWindow(maxPoints, b int, eps, delta float64, span time.Duration) (*TimeWindow, error) {
-	m, err := NewFixedWindow(maxPoints, b, eps, WithDelta(delta), WithSpan(span))
-	if err != nil {
-		return nil, err
-	}
-	return m.TimeWindow(), nil
-}
 
 // NewAgglomerative creates a whole-stream summary with b buckets and
 // precision eps.

@@ -225,7 +225,7 @@ func TestFacadeSimilarity(t *testing.T) {
 }
 
 func TestFacadeDeltaVariant(t *testing.T) {
-	fw, err := streamhist.NewFixedWindowDelta(64, 4, 0.5, 0.5)
+	fw, err := streamhist.NewFixedWindow(64, 4, 0.5, streamhist.WithDelta(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
