@@ -125,21 +125,32 @@ func BenchmarkFig6Accuracy(b *testing.B) {
 	}
 }
 
+// agglomSink keeps benchmarked agglomerative summaries observable.
+var agglomSink float64
+
 // BenchmarkAgglomVsWavelet covers the section 5.2 agglomerative-vs-wavelet
 // experiment: one-pass summary construction throughput for both methods.
+// The agglomerative per-point cost grows with stream age, so each
+// agglom-push op builds a fresh summary over a fixed seeded stream of
+// the named age and reports the mean cost per point.
 func BenchmarkAgglomVsWavelet(b *testing.B) {
 	const buckets = 16
-	b.Run("agglom-push", func(b *testing.B) {
-		s, err := agglom.New(buckets, 0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 4, Quantize: true})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Push(g.Next())
-		}
-	})
+	for _, age := range []int{4096, 16384} {
+		data := utilization(age, 4)
+		b.Run(fmt.Sprintf("agglom-push/age=%d", age), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := agglom.New(buckets, 0.1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, v := range data {
+					s.Push(v)
+				}
+				agglomSink = s.ApproxError()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(data)), "us/point")
+		})
+	}
 	b.Run("wavelet-build-50k", func(b *testing.B) {
 		data := utilization(50000, 4)
 		b.ResetTimer()

@@ -32,12 +32,48 @@ type endpoint struct {
 	herr float64 // approximate HERROR[pos, k] for the queue's level k
 }
 
-// interval is a maximal run of positions over which HERROR[.,k] stays
-// within a (1+delta) factor of its value at the start. Only the two
-// endpoints carry stored state; end is overwritten in place while the
-// interval keeps extending.
-type interval struct {
-	start, end endpoint
+// queue is one level's interval queue. An interval is a maximal run of
+// positions over which HERROR[.,k] stays within a (1+delta) factor of its
+// value at the start; only its first and last positions carry stored
+// state. The queue keeps them flat, in position order: every interval's
+// start and, once the interval spans more than one position, its end,
+// which is overwritten in place while the interval keeps extending. A
+// single-position interval therefore stores one entry, not a duplicate.
+// Walking eps backwards visits each interval's end, then its start, most
+// recent interval first.
+type queue struct {
+	eps    []endpoint
+	starts []int32 // starts[i] indexes interval i's start in eps
+}
+
+// lastStart returns the start endpoint of the queue's newest interval.
+// The queue must be non-empty.
+func (q *queue) lastStart() *endpoint { return &q.eps[q.starts[len(q.starts)-1]] }
+
+// open appends a new single-position interval at ep.
+func (q *queue) open(ep endpoint) {
+	q.starts = append(q.starts, int32(len(q.eps)))
+	q.eps = append(q.eps, ep)
+}
+
+// extend moves the newest interval's end to ep. The first extension of a
+// single-position interval appends its end; later ones overwrite it.
+func (q *queue) extend(ep endpoint) {
+	if last := len(q.eps) - 1; int(q.starts[len(q.starts)-1]) < last {
+		q.eps[last] = ep
+		return
+	}
+	q.eps = append(q.eps, ep)
+}
+
+// interval returns interval i's start and end endpoints; they are the
+// same entry when the interval spans a single position.
+func (q *queue) interval(i int) (start, end endpoint) {
+	e := len(q.eps) - 1
+	if i+1 < len(q.starts) {
+		e = int(q.starts[i+1]) - 1
+	}
+	return q.eps[q.starts[i]], q.eps[e]
 }
 
 // Summary is the streaming state. The zero value is unusable; construct
@@ -53,7 +89,7 @@ type Summary struct {
 
 	// queues[k] holds the interval queue for level k+1 buckets,
 	// k = 0..b-2 (the paper's queues 1..B-1).
-	queues [][]interval
+	queues []queue
 
 	herr    []float64 // scratch: herr[k] = HERROR[current, k+1]
 	herrTop float64   // approximate HERROR[n-1, B]
@@ -65,20 +101,21 @@ type Summary struct {
 // aggMetrics holds the summary's instrumentation handles; the zero value
 // (all nil) is the disabled state.
 type aggMetrics struct {
-	points    *obs.Counter // points consumed
-	opened    *obs.Counter // intervals opened (error grew past (1+delta))
-	extended  *obs.Counter // interval endpoint extensions (the "merge" case)
-	endpoints *obs.Gauge   // stored endpoints across all queues
+	points   *obs.Counter // points consumed
+	opened   *obs.Counter // intervals opened (error grew past (1+delta))
+	extended *obs.Counter // interval endpoint extensions (the "merge" case)
 }
 
 // SetRegistry attaches the summary to a metrics registry, registering its
-// series there. A nil registry detaches instrumentation.
+// series there. A nil registry detaches instrumentation. The summary
+// publishes no endpoint gauge: StoredEndpoints reports its own count, and
+// the shard engine publishes streamhist_agglom_endpoints as the total
+// over every stream.
 func (s *Summary) SetRegistry(reg *obs.Registry) {
 	s.m = aggMetrics{
-		points:    reg.Counter("streamhist_agglom_points_total", "Points consumed by the agglomerative whole-stream summary."),
-		opened:    reg.Counter("streamhist_agglom_intervals_opened_total", "Interval-queue intervals opened (per-level error grew past the (1+delta) budget)."),
-		extended:  reg.Counter("streamhist_agglom_interval_extensions_total", "Interval endpoint extensions (arrivals absorbed into the last interval)."),
-		endpoints: reg.Gauge("streamhist_agglom_endpoints", "Stored interval endpoints across all queues (the summary's working set)."),
+		points:   reg.Counter("streamhist_agglom_points_total", "Points consumed by the agglomerative whole-stream summary."),
+		opened:   reg.Counter("streamhist_agglom_intervals_opened_total", "Interval-queue intervals opened (per-level error grew past the (1+delta) budget)."),
+		extended: reg.Counter("streamhist_agglom_interval_extensions_total", "Interval endpoint extensions (arrivals absorbed into the last interval)."),
 	}
 	s.checkInvariants()
 }
@@ -99,7 +136,7 @@ func New(b int, eps float64) (*Summary, error) {
 		herr:  make([]float64, b),
 	}
 	if b > 1 {
-		s.queues = make([][]interval, b-1)
+		s.queues = make([]queue, b-1)
 	}
 	return s, nil
 }
@@ -120,10 +157,12 @@ func (s *Summary) ApproxError() float64 { return s.herrTop }
 
 // StoredEndpoints reports the total number of endpoints retained across all
 // queues — the algorithm's working-set size, used by the space experiments.
+// It counts two per interval, as the paper does, even though a
+// single-position interval stores one entry.
 func (s *Summary) StoredEndpoints() int {
 	total := 0
-	for _, q := range s.queues {
-		total += 2 * len(q)
+	for i := range s.queues {
+		total += 2 * len(s.queues[i].starts)
 	}
 	return total
 }
@@ -132,8 +171,8 @@ func (s *Summary) StoredEndpoints() int {
 // The analysis bounds each at O((1/delta) log(HERROR_max)).
 func (s *Summary) QueueSizes() []int {
 	out := make([]int, len(s.queues))
-	for i, q := range s.queues {
-		out[i] = len(q)
+	for i := range s.queues {
+		out[i] = len(s.queues[i].starts)
 	}
 	return out
 }
@@ -160,86 +199,63 @@ func (s *Summary) Push(v float64) {
 	// At this moment the queues cover positions [0..pos-1], so every
 	// stored endpoint is a legal last-bucket boundary.
 	for k := 2; k <= s.b; k++ {
-		s.herr[k-1] = s.minOverQueue(k-2, pos, s.runningSum, s.runningSq)
+		s.herr[k-1] = minOverQueue(s.queues[k-2].eps, pos, s.runningSum, s.runningSq)
 	}
 	s.herrTop = s.herr[s.b-1]
 
 	// Update the queues with position pos (lines 7-10 of Figure 3).
 	for k := 0; k < s.b-1; k++ {
 		ep := endpoint{pos: pos, sum: s.runningSum, sq: s.runningSq, herr: s.herr[k]}
-		q := s.queues[k]
-		if len(q) == 0 {
-			s.queues[k] = append(q, interval{start: ep, end: ep})
-			s.m.opened.Inc()
-			continue
-		}
-		last := &q[len(q)-1]
-		if s.herr[k] > (1+s.delta)*last.start.herr {
-			s.queues[k] = append(q, interval{start: ep, end: ep})
+		q := &s.queues[k]
+		if len(q.starts) == 0 || s.herr[k] > (1+s.delta)*q.lastStart().herr {
+			q.open(ep)
 			s.m.opened.Inc()
 		} else {
-			last.end = ep
+			q.extend(ep)
 			s.m.extended.Inc()
 		}
 	}
 	s.m.points.Inc()
-	if s.m.endpoints != nil {
-		s.m.endpoints.Set(float64(s.StoredEndpoints()))
-	}
 	s.checkInvariants()
 }
 
 // minOverQueue evaluates min_i HERROR[i, k] + SQERROR[i+1..endPos] over the
-// stored endpoints i of queue index qi (level qi+1), for a hypothetical
-// last bucket ending at endPos whose inclusive prefix sums are endSum and
-// endSq. Candidates are restricted to i <= endPos-1. When no candidate
-// exists (endPos == 0, or the stream is younger than the level) it falls
-// back to a single bucket over the whole prefix.
-func (s *Summary) minOverQueue(qi, endPos int, endSum, endSq float64) float64 {
-	q := s.queues[qi]
+// stored endpoints eps of one queue, for the arriving point at endPos
+// whose inclusive prefix sums are endSum and endSq. Push calls it before
+// the queues take position endPos, so every stored endpoint precedes
+// endPos and is a legal last-bucket boundary. With no stored endpoint
+// (the stream's first point) the whole prefix is one bucket.
+func minOverQueue(eps []endpoint, endPos int, endSum, endSq float64) float64 {
+	i := len(eps) - 1
+	if i < 0 {
+		return clampNonNeg(endSq - endSum*endSum/float64(endPos+1))
+	}
 	best := math.Inf(1)
-	found := false
-	// Scan intervals from the most recent backwards. Moving the boundary
+	if e := eps[i].herr + sqErrBefore(&eps[i], endPos, endSum, endSq); e < best {
+		best = e
+	}
+	// Scan from the most recent endpoint backwards. Moving the boundary
 	// left only grows SQERROR of the last bucket, so once that term alone
 	// reaches the best value seen no earlier candidate can win: the same
 	// early exit the fixed-window evaluation uses.
-scan:
-	for i := len(q) - 1; i >= 0; i-- {
-		iv := &q[i]
-		for _, ep := range [2]*endpoint{&iv.end, &iv.start} {
-			if ep.pos > endPos-1 {
-				continue
-			}
-			se := sqErrBetween(ep, endPos, endSum, endSq)
-			if found && se >= best {
-				break scan
-			}
-			if e := ep.herr + se; e < best {
-				best = e
-			}
-			found = true
-			if iv.end.pos == iv.start.pos {
-				break // degenerate interval, avoid double-counting
-			}
+	for i--; i >= 0; i-- {
+		ep := &eps[i]
+		se := sqErrBefore(ep, endPos, endSum, endSq)
+		if se >= best {
+			break
 		}
-	}
-	if !found {
-		// No usable boundary: the whole prefix is one bucket.
-		return clampNonNeg(endSq - endSum*endSum/float64(endPos+1))
+		if e := ep.herr + se; e < best {
+			best = e
+		}
 	}
 	return best
 }
 
-// sqErrBetween computes SQERROR[ep.pos+1 .. endPos] from the stored prefix
-// sums at ep and the inclusive prefix sums at endPos.
-func sqErrBetween(ep *endpoint, endPos int, endSum, endSq float64) float64 {
-	m := endPos - ep.pos
-	if m <= 0 {
-		return 0
-	}
+// sqErrBefore computes SQERROR[ep.pos+1 .. endPos] from the stored prefix
+// sums at ep and the inclusive prefix sums at endPos; ep.pos < endPos.
+func sqErrBefore(ep *endpoint, endPos int, endSum, endSq float64) float64 {
 	sum := endSum - ep.sum
-	sq := endSq - ep.sq
-	return clampNonNeg(sq - sum*sum/float64(m))
+	return clampNonNeg((endSq - ep.sq) - sum*sum/float64(endPos-ep.pos))
 }
 
 func clampNonNeg(x float64) float64 {
@@ -275,25 +291,19 @@ func (s *Summary) Histogram() (*Result, error) {
 		qi := k - 2
 		var bestEp *endpoint
 		best := math.Inf(1)
-		q := s.queues[qi]
-	scan:
-		for i := len(q) - 1; i >= 0; i-- {
-			iv := &q[i]
-			for _, ep := range [2]*endpoint{&iv.end, &iv.start} {
-				if ep.pos > cur.pos-1 {
-					continue
-				}
-				se := sqErrBetweenCut(ep, cur)
-				if bestEp != nil && se >= best {
-					break scan
-				}
-				if e := ep.herr + se; e < best {
-					best = e
-					bestEp = ep
-				}
-				if iv.end.pos == iv.start.pos {
-					break
-				}
+		eps := s.queues[qi].eps
+		for i := len(eps) - 1; i >= 0; i-- {
+			ep := &eps[i]
+			if ep.pos > cur.pos-1 {
+				continue
+			}
+			se := sqErrBetweenCut(ep, cur)
+			if bestEp != nil && se >= best {
+				break
+			}
+			if e := ep.herr + se; e < best {
+				best = e
+				bestEp = ep
 			}
 		}
 		if bestEp == nil {

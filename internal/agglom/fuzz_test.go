@@ -13,6 +13,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("SAG1"))
+	// A single-position interval whose halves disagree: must be refused.
+	f.Add(singlePositionBlob(endpoint{pos: 1, sum: 3, sq: 5, herr: 0.5}, endpoint{pos: 1, sum: 4, sq: 5, herr: 0.5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var restored Summary
 		if err := restored.UnmarshalBinary(data); err != nil {

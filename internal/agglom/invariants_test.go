@@ -19,9 +19,11 @@ func requireInvariantPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-// corruptibleSummary builds a summary whose queues hold at least one
-// interval, so endpoint corruption has something to bite on.
-func corruptibleSummary(t *testing.T) (*Summary, int) {
+// corruptibleSummary builds a summary and finds a queue holding a
+// multi-position interval that is not the queue's newest, so corruption
+// can bite on a stored start, a stored end, or the start index after it.
+// It returns the queue and the interval's index in q.starts.
+func corruptibleSummary(t *testing.T) (*Summary, *queue, int) {
 	t.Helper()
 	s, err := New(4, 0.05)
 	if err != nil {
@@ -30,42 +32,62 @@ func corruptibleSummary(t *testing.T) (*Summary, int) {
 	for i := 0; i < 200; i++ {
 		s.Push(float64(i%13) + 0.25*float64(i))
 	}
-	for qi, q := range s.queues {
-		if len(q) > 0 {
-			return s, qi
+	for qi := range s.queues {
+		q := &s.queues[qi]
+		for i := 0; i+1 < len(q.starts); i++ {
+			if q.starts[i+1]-q.starts[i] == 2 {
+				return s, q, i
+			}
 		}
 	}
-	t.Fatal("no interval queue populated after 200 pushes")
-	return nil, 0
+	t.Fatal("no multi-position interval after 200 pushes")
+	return nil, nil, 0
+}
+
+// startEnd returns pointers to interval i's stored start and end, which
+// are distinct entries for a multi-position interval.
+func startEnd(q *queue, i int) (start, end *endpoint) {
+	return &q.eps[q.starts[i]], &q.eps[q.starts[i]+1]
 }
 
 func TestSummaryInvariantCorruption(t *testing.T) {
 	requireInvariantPanic(t, "negative running sqsum", func() {
-		s, _ := corruptibleSummary(t)
+		s, _, _ := corruptibleSummary(t)
 		s.runningSq = -1
 		s.checkInvariants()
 	})
 	requireInvariantPanic(t, "interval ends before it starts", func() {
-		s, qi := corruptibleSummary(t)
-		iv := &s.queues[qi][0]
-		iv.end.pos = iv.start.pos - 1
+		s, q, i := corruptibleSummary(t)
+		start, end := startEnd(q, i)
+		end.pos = start.pos - 1
 		s.checkInvariants()
 	})
 	requireInvariantPanic(t, "negative herror", func() {
-		s, qi := corruptibleSummary(t)
-		s.queues[qi][0].start.herr = -1
+		s, q, i := corruptibleSummary(t)
+		start, _ := startEnd(q, i)
+		start.herr = -1
 		s.checkInvariants()
 	})
 	requireInvariantPanic(t, "herror grows beyond the (1+delta) bound", func() {
-		s, qi := corruptibleSummary(t)
-		iv := &s.queues[qi][0]
-		iv.end.herr = (1+s.delta)*iv.start.herr + iv.start.herr + 1
+		s, q, i := corruptibleSummary(t)
+		start, end := startEnd(q, i)
+		end.herr = (1+s.delta)*start.herr + start.herr + 1
 		s.checkInvariants()
 	})
 	requireInvariantPanic(t, "stored sqsum decreases", func() {
-		s, qi := corruptibleSummary(t)
-		iv := &s.queues[qi][0]
-		iv.end.sq = iv.start.sq - 1
+		s, q, i := corruptibleSummary(t)
+		start, end := startEnd(q, i)
+		end.sq = start.sq - 1
+		s.checkInvariants()
+	})
+	requireInvariantPanic(t, "interval starts not strictly increasing", func() {
+		s, q, i := corruptibleSummary(t)
+		q.starts[i+1] = q.starts[i]
+		s.checkInvariants()
+	})
+	requireInvariantPanic(t, "interval holds more than two entries", func() {
+		s, q, i := corruptibleSummary(t)
+		q.starts = append(q.starts[:i+1], q.starts[i+2:]...)
 		s.checkInvariants()
 	})
 }

@@ -2,14 +2,16 @@ package agglom
 
 import (
 	"fmt"
+	"math"
 
 	"streamhist/internal/codec"
 )
 
 // snapshot format: magic "SAG1", then b, eps, n, running sums, and per
-// queue the interval list with both endpoints. Unlike the fixed-window
-// snapshot, the queues must be persisted: they cannot be rebuilt without
-// replaying the whole stream.
+// queue the interval list with both endpoints; a single-position interval
+// writes its one stored endpoint twice. Unlike the fixed-window snapshot,
+// the queues must be persisted: they cannot be rebuilt without replaying
+// the whole stream.
 const snapshotMagic = "SAG1"
 
 // MaxSnapshotBuckets bounds the bucket budget UnmarshalBinary will
@@ -27,10 +29,12 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 	w.Float64(s.runningSq)
 	w.Float64(s.herrTop)
 	w.Int(len(s.queues))
-	for _, q := range s.queues {
-		w.Int(len(q))
-		for _, iv := range q {
-			for _, ep := range [2]endpoint{iv.start, iv.end} {
+	for qi := range s.queues {
+		q := &s.queues[qi]
+		w.Int(len(q.starts))
+		for i := range q.starts {
+			start, end := q.interval(i)
+			for _, ep := range [2]endpoint{start, end} {
 				w.Int(ep.pos)
 				w.Float64(ep.sum)
 				w.Float64(ep.sq)
@@ -89,40 +93,50 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		if qLen < 0 || qLen > n || qLen > r.Remaining()/intervalBytes {
 			return fmt.Errorf("agglom: queue %d has implausible length %d", qi, qLen)
 		}
-		q := make([]interval, qLen)
+		q := queue{eps: make([]endpoint, 0, 2*qLen), starts: make([]int32, 0, qLen)}
 		prevEnd := -1
 		prevSq := -1.0
-		for i := range q {
-			var eps2 [2]endpoint
-			for j := range eps2 {
-				eps2[j] = endpoint{
+		for i := 0; i < qLen; i++ {
+			var pair [2]endpoint
+			for j := range pair {
+				pair[j] = endpoint{
 					pos:  r.Int(),
 					sum:  r.Float64(),
 					sq:   r.Float64(),
 					herr: r.Float64(),
 				}
 			}
-			q[i] = interval{start: eps2[0], end: eps2[1]}
+			start, end := pair[0], pair[1]
 			if r.Err() != nil {
 				return fmt.Errorf("agglom: %w", r.Err())
 			}
-			if q[i].start.pos <= prevEnd || q[i].end.pos < q[i].start.pos || q[i].end.pos >= n {
+			if start.pos <= prevEnd || end.pos < start.pos || end.pos >= n {
 				return fmt.Errorf("agglom: queue %d interval %d malformed [%d,%d]",
-					qi, i, q[i].start.pos, q[i].end.pos)
+					qi, i, start.pos, end.pos)
+			}
+			// A single-position interval is one stored endpoint written
+			// twice. Halves that disagree would leave Push's (1+delta)
+			// test reading one value and the scans another.
+			if end.pos == start.pos && !sameEndpoint(start, end) {
+				return fmt.Errorf("agglom: queue %d interval %d at position %d has differing endpoints",
+					qi, i, start.pos)
 			}
 			// The same conditions checkInvariants asserts: non-negative
 			// approximate DP errors within the (1+delta) growth bound, and
 			// prefix sums of squares non-decreasing in stream position.
-			if q[i].start.herr < 0 || q[i].end.herr < 0 ||
-				q[i].end.herr > (1+restored.delta)*q[i].start.herr {
+			if start.herr < 0 || end.herr < 0 || end.herr > (1+restored.delta)*start.herr {
 				return fmt.Errorf("agglom: queue %d interval %d has malformed HERROR (%g,%g)",
-					qi, i, q[i].start.herr, q[i].end.herr)
+					qi, i, start.herr, end.herr)
 			}
-			if q[i].start.sq < prevSq || q[i].end.sq < q[i].start.sq {
+			if start.sq < prevSq || end.sq < start.sq {
 				return fmt.Errorf("agglom: queue %d interval %d has decreasing SQSUM", qi, i)
 			}
-			prevSq = q[i].end.sq
-			prevEnd = q[i].end.pos
+			q.open(start)
+			if end.pos != start.pos {
+				q.extend(end)
+			}
+			prevSq = end.sq
+			prevEnd = end.pos
 		}
 		restored.queues[qi] = q
 	}
@@ -140,4 +154,12 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	// positions, but not the HERROR growth bounds).
 	s.checkInvariants()
 	return nil
+}
+
+// sameEndpoint reports whether a and b are bit-for-bit the same endpoint.
+func sameEndpoint(a, b endpoint) bool {
+	return a.pos == b.pos &&
+		math.Float64bits(a.sum) == math.Float64bits(b.sum) &&
+		math.Float64bits(a.sq) == math.Float64bits(b.sq) &&
+		math.Float64bits(a.herr) == math.Float64bits(b.herr)
 }

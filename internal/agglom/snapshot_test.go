@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"streamhist/internal/codec"
 	"streamhist/internal/datagen"
 )
 
@@ -106,5 +107,54 @@ func TestSnapshotDoesNotClobberOnError(t *testing.T) {
 	}
 	if s.N() != 2 {
 		t.Error("failed restore clobbered receiver")
+	}
+}
+
+// singlePositionBlob hand-builds a SAG1 snapshot of a B=2 summary (one
+// queue) after three points whose queue holds one interval at position 1,
+// written with the given start and end halves.
+func singlePositionBlob(start, end endpoint) []byte {
+	w := codec.NewWriter(snapshotMagic)
+	w.Int(2)       // b
+	w.Float64(0.5) // eps
+	w.Int(3)       // n
+	w.Float64(6)   // running sum
+	w.Float64(14)  // running sum of squares
+	w.Float64(0.5) // herrTop
+	w.Int(1)       // queues
+	w.Int(1)       // intervals in queue 1
+	for _, ep := range [2]endpoint{start, end} {
+		w.Int(ep.pos)
+		w.Float64(ep.sum)
+		w.Float64(ep.sq)
+		w.Float64(ep.herr)
+	}
+	return w.Bytes()
+}
+
+// TestSnapshotRejectsSplitSinglePositionInterval: an interval whose start
+// and end share a position is one stored endpoint, so its two encoded
+// halves must agree bit for bit; a decoder that kept both would let
+// Push's (1+delta) test read one and the scans the other.
+func TestSnapshotRejectsSplitSinglePositionInterval(t *testing.T) {
+	start := endpoint{pos: 1, sum: 3, sq: 5, herr: 0.5}
+	var ok Summary
+	if err := ok.UnmarshalBinary(singlePositionBlob(start, start)); err != nil {
+		t.Fatalf("matching halves rejected: %v", err)
+	}
+	if got := ok.QueueSizes(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("queue sizes %v, want [1]", got)
+	}
+	for name, mutate := range map[string]func(*endpoint){
+		"sum":  func(ep *endpoint) { ep.sum = 4 },
+		"sq":   func(ep *endpoint) { ep.sq = 6 },
+		"herr": func(ep *endpoint) { ep.herr = 0.51 },
+	} {
+		end := start
+		mutate(&end)
+		var s Summary
+		if err := s.UnmarshalBinary(singlePositionBlob(start, end)); err == nil {
+			t.Errorf("single-position interval with differing %s accepted", name)
+		}
 	}
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
+	"streamhist/internal/faults"
 	"streamhist/internal/obs"
 )
 
@@ -95,6 +97,104 @@ func TestAgglomEndpoint(t *testing.T) {
 	}
 	if resp.N != 6 || len(resp.Buckets) == 0 || resp.Endpoints == 0 {
 		t.Errorf("agglom response %+v", resp)
+	}
+}
+
+// requireEndpointTotal checks streamhist_agglom_endpoints against the sum
+// of the endpoints every live stream's /agglom reports (an empty stream
+// answers 409 and holds none), and returns that sum.
+func requireEndpointTotal(t *testing.T, s *Server, reg *obs.Registry, step string, live ...string) int {
+	t.Helper()
+	want := 0
+	for _, k := range live {
+		rec := do(t, s, http.MethodGet, "/v1/streams/"+k+"/agglom", "")
+		switch rec.Code {
+		case http.StatusOK:
+			var resp struct {
+				Endpoints int `json:"endpoints"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			want += resp.Endpoints
+		case http.StatusConflict:
+		default:
+			t.Fatalf("%s: /agglom for %q: %d: %s", step, k, rec.Code, rec.Body)
+		}
+	}
+	if got := reg.Gauge("streamhist_agglom_endpoints", "").Value(); got != float64(want) {
+		t.Errorf("%s: streamhist_agglom_endpoints = %v, want the live streams' sum %d", step, got, want)
+	}
+	return want
+}
+
+// TestAgglomEndpointsGaugeIsDaemonTotal: the endpoint gauge is the
+// daemon-wide total over live streams, not the last-pushed stream's
+// count. It must follow ingest into several streams, a delete, a restore
+// that replaces a stream, and a crash recovery whose WAL replay creates,
+// feeds and deletes streams.
+func TestAgglomEndpointsGaugeIsDaemonTotal(t *testing.T) {
+	dir := t.TempDir()
+	opts := crashOptions(dir, faults.OS{})
+	opts.Shards = 2
+	reg := obs.NewRegistry()
+	opts.Metrics = reg
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(s *Server, key string, n, seed int) {
+		t.Helper()
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "%d\n", (i*seed)%17+i/9)
+		}
+		if rec := do(t, s, http.MethodPost, "/v1/streams/"+key+"/ingest", b.String()); rec.Code != http.StatusOK {
+			t.Fatalf("ingest %q: %d: %s", key, rec.Code, rec.Body)
+		}
+	}
+	ingest(s, "a", 120, 5)
+	ingest(s, "b", 90, 7)
+	ingest(s, "c", 60, 3)
+	if requireEndpointTotal(t, s, reg, "after ingest", DefaultStream, "a", "b", "c") == 0 {
+		t.Fatal("no endpoints stored after ingest")
+	}
+	if rec := do(t, s, http.MethodDelete, "/v1/streams/b", ""); rec.Code != http.StatusOK {
+		t.Fatalf("delete: %d: %s", rec.Code, rec.Body)
+	}
+	requireEndpointTotal(t, s, reg, "after delete", DefaultStream, "a", "c")
+	snap := do(t, s, http.MethodGet, "/v1/streams/a/snapshot", "")
+	if snap.Code != http.StatusOK {
+		t.Fatalf("snapshot: %d", snap.Code)
+	}
+	if rec := do(t, s, http.MethodPost, "/v1/streams/c/restore", snap.Body.String()); rec.Code != http.StatusOK {
+		t.Fatalf("restore: %d: %s", rec.Code, rec.Body)
+	}
+	requireEndpointTotal(t, s, reg, "after restore", DefaultStream, "a", "c")
+
+	// The restore checkpointed and reset the WAL, so everything below is
+	// a replayed tail after the crash.
+	ingest(s, "a", 50, 11)
+	ingest(s, "d", 70, 13)
+	if rec := do(t, s, http.MethodDelete, "/v1/streams/d", ""); rec.Code != http.StatusOK {
+		t.Fatalf("delete: %d: %s", rec.Code, rec.Body)
+	}
+	ingest(s, "c", 40, 2)
+	s.eng.Abort()
+
+	reg2 := obs.NewRegistry()
+	opts.Metrics = reg2
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s2.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if requireEndpointTotal(t, s2, reg2, "after recovery", DefaultStream, "a", "c") == 0 {
+		t.Fatal("no endpoints rebuilt by the replayed tail")
 	}
 }
 

@@ -351,10 +351,14 @@ func TestPanicUnderLockQuarantines(t *testing.T) {
 // WAL replay in the background and resumes serving writes. The batch
 // whose apply panicked was already in the WAL, so the restore replays
 // it — the log, not the half-mutated memory, is the source of truth.
+// The swap discards the quarantined states, so the endpoint gauge must
+// count only the restored ones.
 func TestPanicAutoRestore(t *testing.T) {
 	dir := t.TempDir()
 	opts := resilientOptions(dir, faults.OS{})
 	opts.RestoreOnPanic = true
+	reg := obs.NewRegistry()
+	opts.Metrics = reg
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -387,4 +391,5 @@ func TestPanicAutoRestore(t *testing.T) {
 	if got := s.Seen(); got != 6 {
 		t.Fatalf("seen after resumed ingest=%d, want 6", got)
 	}
+	requireEndpointTotal(t, s, reg, "after auto-restore", DefaultStream)
 }

@@ -230,6 +230,7 @@ func (sh *shard) process(batch []*request) {
 			st.Sed.Push(v)
 			st.Stats.Push(v)
 		}
+		st.countEndpoints(sh.eng.aggEndpoints)
 		if st.Aud != nil {
 			// Shadow audit: feed the exact ring/reservoir, and when an
 			// interval's worth of points has landed, replay the panel

@@ -158,6 +158,9 @@ func (sh *shard) loadStreams() error {
 	var replayed int64
 	err = sh.w.ReplayKeyed(coveredSeq, func(r wal.KeyedRecord) error {
 		if r.Delete {
+			if st, ok := sh.streams[r.Key]; ok {
+				st.uncountEndpoints(sh.eng.aggEndpoints)
+			}
 			delete(sh.streams, r.Key)
 			return nil
 		}
@@ -185,6 +188,7 @@ func (sh *shard) loadStreams() error {
 				return fmt.Errorf("gap: stream %q record for position %d but state ends at %d", r.Key, p, st.FW.Seen())
 			}
 		}
+		st.countEndpoints(sh.eng.aggEndpoints)
 		return nil
 	})
 	if err != nil {

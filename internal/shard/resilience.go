@@ -229,16 +229,23 @@ func (sh *shard) restoreFromDisk() {
 		streams:      make(map[string]*State),
 		streamsGauge: sh.streamsGauge,
 	}
-	if err := scratch.loadStreams(); err != nil {
+	err := scratch.loadStreams()
+	//lint:ignore mutex-discipline scratch is local to this call; its maps are published only under sh.mu below
+	newStreams, newApplied := scratch.streams, scratch.applied
+	if err != nil {
+		for _, st := range newStreams {
+			st.uncountEndpoints(sh.eng.aggEndpoints)
+		}
 		sh.logger().Error("quarantine restore failed", "shard", sh.id, "err", err)
 		return
 	}
-	//lint:ignore mutex-discipline scratch is local to this call; its maps are published only under sh.mu below
-	newStreams, newApplied := scratch.streams, scratch.applied
 	var streams int
 	func() {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
+		for _, st := range sh.streams {
+			st.uncountEndpoints(sh.eng.aggEndpoints)
+		}
 		sh.eng.keyCount.Add(int64(len(newStreams) - len(sh.streams)))
 		sh.streams = newStreams
 		sh.applied = newApplied

@@ -162,6 +162,9 @@ type Engine struct {
 	// qm is the audit instrumentation; nil when Config.Audit is nil
 	// (quality.Metrics methods are nil-safe).
 	qm *quality.Metrics
+	// aggEndpoints is the daemon-wide total of stored agglomerative
+	// endpoints; each State carries its share (countEndpoints).
+	aggEndpoints *obs.Gauge
 	// failpoint is the test seam; read by shard loops, so swaps go
 	// through an atomic instead of a plain field.
 	failpoint atomic.Value // of func(string)
@@ -218,6 +221,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg: cfg,
 		cm:  newCkptMetrics(cfg.Metrics),
 		rm:  newResilienceMetrics(cfg.Metrics),
+		aggEndpoints: cfg.Metrics.Gauge("streamhist_agglom_endpoints",
+			"Stored interval endpoints across every stream's agglomerative summary (the daemon-wide working set)."),
 	}
 	if cfg.Audit != nil {
 		e.qm = quality.NewMetrics(cfg.Metrics)
@@ -473,12 +478,16 @@ func (sh *shard) createState(key string) (*State, error) {
 	return st, nil
 }
 
-// installState publishes a created state into the shard map. Call with
-// sh.mu held.
+// installState publishes a created state into the shard map, replacing
+// (and discarding) any state key already had. Call with sh.mu held.
 //
 //lint:ignore mutex-discipline runs under the caller's sh.mu (create paths in the loop, Ensure, Restore)
 func (sh *shard) installState(key string, st *State) {
+	if old, ok := sh.streams[key]; ok {
+		old.uncountEndpoints(sh.eng.aggEndpoints)
+	}
 	sh.streams[key] = st
+	st.countEndpoints(sh.eng.aggEndpoints)
 	sh.streamsGauge.Set(float64(len(sh.streams)))
 }
 
@@ -486,6 +495,9 @@ func (sh *shard) installState(key string, st *State) {
 //
 //lint:ignore mutex-discipline runs under the caller's sh.mu (delete path in the loop)
 func (sh *shard) dropState(key string) {
+	if st, ok := sh.streams[key]; ok {
+		st.uncountEndpoints(sh.eng.aggEndpoints)
+	}
 	delete(sh.streams, key)
 	sh.eng.keyCount.Add(-1)
 	sh.streamsGauge.Set(float64(len(sh.streams)))

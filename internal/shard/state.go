@@ -34,6 +34,11 @@ type State struct {
 	// configured with Config.Audit. Like the other summaries it is
 	// guarded by the owning shard's lock.
 	Aud *quality.Auditor
+
+	// aggCounted is Agg's share of the engine's endpoint gauge: its
+	// StoredEndpoints as of the last countEndpoints. Guarded by the
+	// owning shard's lock.
+	aggCounted int
 }
 
 // Factory builds the State for a newly created stream key. The engine
@@ -82,6 +87,24 @@ func restoreWindow(st *State, blob []byte) (*State, error) {
 		return st, nil
 	}
 	return NewState(st.FW)
+}
+
+// countEndpoints moves g by the change in Agg's stored endpoints since
+// the last call, so g stays the sum over every live stream. The shard
+// calls it after each request's points land instead of recounting per
+// point.
+func (st *State) countEndpoints(g *obs.Gauge) {
+	if n := st.Agg.StoredEndpoints(); n != st.aggCounted {
+		g.Add(float64(n - st.aggCounted))
+		st.aggCounted = n
+	}
+}
+
+// uncountEndpoints takes st's share out of g; the shard calls it wherever
+// it discards st.
+func (st *State) uncountEndpoints(g *obs.Gauge) {
+	g.Add(-float64(st.aggCounted))
+	st.aggCounted = 0
 }
 
 // attach wires the state's instrumentation into the engine's registry
