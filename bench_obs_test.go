@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 // BenchmarkPushMetrics measures the fixed-window push hot path with
@@ -25,7 +26,7 @@ func BenchmarkPushMetrics(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 17, Quantize: true})
+			g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 17, Quantize: true})
 			for i := 0; i < 1024; i++ {
 				m.Push(g.Next())
 			}
@@ -47,7 +48,7 @@ func TestPushLazyDisabledMetricsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 18, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 18, Quantize: true})
 	for i := 0; i < 2048; i++ { // fill past capacity into steady state
 		m.PushLazy(g.Next())
 	}

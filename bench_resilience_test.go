@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 	"streamhist/internal/resilience"
 )
 
@@ -36,7 +37,7 @@ func BenchmarkPushResilience(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 17, Quantize: true})
+			g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 17, Quantize: true})
 			for i := 0; i < 1024; i++ {
 				m.Push(g.Next())
 			}
@@ -63,7 +64,7 @@ func TestPushResilienceAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 21, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 21, Quantize: true})
 	for i := 0; i < 2048; i++ {
 		m.Push(g.Next())
 	}

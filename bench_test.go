@@ -348,7 +348,7 @@ func BenchmarkPublicAPIRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 16, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 16, Quantize: true})
 	for i := 0; i < 1024; i++ {
 		fw.PushLazy(g.Next())
 	}

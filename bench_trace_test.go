@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 // BenchmarkPushTracing measures the fixed-window push hot path with the
@@ -33,7 +34,7 @@ func BenchmarkPushTracing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 17, Quantize: true})
+			g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 17, Quantize: true})
 			for i := 0; i < 1024; i++ {
 				m.Push(g.Next())
 			}
@@ -55,7 +56,7 @@ func TestPushDisabledTracingAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 19, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 19, Quantize: true})
 	for i := 0; i < 2048; i++ { // fill past capacity into steady state
 		m.Push(g.Next())
 	}
@@ -80,7 +81,7 @@ func TestPushEnabledTracingAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 20, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 20, Quantize: true})
 	for i := 0; i < 2048; i++ {
 		m.Push(g.Next())
 	}

@@ -61,6 +61,7 @@ import (
 
 	"streamhist"
 	"streamhist/internal/core"
+	"streamhist/internal/datagen"
 	"streamhist/internal/resilience"
 	"streamhist/internal/server"
 )
@@ -165,8 +166,8 @@ func measureInterleaved(rs []*runner, vals []float64, trials, warmup, ops int) [
 // utilValues pre-generates the quantized Utilization trace all runners
 // share.
 func utilValues(n int) []float64 {
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 17, Quantize: true})
-	return streamhist.Series(g, n)
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 17, Quantize: true})
+	return datagen.Series(g, n)
 }
 
 // newRunner builds a steady-state production maintainer, window filled
@@ -446,7 +447,7 @@ func measureShardCell(shards, keys, samples int) (shardRow, error) {
 	row := shardRow{Shards: shards, Keys: keys}
 	// Tiny windows: the cell characterizes routing and hand-off cost as
 	// tenant count grows, not rebuild cost.
-	s, err := server.New(64, 4, 0.2, 0.2, server.WithShards(shards))
+	s, err := server.Open(server.Options{Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2, Shards: shards})
 	if err != nil {
 		return row, err
 	}

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"os"
 
-	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 func main() {
@@ -41,18 +41,18 @@ func main() {
 	}
 }
 
-func pick(name string, seed int64) (streamhist.Generator, error) {
+func pick(name string, seed int64) (datagen.Generator, error) {
 	switch name {
 	case "utilization":
-		return streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: seed, Quantize: true}), nil
+		return datagen.NewUtilization(datagen.UtilizationConfig{Seed: seed, Quantize: true}), nil
 	case "walk":
-		return streamhist.NewRandomWalk(seed, 500, 10, 0, 1000, true)
+		return datagen.NewRandomWalk(seed, 500, 10, 0, 1000, true)
 	case "steps":
-		return streamhist.NewStepSignal(seed, 100, 0, 1000, 10, true)
+		return datagen.NewStepSignal(seed, 100, 0, 1000, 10, true)
 	case "zipf":
-		return streamhist.NewZipf(seed, 1.5, 1000)
+		return datagen.NewZipf(seed, 1.5, 1000)
 	case "mixture":
-		return streamhist.NewGaussianMixture(seed, 4, 0, 1000, 30)
+		return datagen.NewGaussianMixture(seed, 4, 0, 1000, 30)
 	default:
 		return nil, fmt.Errorf("unknown generator %q", name)
 	}

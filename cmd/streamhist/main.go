@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 func main() {
@@ -107,16 +108,16 @@ func newWindow(n, b int, eps, delta float64) (*streamhist.Maintainer, error) {
 	return streamhist.NewFixedWindow(n, b, eps)
 }
 
-func newGenerator(name string, seed int64) (streamhist.Generator, error) {
+func newGenerator(name string, seed int64) (datagen.Generator, error) {
 	switch name {
 	case "utilization":
-		return streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: seed, Quantize: true}), nil
+		return datagen.NewUtilization(datagen.UtilizationConfig{Seed: seed, Quantize: true}), nil
 	case "walk":
-		return streamhist.NewRandomWalk(seed, 500, 10, 0, 1000, true)
+		return datagen.NewRandomWalk(seed, 500, 10, 0, 1000, true)
 	case "steps":
-		return streamhist.NewStepSignal(seed, 100, 0, 1000, 10, true)
+		return datagen.NewStepSignal(seed, 100, 0, 1000, 10, true)
 	case "zipf":
-		return streamhist.NewZipf(seed, 1.5, 1000)
+		return datagen.NewZipf(seed, 1.5, 1000)
 	default:
 		return nil, fmt.Errorf("unknown generator %q (have utilization, walk, steps, zipf)", name)
 	}

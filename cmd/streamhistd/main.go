@@ -19,11 +19,15 @@
 //	curl 'localhost:8080/v1/streams?limit=100'
 //	curl -X DELETE localhost:8080/v1/streams/sensor-9
 //
-// The pre-v1 routes (POST /ingest, GET /histogram, ...) still work as
-// deprecated aliases for the reserved "default" stream:
+// The reserved "default" stream always exists, so a single-stream
+// client needs no setup:
 //
-//	curl -X POST --data-binary @values.txt localhost:8080/ingest
-//	curl localhost:8080/histogram
+//	curl -X POST --data-binary @values.txt localhost:8080/v1/streams/default/ingest
+//	curl localhost:8080/v1/streams/default/histogram
+//
+// Unversioned paths such as /ingest answer 404 not_found. Operations
+// endpoints:
+//
 //	curl localhost:8080/healthz
 //	curl localhost:8080/readyz
 //	curl localhost:8080/metrics          # with -metrics (default on)

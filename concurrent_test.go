@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 func TestConcurrentFixedWindowSingleThreadMatchesPlain(t *testing.T) {
@@ -17,7 +18,7 @@ func TestConcurrentFixedWindowSingleThreadMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 100, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 100, Quantize: true})
 	for i := 0; i < 200; i++ {
 		v := g.Next()
 		cf.Push(v)
@@ -54,7 +55,7 @@ func TestConcurrentFixedWindowRace(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 101, Quantize: true})
+		g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 101, Quantize: true})
 		for i := 0; i < 500; i++ {
 			cf.Push(g.Next())
 		}
@@ -87,8 +88,8 @@ func TestConcurrentFixedWindowRace(t *testing.T) {
 func TestPushBatchMatchesPushLazy(t *testing.T) {
 	a, _ := streamhist.NewFixedWindow(32, 4, 0.3, streamhist.WithDelta(0.3))
 	b, _ := streamhist.NewFixedWindow(32, 4, 0.3, streamhist.WithDelta(0.3))
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 102, Quantize: true})
-	batch := streamhist.Series(g, 100)
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 102, Quantize: true})
+	batch := datagen.Series(g, 100)
 	a.PushBatch(batch)
 	for _, v := range batch {
 		b.PushLazy(v)
@@ -101,8 +102,8 @@ func TestPushBatchMatchesPushLazy(t *testing.T) {
 func TestAgglomerativePushBatch(t *testing.T) {
 	a, _ := streamhist.NewAgglomerative(4, 0.2)
 	b, _ := streamhist.NewAgglomerative(4, 0.2)
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 103, Quantize: true})
-	batch := streamhist.Series(g, 200)
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 103, Quantize: true})
+	batch := datagen.Series(g, 200)
 	a.PushBatch(batch)
 	for _, v := range batch {
 		b.Push(v)

@@ -22,9 +22,10 @@
 //     NewAgglomerative.
 //
 // Both are measured against the exact quadratic dynamic program of
-// Jagadish et al. (Optimal) and the classical baselines the paper compares
-// with: Haar wavelet synopses (NewWavelet), APCA (BuildAPCA), equal-width
-// and equal-depth histograms, and Greenwald-Khanna quantile summaries.
+// Jagadish et al. (Optimal). The classical baselines the paper compares
+// with (Haar wavelet synopses, APCA, equal-width and equal-depth
+// histograms) and the substrates its evaluation depends on live in the
+// module's internal packages; cmd/experiments reproduces the evaluation.
 //
 // A minimal use:
 //
@@ -53,20 +54,10 @@
 //
 // # Serving summaries
 //
-// cmd/streamhistd wraps the library in a multi-tenant HTTP daemon
-// (internal/server): every stream key owns an independent summary set,
-// hash-partitioned across shard loops, served under versioned
-// /v1/streams/{key}/... routes with optional write-ahead durability.
-// The Go surface mirrors the library's options:
-//
-//	srv, err := server.New(0, 0, 0, 0,
-//		server.WithShards(4),
-//		server.WithMaxKeys(10000),
-//		server.WithFactory(server.MaintainerFactory(4096, 16, 0.1,
-//			streamhist.WithDelta(0.05))))
-//
-// server.New(n, b, eps, delta) without options remains the single-stream
-// constructor: the pre-v1 routes alias the reserved "default" stream.
+// cmd/streamhistd wraps the library in a multi-tenant HTTP daemon: every
+// stream key owns an independent summary set, hash-partitioned across
+// shard loops, served under versioned /v1/streams/{key}/... routes with
+// optional write-ahead durability.
 //
 // See the examples directory for complete programs and EXPERIMENTS.md for
 // the reproduction of the paper's evaluation.

@@ -10,6 +10,8 @@ import (
 	"log"
 
 	"streamhist"
+	"streamhist/internal/datagen"
+	"streamhist/internal/drift"
 )
 
 func main() {
@@ -21,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := streamhist.NewDriftDetector(60)
+	det, err := drift.NewDetector(60)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 	fmt.Printf("monitoring a %d-point window, checking every 128 points\n\n", window)
 	step := 0
 	for _, reg := range regimes {
-		gen, err := streamhist.NewStepSignal(int64(step), 60, reg.base-reg.spread, reg.base+reg.spread, reg.spread/4, true)
+		gen, err := datagen.NewStepSignal(int64(step), 60, reg.base-reg.spread, reg.base+reg.spread, reg.spread/4, true)
 		if err != nil {
 			log.Fatal(err)
 		}

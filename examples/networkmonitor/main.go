@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 const (
@@ -34,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	router := streamhist.NewUtilization(streamhist.UtilizationConfig{
+	router := datagen.NewUtilization(datagen.UtilizationConfig{
 		Seed:     99,
 		Period:   secondsPerHour / 4, // a busy/quiet cycle every 15 minutes
 		Quantize: true,

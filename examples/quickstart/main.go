@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 func main() {
@@ -26,7 +27,7 @@ func main() {
 	}
 
 	// A synthetic router-utilization stream (stand-in for live data).
-	stream := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 7, Quantize: true})
+	stream := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 7, Quantize: true})
 	for i := 0; i < 5000; i++ {
 		fw.Push(stream.Next())
 	}

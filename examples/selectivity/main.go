@@ -11,7 +11,11 @@ import (
 	"log"
 	"math"
 
-	"streamhist"
+	"streamhist/internal/datagen"
+	"streamhist/internal/fm"
+	"streamhist/internal/quantile"
+	"streamhist/internal/stream"
+	"streamhist/internal/vhist"
 )
 
 func main() {
@@ -20,31 +24,31 @@ func main() {
 		buckets = 24
 	)
 
-	sed, err := streamhist.NewStreamingEqualDepth(buckets, 0.005)
+	sed, err := vhist.NewStreamingEqualDepth(buckets, 0.005)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gk, err := streamhist.NewGKQuantile(0.01)
+	gk, err := quantile.NewGK(0.01)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmSketch, err := streamhist.NewFMSketch(64, 2026)
+	fmSketch, err := fm.New(64, 2026)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var stats streamhist.StreamCounter
+	var stats stream.Counter
 
-	tee := streamhist.StreamTee{
-		streamhist.StreamConsumerFunc(sed.Push),
-		streamhist.StreamConsumerFunc(gk.Insert),
-		streamhist.StreamConsumerFunc(fmSketch.AddFloat),
+	tee := stream.Tee{
+		stream.ConsumerFunc(sed.Push),
+		stream.ConsumerFunc(gk.Insert),
+		stream.ConsumerFunc(fmSketch.AddFloat),
 		&stats,
 	}
 
 	// The column: quantized utilization values (bounded integers). Keep a
 	// copy only to report exact answers; the summaries never see it twice.
 	column := make([]float64, 0, rows)
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 31, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 31, Quantize: true})
 	for i := 0; i < rows; i++ {
 		v := g.Next()
 		column = append(column, v)
@@ -61,7 +65,7 @@ func main() {
 	fmt.Println("predicate selectivity: value BETWEEN a AND b")
 	for _, q := range [][2]float64{{0, 100}, {200, 400}, {450, 550}, {800, 1000}} {
 		est := h.Selectivity(q[0], q[1])
-		exact := streamhist.ExactSelectivity(column, q[0], q[1])
+		exact := vhist.ExactSelectivity(column, q[0], q[1])
 		fmt.Printf("  [%4.0f, %4.0f]: estimated %6.2f%%  exact %6.2f%%\n",
 			q[0], q[1], 100*est, 100*exact)
 	}

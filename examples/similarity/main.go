@@ -10,6 +10,9 @@ import (
 	"math/rand"
 
 	"streamhist"
+	"streamhist/internal/apca"
+	"streamhist/internal/datagen"
+	"streamhist/internal/similarity"
 )
 
 func main() {
@@ -22,7 +25,7 @@ func main() {
 	// A family of correlated series: shared daily shape, per-series scale,
 	// shift and noise (simulating many interfaces of one network).
 	rng := rand.New(rand.NewSource(11))
-	base := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 11}), length)
+	base := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 11}), length)
 	corpus := make([][]float64, numSeries)
 	for i := range corpus {
 		s := make([]float64, length)
@@ -42,11 +45,11 @@ func main() {
 		return res.Histogram, nil
 	}
 
-	idxHist, err := streamhist.NewSimilarityIndex(corpus, segments, voptBuilder)
+	idxHist, err := similarity.NewIndex(corpus, segments, voptBuilder)
 	if err != nil {
 		log.Fatal(err)
 	}
-	idxAPCA, err := streamhist.NewSimilarityIndex(corpus, segments, streamhist.BuildAPCA)
+	idxAPCA, err := similarity.NewIndex(corpus, segments, apca.Build)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func main() {
 	const radius = 260.0
 	for _, c := range []struct {
 		name string
-		idx  *streamhist.SimilarityIndex
+		idx  *similarity.Index
 	}{
 		{"V-optimal histograms", idxHist},
 		{"APCA", idxAPCA},

@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"streamhist"
+	"streamhist/internal/datagen"
+	"streamhist/internal/histogram"
+	"streamhist/internal/query"
 )
 
 func main() {
@@ -21,10 +24,10 @@ func main() {
 	)
 
 	// A day of per-minute sales-like measurements.
-	column := streamhist.Series(
-		streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 23, Quantize: true}), rows)
+	column := datagen.Series(
+		datagen.NewUtilization(datagen.UtilizationConfig{Seed: 23, Quantize: true}), rows)
 
-	queries, err := streamhist.RandomRangeQueries(24, 500, rows)
+	queries, err := query.RandomRanges(24, 500, rows)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func main() {
 	summaries = append(summaries, summary{"optimal [JKM+98] (quadratic)", opt.Histogram, time.Since(start)})
 
 	start = time.Now()
-	ew, err := streamhist.EqualWidth(column, buckets)
+	ew, err := histogram.EqualWidth(column, buckets)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func main() {
 	fmt.Printf("column: %d rows, summarized with %d buckets\n\n", rows, buckets)
 	fmt.Printf("%-36s %12s %12s %10s\n", "method", "MAE", "RMSE", "build")
 	for _, s := range summaries {
-		m := streamhist.EvaluateRangeSums(s.hist, column, queries)
+		m := query.Evaluate(s.hist, column, queries)
 		fmt.Printf("%-36s %12.1f %12.1f %10s\n", s.name, m.MAE, m.RMSE, s.build.Round(time.Microsecond))
 	}
 

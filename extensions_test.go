@@ -6,11 +6,17 @@ import (
 	"testing"
 
 	"streamhist"
+	"streamhist/internal/datagen"
+	"streamhist/internal/fm"
+	"streamhist/internal/maxerr"
+	"streamhist/internal/quantile"
+	"streamhist/internal/stream"
+	"streamhist/internal/vhist"
 )
 
 func TestFacadeMaxError(t *testing.T) {
 	data := []float64{1, 1, 1, 9, 9, 9}
-	res, err := streamhist.OptimalMaxError(data, 2)
+	res, err := maxerr.Build(data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,17 +26,17 @@ func TestFacadeMaxError(t *testing.T) {
 }
 
 func TestFacadeValueHistograms(t *testing.T) {
-	data := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 110, Quantize: true}), 5000)
+	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 110, Quantize: true}), 5000)
 
-	ew, err := streamhist.ValueEqualWidth(data, 20)
+	ew, err := vhist.EqualWidth(data, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed, err := streamhist.ValueEqualDepth(data, 20)
+	ed, err := vhist.ExactEqualDepth(data, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sed, err := streamhist.NewStreamingEqualDepth(20, 0.005)
+	sed, err := vhist.NewStreamingEqualDepth(20, 0.005)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +48,8 @@ func TestFacadeValueHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range [][2]float64{{100, 400}, {0, 1000}, {250, 260}} {
-		truth := streamhist.ExactSelectivity(data, q[0], q[1])
-		for name, h := range map[string]*streamhist.ValueHistogram{
+		truth := vhist.ExactSelectivity(data, q[0], q[1])
+		for name, h := range map[string]*vhist.VHistogram{
 			"equal-width": ew, "equal-depth": ed, "streaming": sh,
 		} {
 			got := h.Selectivity(q[0], q[1])
@@ -55,7 +61,7 @@ func TestFacadeValueHistograms(t *testing.T) {
 }
 
 func TestFacadeFMSketch(t *testing.T) {
-	s, err := streamhist.NewFMSketch(64, 1)
+	s, err := fm.New(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +77,10 @@ func TestFacadeFMSketch(t *testing.T) {
 func TestFacadeStreamIO(t *testing.T) {
 	values := []float64{1, 2.5, -3}
 	var buf bytes.Buffer
-	if err := streamhist.WriteStream(&buf, values); err != nil {
+	if err := stream.Write(&buf, values); err != nil {
 		t.Fatal(err)
 	}
-	got, err := streamhist.ReadStream(&buf)
+	got, err := stream.ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +90,14 @@ func TestFacadeStreamIO(t *testing.T) {
 
 	// Single pass feeding three summaries through a tee.
 	agg, _ := streamhist.NewAgglomerative(4, 0.5)
-	var counter streamhist.StreamCounter
-	gk, _ := streamhist.NewGKQuantile(0.1)
-	tee := streamhist.StreamTee{
-		streamhist.StreamConsumerFunc(agg.Push),
+	var counter stream.Counter
+	gk, _ := quantile.NewGK(0.1)
+	tee := stream.Tee{
+		stream.ConsumerFunc(agg.Push),
 		&counter,
-		streamhist.StreamConsumerFunc(gk.Insert),
+		stream.ConsumerFunc(gk.Insert),
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 111, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 111, Quantize: true})
 	for i := 0; i < 1000; i++ {
 		tee.Push(g.Next())
 	}

@@ -6,6 +6,12 @@ import (
 	"testing"
 
 	"streamhist"
+	"streamhist/internal/datagen"
+	"streamhist/internal/quantile"
+	"streamhist/internal/query"
+	"streamhist/internal/similarity"
+	"streamhist/internal/stream"
+	"streamhist/internal/vhist"
 )
 
 // TestPipelineStreamToSummaries drives the full ingestion pipeline: a
@@ -16,13 +22,13 @@ import (
 // retained copy.
 func TestPipelineStreamToSummaries(t *testing.T) {
 	const n = 6000
-	data := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 150, Quantize: true}), n)
+	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 150, Quantize: true}), n)
 
 	var buf bytes.Buffer
-	if err := streamhist.WriteStream(&buf, data); err != nil {
+	if err := stream.Write(&buf, data); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := streamhist.ReadStream(&buf)
+	parsed, err := stream.ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,19 +44,19 @@ func TestPipelineStreamToSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sed, err := streamhist.NewStreamingEqualDepth(16, 0.01)
+	sed, err := vhist.NewStreamingEqualDepth(16, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gk, err := streamhist.NewGKQuantile(0.01)
+	gk, err := quantile.NewGK(0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tee := streamhist.StreamTee{
-		streamhist.StreamConsumerFunc(fw.PushLazy),
-		streamhist.StreamConsumerFunc(agg.Push),
-		streamhist.StreamConsumerFunc(sed.Push),
-		streamhist.StreamConsumerFunc(gk.Insert),
+	tee := stream.Tee{
+		stream.ConsumerFunc(fw.PushLazy),
+		stream.ConsumerFunc(agg.Push),
+		stream.ConsumerFunc(sed.Push),
+		stream.ConsumerFunc(gk.Insert),
 	}
 	for _, v := range parsed {
 		tee.Push(v)
@@ -62,11 +68,11 @@ func TestPipelineStreamToSummaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	win := data[n-512:]
-	queries, err := streamhist.RandomRangeQueries(151, 200, len(win))
+	queries, err := query.RandomRanges(151, 200, len(win))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := streamhist.EvaluateRangeSums(res.Histogram, win, queries)
+	m := query.Evaluate(res.Histogram, win, queries)
 	if m.MRE > 0.2 {
 		t.Errorf("fixed-window MRE %v too high", m.MRE)
 	}
@@ -76,11 +82,11 @@ func TestPipelineStreamToSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wholeQueries, err := streamhist.RandomRangeQueries(152, 200, n)
+	wholeQueries, err := query.RandomRanges(152, 200, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	am := streamhist.EvaluateRangeSums(aggRes.Histogram, data, wholeQueries)
+	am := query.Evaluate(aggRes.Histogram, data, wholeQueries)
 	if am.MRE > 0.5 {
 		t.Errorf("agglomerative MRE %v too high", am.MRE)
 	}
@@ -92,7 +98,7 @@ func TestPipelineStreamToSummaries(t *testing.T) {
 	}
 	for _, q := range [][2]float64{{0, 250}, {400, 600}} {
 		got := vh.Selectivity(q[0], q[1])
-		want := streamhist.ExactSelectivity(data, q[0], q[1])
+		want := vhist.ExactSelectivity(data, q[0], q[1])
 		if math.Abs(got-want) > 0.1 {
 			t.Errorf("selectivity [%v,%v]: %v vs %v", q[0], q[1], got, want)
 		}
@@ -129,7 +135,7 @@ func sortFloats(a []float64) {
 // and verifies the restored instances continue identically — the restart
 // recovery story end to end.
 func TestSnapshotThroughFacade(t *testing.T) {
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 153, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 153, Quantize: true})
 	m, _ := streamhist.NewFixedWindow(128, 6, 0.2, streamhist.WithDelta(0.2))
 	fw := m.FixedWindow()
 	agg, _ := streamhist.NewAgglomerative(6, 0.2)
@@ -170,10 +176,11 @@ func TestSnapshotThroughFacade(t *testing.T) {
 	}
 }
 
-// TestIndexedSimilarityThroughFacade runs the GEMINI pipeline through the
-// public API and confirms it agrees with the linear-scan index.
+// TestIndexedSimilarityThroughFacade runs the GEMINI pipeline (an R-tree
+// over PAA features, then exact verification) on a generated corpus: a
+// corpus member finds itself by range and as its own nearest neighbour.
 func TestIndexedSimilarityThroughFacade(t *testing.T) {
-	base := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 154}), 64)
+	base := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 154}), 64)
 	corpus := make([][]float64, 40)
 	for i := range corpus {
 		s := make([]float64, 64)
@@ -182,7 +189,7 @@ func TestIndexedSimilarityThroughFacade(t *testing.T) {
 		}
 		corpus[i] = s
 	}
-	ic, err := streamhist.NewIndexedCollection(corpus, 8)
+	ic, err := similarity.NewIndexedCollection(corpus, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestIndexedSimilarityThroughFacade(t *testing.T) {
 	if best != 20 || dist != 0 {
 		t.Errorf("NN = %d at %v", best, dist)
 	}
-	f, err := streamhist.PAA(query, 8)
+	f, err := similarity.PAA(query, 8)
 	if err != nil || len(f) != 8 {
 		t.Errorf("PAA: %v %v", f, err)
 	}

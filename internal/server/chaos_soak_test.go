@@ -28,8 +28,8 @@ import (
 // per stream. Each seed flips a random subset of fault rules on and off
 // (probabilistic WAL errors, ENOSPC at segment creation, checkpoint
 // failures, torn writes, injected latency) while clients hammer their
-// streams — one through the legacy /ingest alias, the rest through
-// versioned /v1/streams/{key}/ingest routes; at the end the rules
+// streams — one the reserved default stream, the rest tenant streams,
+// all through /v1/streams/{key}/ingest; at the end the rules
 // clear, the server must re-converge to healthy durable service, and a
 // simulated crash plus parallel recovery must land at or past the last
 // durably acknowledged position of every stream.
@@ -41,8 +41,8 @@ const (
 )
 
 // soakKey maps a client to its stream: client 0 drives the reserved
-// default stream via the legacy alias, the rest their own tenant
-// streams, so one soak covers both route families.
+// default stream, the rest their own tenant streams, so one soak covers
+// the stream Open creates as well as streams the first ingest creates.
 func soakKey(id int) string {
 	if id == 0 {
 		return DefaultStream
@@ -51,9 +51,6 @@ func soakKey(id int) string {
 }
 
 func soakPath(id int) string {
-	if id == 0 {
-		return "/ingest"
-	}
 	return "/v1/streams/" + soakKey(id) + "/ingest"
 }
 

@@ -93,7 +93,7 @@ func runWorkload(t *testing.T, dir string, fsys faults.FS) (acked int) {
 	// checkpoint, leaving only what already reached disk.
 	defer s.eng.Abort()
 	for i, b := range crashBatches() {
-		rec := do(t, s, http.MethodPost, "/ingest", batchBody(b))
+		rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", batchBody(b))
 		switch rec.Code {
 		case http.StatusOK:
 			var resp struct {
@@ -164,7 +164,7 @@ func expectEqualState(t *testing.T, s *Server, prefix []float64) {
 			gotRes.Histogram, gotRes.SSE, refRes.Histogram, refRes.SSE)
 	}
 	// And the HTTP surface serves it.
-	if rec := do(t, s, http.MethodGet, "/histogram", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodGet, "/v1/streams/default/histogram", ""); rec.Code != http.StatusOK {
 		t.Fatalf("/histogram after recovery: %d", rec.Code)
 	}
 }
@@ -221,7 +221,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			expectEqualState(t, s2, allValues[:recSeen])
 
 			// The recovered daemon must be fully serviceable.
-			if rec := do(t, s2, http.MethodPost, "/ingest", "1\n2\n"); rec.Code != http.StatusOK {
+			if rec := do(t, s2, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n"); rec.Code != http.StatusOK {
 				t.Fatalf("ingest after recovery: %d: %s", rec.Code, rec.Body)
 			}
 			if err := s2.Checkpoint(); err != nil {
@@ -243,7 +243,7 @@ func TestGracefulShutdownRoundTrip(t *testing.T) {
 	}
 	var all []float64
 	for _, b := range batches {
-		if rec := do(t, s, http.MethodPost, "/ingest", batchBody(b)); rec.Code != http.StatusOK {
+		if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", batchBody(b)); rec.Code != http.StatusOK {
 			t.Fatalf("ingest: %d", rec.Code)
 		}
 		all = append(all, b...)
@@ -255,10 +255,10 @@ func TestGracefulShutdownRoundTrip(t *testing.T) {
 	if rec := do(t, s, http.MethodGet, "/readyz", ""); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("readyz while draining: %d", rec.Code)
 	}
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n"); rec.Code != http.StatusServiceUnavailable {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n"); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("ingest while draining: %d", rec.Code)
 	}
-	if rec := do(t, s, http.MethodGet, "/histogram", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodGet, "/v1/streams/default/histogram", ""); rec.Code != http.StatusOK {
 		t.Errorf("histogram while draining: %d", rec.Code)
 	}
 	if err := s.Close(); err != nil {
@@ -298,7 +298,7 @@ func TestCrashRecoveryExtendedMatrix(t *testing.T) {
 		}
 		defer s.eng.Abort()
 		for i, b := range batches {
-			rec := do(t, s, http.MethodPost, "/ingest", batchBody(b))
+			rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", batchBody(b))
 			switch rec.Code {
 			case http.StatusOK:
 				if !ingestResp(t, rec) {
@@ -348,7 +348,7 @@ func TestCrashRecoveryExtendedMatrix(t *testing.T) {
 				t.Fatalf("recovered seen=%d, but only %d acked (+%d in flight max)", recSeen, acked, batchLen)
 			}
 			expectEqualState(t, s2, allValues[:recSeen])
-			if rec := do(t, s2, http.MethodPost, "/ingest", "1\n2\n"); rec.Code != http.StatusOK {
+			if rec := do(t, s2, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n"); rec.Code != http.StatusOK {
 				t.Fatalf("ingest after recovery: %d: %s", rec.Code, rec.Body)
 			}
 			if err := s2.Checkpoint(); err != nil {
@@ -379,7 +379,7 @@ func TestDiskFullAtRotate(t *testing.T) {
 	chaos.SetRules(faults.Rule{Ops: faults.OpCreate, PathContains: "wal-", Prob: 1, Err: faults.ErrNoSpace, After: 1})
 	sawRotateFailure := false
 	for i := 0; i < 40 && !s.eng.Degraded(); i++ {
-		rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n4\n")
+		rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n")
 		switch rec.Code {
 		case http.StatusOK:
 		case http.StatusInternalServerError:
@@ -396,7 +396,7 @@ func TestDiskFullAtRotate(t *testing.T) {
 	// Space returns; the supervisor re-anchors and appends flow again.
 	chaos.Clear()
 	waitFor(t, "reanchor", func() bool { return !s.eng.Degraded() })
-	if rec := do(t, s, http.MethodPost, "/ingest", "5\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "5\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
 		t.Fatalf("post-recovery ingest: %d %s", rec.Code, rec.Body)
 	}
 	seen := s.Seen()
@@ -439,7 +439,7 @@ func TestRestoreCrashPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n4\n"); rec.Code != http.StatusOK {
+		if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n"); rec.Code != http.StatusOK {
 			t.Fatalf("seed ingest: %d", rec.Code)
 		}
 		if err := s.Close(); err != nil {
@@ -457,7 +457,7 @@ func TestRestoreCrashPoints(t *testing.T) {
 			return false
 		}
 		defer s.eng.Abort()
-		rec := do(t, s, http.MethodPost, "/restore", string(blob))
+		rec := do(t, s, http.MethodPost, "/v1/streams/default/restore", string(blob))
 		switch rec.Code {
 		case http.StatusOK:
 			return true
@@ -502,7 +502,7 @@ func TestRestoreCrashPoints(t *testing.T) {
 				t.Fatalf("recovered seen=%d, want the pre-restore 4 or the restored 8", got)
 			}
 			expectEqualState(t, s2, eight[:got])
-			if rec := do(t, s2, http.MethodPost, "/ingest", "9\n"); rec.Code != http.StatusOK {
+			if rec := do(t, s2, http.MethodPost, "/v1/streams/default/ingest", "9\n"); rec.Code != http.StatusOK {
 				t.Fatalf("ingest after restore recovery: %d: %s", rec.Code, rec.Body)
 			}
 		})

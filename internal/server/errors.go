@@ -20,6 +20,7 @@ const (
 	errBadSnapshot      = "bad_snapshot"
 	errInternal         = "internal"
 	errTimeout          = "timeout"
+	errNotFound         = "not_found"
 	// errDegraded: the durability layer is down and Options.OnPersistError
 	// is "refuse", so writes are refused until the log recovers.
 	errDegraded = "degraded"

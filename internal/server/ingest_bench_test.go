@@ -28,7 +28,7 @@ func BenchmarkIngestEndpoint(b *testing.B) {
 		payload.WriteByte('\n')
 	}
 	rd := bytes.NewReader(payload.Bytes())
-	req := httptest.NewRequest(http.MethodPost, "/ingest", io.NopCloser(rd))
+	req := httptest.NewRequest(http.MethodPost, "/v1/streams/default/ingest", io.NopCloser(rd))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

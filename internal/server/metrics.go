@@ -10,50 +10,13 @@ import (
 	"streamhist/internal/shard"
 )
 
-// knownPaths are the fixed endpoints labeled individually in HTTP
-// metrics. Anything else (typo'd paths, scanners, pprof) collapses into
-// "other" so request metrics stay bounded-cardinality no matter what
-// clients send.
-var knownPaths = map[string]bool{
-	"/ingest":        true,
-	"/histogram":     true,
-	"/agglom":        true,
-	"/query":         true,
-	"/stats":         true,
-	"/quantile":      true,
-	"/selectivity":   true,
-	"/snapshot":      true,
-	"/restore":       true,
-	"/drift":         true,
-	"/slo":           true,
-	"/healthz":       true,
-	"/readyz":        true,
-	"/metrics":       true,
-	"/debug/quality": true,
-}
-
-// v1Ops are the per-stream operations mounted under /v1/streams/{key}/.
-var v1Ops = map[string]bool{
-	"ingest":      true,
-	"histogram":   true,
-	"agglom":      true,
-	"query":       true,
-	"stats":       true,
-	"quantile":    true,
-	"selectivity": true,
-	"snapshot":    true,
-	"restore":     true,
-	"drift":       true,
-	"slo":         true,
-}
-
 // metricsPath collapses a request path to a bounded-cardinality label:
-// legacy paths and fixed endpoints label as themselves, versioned
-// per-stream routes label with a {key} placeholder (never the key itself
-// — tenants must not be able to grow the label space), and everything
-// else is "other".
+// fixed endpoints label as themselves, per-stream routes label with a
+// {key} placeholder (never the key itself — tenants must not be able to
+// grow the label space), and everything else (typo'd paths, scanners,
+// pprof) is "other". The labels are the keys of routeCodes.
 func metricsPath(p string) string {
-	if knownPaths[p] || p == "/v1/streams" {
+	if _, ok := routeCodes[p]; ok {
 		return p
 	}
 	if rest, ok := strings.CutPrefix(p, "/v1/streams/"); ok {
@@ -62,8 +25,10 @@ func metricsPath(p string) string {
 		case key == "":
 		case !hasOp:
 			return "/v1/streams/{key}"
-		case v1Ops[op]:
-			return "/v1/streams/{key}/" + op
+		default:
+			if label := "/v1/streams/{key}/" + op; routeCodes[label] != 0 {
+				return label
+			}
 		}
 	}
 	return "other"
@@ -132,11 +97,11 @@ func (hm *httpMetrics) middleware(next http.Handler) http.Handler {
 }
 
 // registerGaugeFuncs publishes point-in-time state readings. The
-// window gauges read the reserved default stream (the legacy dashboard
-// contract); per-stream gauges would be unbounded cardinality, so
-// everything else aggregates across shards. Each reading takes the
-// owning shard's lock, so collection contends with requests exactly
-// like any other reader; /metrics scrapes are infrequent by design.
+// window gauges read the reserved default stream, the one every server
+// has; per-stream gauges would be unbounded cardinality, so everything
+// else aggregates across shards. Each reading takes the owning shard's
+// lock, so collection contends with requests exactly like any other
+// reader; /metrics scrapes are infrequent by design.
 func (s *Server) registerGaugeFuncs(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -42,13 +42,13 @@ func TestErrorEnvelope(t *testing.T) {
 		status               int
 		code                 string
 	}{
-		{http.MethodGet, "/ingest", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{http.MethodPost, "/histogram", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{http.MethodGet, "/query?lo=0&hi=1", "", http.StatusConflict, "conflict"},
-		{http.MethodGet, "/agglom", "", http.StatusConflict, "conflict"},
-		{http.MethodGet, "/quantile?phi=2", "", http.StatusBadRequest, "bad_request"},
-		{http.MethodGet, "/selectivity?lo=x&hi=y", "", http.StatusBadRequest, "bad_request"},
-		{http.MethodPost, "/restore", "garbage", http.StatusBadRequest, "bad_snapshot"},
+		{http.MethodGet, "/v1/streams/default/ingest", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{http.MethodPost, "/v1/streams/default/histogram", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{http.MethodGet, "/v1/streams/default/query?lo=0&hi=1", "", http.StatusConflict, "conflict"},
+		{http.MethodGet, "/v1/streams/default/agglom", "", http.StatusConflict, "conflict"},
+		{http.MethodGet, "/v1/streams/default/quantile?phi=2", "", http.StatusBadRequest, "bad_request"},
+		{http.MethodGet, "/v1/streams/default/selectivity?lo=x&hi=y", "", http.StatusBadRequest, "bad_request"},
+		{http.MethodPost, "/v1/streams/default/restore", "garbage", http.StatusBadRequest, "bad_snapshot"},
 	} {
 		rec := do(t, s, tc.method, tc.target, tc.body)
 		if rec.Code != tc.status {
@@ -77,8 +77,8 @@ func TestTimeoutBodyIsEnvelope(t *testing.T) {
 // TestAgglomEndpoint exercises the whole-stream histogram endpoint.
 func TestAgglomEndpoint(t *testing.T) {
 	s := newTestServer(t)
-	do(t, s, http.MethodPost, "/ingest", "1\n1\n1\n9\n9\n9\n")
-	rec := do(t, s, http.MethodGet, "/agglom", "")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n1\n1\n9\n9\n9\n")
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/agglom", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -221,9 +221,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n4\n5\n6\n7\n8\n")
-	do(t, s, http.MethodGet, "/histogram", "")
-	do(t, s, http.MethodGet, "/agglom", "")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n6\n7\n8\n")
+	do(t, s, http.MethodGet, "/v1/streams/default/histogram", "")
+	do(t, s, http.MethodGet, "/v1/streams/default/agglom", "")
 	do(t, s, http.MethodGet, "/nonexistent", "")
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -272,10 +272,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"streamhist_wal_fsync_seconds",
 		"streamhist_checkpoints_total 1",
 		// http layer
-		`streamhist_http_requests_total{path="/ingest",code="2xx"} 1`,
+		`streamhist_http_requests_total{path="/v1/streams/{key}/ingest",code="2xx"} 1`,
 		`streamhist_http_requests_total{path="other",code="4xx"} 1`,
-		`streamhist_http_request_seconds{path="/ingest",quantile="0.5"}`,
-		`streamhist_http_request_seconds{path="/ingest",quantile="0.99"}`,
+		`streamhist_http_request_seconds{path="/v1/streams/{key}/ingest",quantile="0.5"}`,
+		`streamhist_http_request_seconds{path="/v1/streams/{key}/ingest",quantile="0.99"}`,
 		"streamhist_http_inflight_requests",
 		// state gauges
 		"streamhist_window_points 8",

@@ -39,7 +39,8 @@ type Options struct {
 	// MaxInflight still applies.
 	KeyInflight int
 	// Factory builds the per-stream summary set for new keys; nil derives
-	// one from Window/Buckets/Eps/Delta. See MaintainerFactory.
+	// one from Window/Buckets/Eps/Delta. Open builds the default stream
+	// with it, so a factory that cannot build a stream fails Open.
 	Factory shard.Factory
 	// Incremental enables incremental cover repair on every stream the
 	// default factory creates: shard loops ingest lazily and flush at
@@ -248,9 +249,9 @@ func Open(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.eng = eng
-	// The reserved default stream always exists: the legacy route aliases
-	// need a target. Creation is memory-only; an untouched default stream
-	// costs nothing on disk.
+	// The reserved default stream always exists, so single-stream clients
+	// and the window gauges always have a target. Creation is memory-only;
+	// an untouched default stream costs nothing on disk.
 	if err := eng.Ensure(DefaultStream); err != nil {
 		_ = eng.Close()
 		return nil, err

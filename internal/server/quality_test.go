@@ -14,10 +14,10 @@ import (
 
 // auditedServer builds an in-memory server with tight audit knobs so
 // passes run within a few hundred points.
-func auditedServer(t *testing.T, opts ...Option) *Server {
+func auditedServer(t *testing.T) *Server {
 	t.Helper()
-	all := append([]Option{WithAuditInterval(64), WithSLOTarget(0.9)}, opts...)
-	s, err := New(512, 8, 0.1, 0.1, all...)
+	s, err := Open(Options{Window: 512, Buckets: 8, Eps: 0.1, Delta: 0.1,
+		Audit: true, AuditInterval: 64, SLOTarget: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,22 +145,17 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 }
 
-// TestSLOEndpointDisabled: without WithAudit the endpoint answers 404
+// TestSLOEndpointDisabled: without Options.Audit the endpoint answers 404
 // with its own machine code, distinguishable from unknown_stream.
 func TestSLOEndpointDisabled(t *testing.T) {
 	s := newTestServer(t)
-	do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n")
 	rec := do(t, s, http.MethodGet, "/v1/streams/default/slo", "")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("slo status %d on an unaudited server", rec.Code)
 	}
 	if env := decodeEnvelope(t, rec.Body.String()); env.Error.Code != "audit_disabled" {
 		t.Errorf("code %q, want audit_disabled", env.Error.Code)
-	}
-	// The legacy alias answers the same way.
-	rec = do(t, s, http.MethodGet, "/slo", "")
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("legacy /slo status %d", rec.Code)
 	}
 }
 
@@ -223,12 +218,12 @@ func TestDebugQuality(t *testing.T) {
 
 // TestReadyzShardDetail: the readiness body carries per-shard health.
 func TestReadyzShardDetail(t *testing.T) {
-	s, err := New(64, 4, 0.2, 0.2, WithShards(3))
+	s, err := Open(Options{Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n")
 
 	rec := do(t, s, http.MethodGet, "/readyz", "")
 	if rec.Code != http.StatusOK {
@@ -292,8 +287,8 @@ func TestDriftReanchorObservable(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(&low, "%d\n", 100+i%3)
 	}
-	do(t, s, http.MethodPost, "/ingest", low.String())
-	if rec := do(t, s, http.MethodGet, "/drift", ""); rec.Code != http.StatusOK {
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", low.String())
+	if rec := do(t, s, http.MethodGet, "/v1/streams/default/drift", ""); rec.Code != http.StatusOK {
 		t.Fatalf("anchor drift call: %d %s", rec.Code, rec.Body.String())
 	}
 
@@ -302,8 +297,8 @@ func TestDriftReanchorObservable(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(&high, "%d\n", 900+i%3)
 	}
-	do(t, s, http.MethodPost, "/ingest", high.String())
-	rec := do(t, s, http.MethodGet, "/drift", "")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", high.String())
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/drift", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("drift call: %d %s", rec.Code, rec.Body.String())
 	}

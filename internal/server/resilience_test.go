@@ -70,21 +70,21 @@ func TestDegradedModeAndReanchor(t *testing.T) {
 	}
 	defer s.Close()
 
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
 		t.Fatalf("healthy ingest: %d %s", rec.Code, rec.Body)
 	}
 
 	// The disk goes bad for WAL traffic only.
 	chaos.SetRules(faults.Rule{Ops: faults.OpCreate | faults.OpWrite | faults.OpSync, PathContains: "wal-", Prob: 1})
 	for i := 0; i < 2; i++ { // threshold 2: both fail durable, second trips
-		if rec := do(t, s, http.MethodPost, "/ingest", "3\n"); rec.Code != http.StatusInternalServerError && !(rec.Code == http.StatusOK && ingestResp(t, rec)) {
+		if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "3\n"); rec.Code != http.StatusInternalServerError && !(rec.Code == http.StatusOK && ingestResp(t, rec)) {
 			t.Fatalf("ingest %d while disk sick: %d %s", i, rec.Code, rec.Body)
 		}
 	}
 	waitFor(t, "degraded mode", func() bool { return s.eng.Degraded() })
 
 	// Degraded: ingests still flow, marked non-durable.
-	rec := do(t, s, http.MethodPost, "/ingest", "4\n5\n")
+	rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "4\n5\n")
 	if rec.Code != http.StatusOK || !ingestResp(t, rec) {
 		t.Fatalf("degraded ingest: %d %s", rec.Code, rec.Body)
 	}
@@ -101,7 +101,7 @@ func TestDegradedModeAndReanchor(t *testing.T) {
 	if got := s.eng.BreakerState(DefaultStream); got != resilience.Closed {
 		t.Errorf("breaker after recovery: %v", got)
 	}
-	if rec := do(t, s, http.MethodPost, "/ingest", "6\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "6\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
 		t.Fatalf("post-recovery ingest not durable: %d %s", rec.Code, rec.Body)
 	}
 	seen := s.Seen()
@@ -162,12 +162,12 @@ func TestRefusePolicy(t *testing.T) {
 
 	chaos.SetRules(faults.Rule{Ops: faults.OpCreate | faults.OpWrite | faults.OpSync, PathContains: "wal-", Prob: 1})
 	for i := 0; i < 2; i++ {
-		if rec := do(t, s, http.MethodPost, "/ingest", "1\n"); rec.Code != http.StatusInternalServerError {
+		if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n"); rec.Code != http.StatusInternalServerError {
 			t.Fatalf("ingest %d while disk sick: %d %s", i, rec.Code, rec.Body)
 		}
 	}
 	waitFor(t, "degraded mode", func() bool { return s.eng.Degraded() })
-	rec := do(t, s, http.MethodPost, "/ingest", "2\n")
+	rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "2\n")
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), errDegraded) {
 		t.Fatalf("refuse-policy ingest: %d %s", rec.Code, rec.Body)
 	}
@@ -183,7 +183,7 @@ func TestRefusePolicy(t *testing.T) {
 
 	chaos.Clear()
 	waitFor(t, "reanchor", func() bool { return !s.eng.Degraded() })
-	if rec := do(t, s, http.MethodPost, "/ingest", "3\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "3\n"); rec.Code != http.StatusOK {
 		t.Fatalf("post-recovery ingest: %d %s", rec.Code, rec.Body)
 	}
 }
@@ -216,13 +216,13 @@ func TestCheckpointWatchdogEscalates(t *testing.T) {
 		if s.eng.Degraded() {
 			return true
 		}
-		rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n")
+		rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n")
 		return rec.Code == http.StatusOK && ingestResp(t, rec)
 	})
 
 	chaos.Clear()
 	waitFor(t, "recovery", func() bool { return !s.eng.Degraded() })
-	if rec := do(t, s, http.MethodPost, "/ingest", "9\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "9\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
 		t.Fatalf("post-recovery ingest: %d %s", rec.Code, rec.Body)
 	}
 }
@@ -243,7 +243,7 @@ func TestCheckpointPruneFailureCounted(t *testing.T) {
 	defer s.Close()
 	// Three checkpoints at distinct positions: the third prunes the first.
 	for i := 0; i < 3; i++ {
-		if rec := do(t, s, http.MethodPost, "/ingest", "1\n"); rec.Code != http.StatusOK {
+		if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n"); rec.Code != http.StatusOK {
 			t.Fatalf("ingest: %d", rec.Code)
 		}
 		if i == 2 {
@@ -292,7 +292,7 @@ func TestPanicOutsideLockContained(t *testing.T) {
 			panic("boom")
 		}
 	}
-	rec := do(t, s, http.MethodPost, "/ingest", "1\n")
+	rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n")
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"code":"internal"`) {
 		t.Fatalf("contained panic response: %d %s", rec.Code, rec.Body)
 	}
@@ -300,7 +300,7 @@ func TestPanicOutsideLockContained(t *testing.T) {
 		t.Fatal("panic outside the lock must not quarantine")
 	}
 	s.failpoint = nil
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n"); rec.Code != http.StatusOK {
 		t.Fatalf("ingest after contained panic: %d", rec.Code)
 	}
 }
@@ -312,7 +312,7 @@ func TestPanicOutsideLockContained(t *testing.T) {
 // loop catches the quarantine and fails every request riding the batch.
 func TestPanicUnderLockQuarantines(t *testing.T) {
 	s := newTestServer(t)
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
 		t.Fatalf("seed ingest: %d", rec.Code)
 	}
 	s.eng.SetFailpoint(func(p string) {
@@ -320,7 +320,7 @@ func TestPanicUnderLockQuarantines(t *testing.T) {
 			panic("corrupting boom")
 		}
 	})
-	rec := do(t, s, http.MethodPost, "/ingest", "4\n")
+	rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "4\n")
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), errQuarantined) {
 		t.Fatalf("lock-held panic response: %d %s", rec.Code, rec.Body)
 	}
@@ -328,7 +328,7 @@ func TestPanicUnderLockQuarantines(t *testing.T) {
 		t.Fatal("lock-held panic did not quarantine")
 	}
 	// The lock was released: reads that take the shard lock still answer.
-	if rec := do(t, s, http.MethodGet, "/stats", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodGet, "/v1/streams/default/stats", ""); rec.Code != http.StatusOK {
 		t.Fatalf("stats while quarantined (mutex leaked?): %d", rec.Code)
 	}
 	if rec := do(t, s, http.MethodGet, "/healthz", ""); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "quarantined") {
@@ -338,10 +338,10 @@ func TestPanicUnderLockQuarantines(t *testing.T) {
 		t.Fatalf("readyz while quarantined: %d", rec.Code)
 	}
 	s.eng.SetFailpoint(nil)
-	if rec := do(t, s, http.MethodPost, "/ingest", "5\n"); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), errQuarantined) {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "5\n"); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), errQuarantined) {
 		t.Fatalf("ingest while quarantined: %d %s", rec.Code, rec.Body)
 	}
-	if rec := do(t, s, http.MethodPost, "/restore", "junk"); rec.Code != http.StatusServiceUnavailable {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/restore", "junk"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("restore while quarantined: %d", rec.Code)
 	}
 }
@@ -364,7 +364,7 @@ func TestPanicAutoRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
 		t.Fatalf("seed ingest: %d", rec.Code)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -375,7 +375,7 @@ func TestPanicAutoRestore(t *testing.T) {
 			panic("one-shot boom")
 		}
 	})
-	if rec := do(t, s, http.MethodPost, "/ingest", "4\n5\n"); rec.Code != http.StatusServiceUnavailable {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "4\n5\n"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("lock-held panic response: %d", rec.Code)
 	}
 	s.eng.SetFailpoint(nil)
@@ -385,7 +385,7 @@ func TestPanicAutoRestore(t *testing.T) {
 	if got := s.Seen(); got != 5 {
 		t.Fatalf("restored seen=%d, want 5", got)
 	}
-	if rec := do(t, s, http.MethodPost, "/ingest", "6\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "6\n"); rec.Code != http.StatusOK {
 		t.Fatalf("ingest after auto-restore: %d %s", rec.Code, rec.Body)
 	}
 	if got := s.Seen(); got != 6 {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"streamhist"
 	"streamhist/internal/codec"
 	"streamhist/internal/shard"
 )
@@ -23,7 +22,7 @@ func TestIngestOversizedBodyReturns413(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rec := do(t, s, http.MethodPost, "/ingest", strings.Repeat("1\n", 64))
+	rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", strings.Repeat("1\n", 64))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized ingest: %d, want 413: %s", rec.Code, rec.Body)
 	}
@@ -31,11 +30,11 @@ func TestIngestOversizedBodyReturns413(t *testing.T) {
 		t.Errorf("413 body does not name the limit: %s", rec.Body)
 	}
 	// A body inside the limit still works.
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n"); rec.Code != http.StatusOK {
 		t.Errorf("in-limit ingest: %d", rec.Code)
 	}
 	// /restore enforces the same cap.
-	rec = do(t, s, http.MethodPost, "/restore", strings.Repeat("x", 64))
+	rec = do(t, s, http.MethodPost, "/v1/streams/default/restore", strings.Repeat("x", 64))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized restore: %d, want 413", rec.Code)
 	}
@@ -68,7 +67,7 @@ func TestIngestOverloadReturns429(t *testing.T) {
 	}
 	defer s.Close()
 	g := &gateReader{entered: make(chan struct{}), release: make(chan struct{})}
-	slow := httptest.NewRequest(http.MethodPost, "/ingest", g)
+	slow := httptest.NewRequest(http.MethodPost, "/v1/streams/default/ingest", g)
 	slowRec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {
@@ -79,7 +78,7 @@ func TestIngestOverloadReturns429(t *testing.T) {
 
 	// The single slot is taken: the next ingest must be refused fast, with
 	// a Retry-After hint, rather than queued behind the slow client.
-	rec := do(t, s, http.MethodPost, "/ingest", "2\n")
+	rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "2\n")
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated ingest: %d, want 429: %s", rec.Code, rec.Body)
 	}
@@ -87,7 +86,7 @@ func TestIngestOverloadReturns429(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 	// Reads are not subject to ingest admission.
-	if rec := do(t, s, http.MethodGet, "/stats", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodGet, "/v1/streams/default/stats", ""); rec.Code != http.StatusOK {
 		t.Errorf("stats while saturated: %d", rec.Code)
 	}
 
@@ -97,7 +96,7 @@ func TestIngestOverloadReturns429(t *testing.T) {
 		t.Fatalf("slow ingest: %d: %s", slowRec.Code, slowRec.Body)
 	}
 	// Slot released: ingests are admitted again.
-	if rec := do(t, s, http.MethodPost, "/ingest", "3\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "3\n"); rec.Code != http.StatusOK {
 		t.Errorf("ingest after release: %d", rec.Code)
 	}
 }
@@ -134,7 +133,7 @@ func TestQueryEmptyWindowReportsEmpty(t *testing.T) {
 	s := newTestServer(t)
 	// Before any ingest, every query — even a malformed one — should say
 	// the window is empty rather than complain about the range.
-	for _, target := range []string{"/query?lo=0&hi=0", "/query", "/query?lo=a&hi=b"} {
+	for _, target := range []string{"/v1/streams/default/query?lo=0&hi=0", "/v1/streams/default/query", "/v1/streams/default/query?lo=a&hi=b"} {
 		rec := do(t, s, http.MethodGet, target, "")
 		if rec.Code != http.StatusConflict {
 			t.Errorf("%s on empty window: %d, want 409", target, rec.Code)
@@ -153,24 +152,24 @@ func TestRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		fmt.Fprintf(&lines, "%d\n", (i*13+5)%41)
 	}
-	if rec := do(t, src, http.MethodPost, "/ingest", lines.String()); rec.Code != http.StatusOK {
+	if rec := do(t, src, http.MethodPost, "/v1/streams/default/ingest", lines.String()); rec.Code != http.StatusOK {
 		t.Fatalf("ingest: %d", rec.Code)
 	}
-	snap := do(t, src, http.MethodGet, "/snapshot", "")
+	snap := do(t, src, http.MethodGet, "/v1/streams/default/snapshot", "")
 	if snap.Code != http.StatusOK {
 		t.Fatalf("snapshot: %d", snap.Code)
 	}
-	wantHist := do(t, src, http.MethodGet, "/histogram", "")
+	wantHist := do(t, src, http.MethodGet, "/v1/streams/default/histogram", "")
 	if wantHist.Code != http.StatusOK {
 		t.Fatalf("source histogram: %d", wantHist.Code)
 	}
 
 	dst := newTestServer(t)
-	rec := do(t, dst, http.MethodPost, "/restore", snap.Body.String())
+	rec := do(t, dst, http.MethodPost, "/v1/streams/default/restore", snap.Body.String())
 	if rec.Code != http.StatusOK {
 		t.Fatalf("restore: %d: %s", rec.Code, rec.Body)
 	}
-	gotHist := do(t, dst, http.MethodGet, "/histogram", "")
+	gotHist := do(t, dst, http.MethodGet, "/v1/streams/default/histogram", "")
 	if gotHist.Code != http.StatusOK {
 		t.Fatalf("restored histogram: %d", gotHist.Code)
 	}
@@ -178,7 +177,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Errorf("restored histogram differs:\n got %s\nwant %s", gotHist.Body, wantHist.Body)
 	}
 	// The restored daemon keeps ingesting from the snapshot's position.
-	rec = do(t, dst, http.MethodPost, "/ingest", "7\n")
+	rec = do(t, dst, http.MethodPost, "/v1/streams/default/ingest", "7\n")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest after restore: %d", rec.Code)
 	}
@@ -187,13 +186,13 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Error paths: garbage is refused without touching state.
-	if rec := do(t, dst, http.MethodPost, "/restore", "not a snapshot"); rec.Code != http.StatusBadRequest {
+	if rec := do(t, dst, http.MethodPost, "/v1/streams/default/restore", "not a snapshot"); rec.Code != http.StatusBadRequest {
 		t.Errorf("garbage restore: %d, want 400", rec.Code)
 	}
 	if got := dst.Seen(); got != 101 {
 		t.Errorf("failed restore changed seen to %d", got)
 	}
-	if rec := do(t, dst, http.MethodGet, "/restore", ""); rec.Code != http.StatusMethodNotAllowed {
+	if rec := do(t, dst, http.MethodGet, "/v1/streams/default/restore", ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET restore: %d", rec.Code)
 	}
 }
@@ -203,8 +202,8 @@ func TestRestoreRoundTrip(t *testing.T) {
 // reset before the 200 goes out).
 func TestRestoreDurable(t *testing.T) {
 	src := newTestServer(t)
-	do(t, src, http.MethodPost, "/ingest", "1\n2\n3\n4\n5\n6\n7\n8\n")
-	snap := do(t, src, http.MethodGet, "/snapshot", "")
+	do(t, src, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n6\n7\n8\n")
+	snap := do(t, src, http.MethodGet, "/v1/streams/default/snapshot", "")
 	if snap.Code != http.StatusOK {
 		t.Fatalf("snapshot: %d", snap.Code)
 	}
@@ -214,11 +213,11 @@ func TestRestoreDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	do(t, s, http.MethodPost, "/ingest", "9\n9\n9\n")
-	if rec := do(t, s, http.MethodPost, "/restore", snap.Body.String()); rec.Code != http.StatusOK {
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "9\n9\n9\n")
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/restore", snap.Body.String()); rec.Code != http.StatusOK {
 		t.Fatalf("restore: %d: %s", rec.Code, rec.Body)
 	}
-	do(t, s, http.MethodPost, "/ingest", "10\n11\n")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "10\n11\n")
 	// Crash: no Close.
 
 	s2, err := Open(crashOptions(dir, nil))
@@ -229,7 +228,7 @@ func TestRestoreDurable(t *testing.T) {
 	if got := s2.Seen(); got != 10 {
 		t.Errorf("recovered seen = %d, want 10 (8 restored + 2 ingested)", got)
 	}
-	if rec := do(t, s2, http.MethodGet, "/histogram", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s2, http.MethodGet, "/v1/streams/default/histogram", ""); rec.Code != http.StatusOK {
 		t.Errorf("histogram after recovery: %d", rec.Code)
 	}
 }
@@ -240,8 +239,8 @@ func TestRestoreDurable(t *testing.T) {
 // give it at the next restart.
 func TestRestoreKeepsEngine(t *testing.T) {
 	src := newTestServer(t)
-	do(t, src, http.MethodPost, "/ingest", "1\n2\n3\n4\n5\n6\n7\n8\n")
-	snap := do(t, src, http.MethodGet, "/snapshot", "")
+	do(t, src, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n6\n7\n8\n")
+	snap := do(t, src, http.MethodGet, "/v1/streams/default/snapshot", "")
 	if snap.Code != http.StatusOK {
 		t.Fatalf("snapshot: %d", snap.Code)
 	}
@@ -251,10 +250,12 @@ func TestRestoreKeepsEngine(t *testing.T) {
 		incr bool
 	}{
 		{"default", func() (*Server, error) { return New(64, 4, 0.2, 0.2) }, false},
-		{"WithIncremental", func() (*Server, error) { return New(64, 4, 0.2, 0.2, WithIncremental()) }, true},
-		{"MaintainerFactory", func() (*Server, error) {
-			return New(0, 0, 0, 0, WithFactory(MaintainerFactory(64, 4, 0.2,
-				streamhist.WithDelta(0.2), streamhist.WithIncrementalRebuild(true))))
+		{"WithIncremental", func() (*Server, error) {
+			return Open(Options{Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2, Incremental: true})
+		}, true},
+		{"Factory", func() (*Server, error) {
+			return Open(Options{Factory: defaultFactory(Options{
+				Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2, Incremental: true})})
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -361,7 +362,7 @@ func TestConcurrentIngestCheckpointStress(t *testing.T) {
 				switch id % 3 {
 				case 0, 1:
 					body := fmt.Sprintf("%d\n%d\n", (id+i)%17, (id*i)%17)
-					rec := do(t, s, http.MethodPost, "/ingest", body)
+					rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", body)
 					switch rec.Code {
 					case http.StatusOK:
 						acked.Add(2)
@@ -371,8 +372,8 @@ func TestConcurrentIngestCheckpointStress(t *testing.T) {
 						t.Errorf("ingest: %d: %s", rec.Code, rec.Body)
 					}
 				case 2:
-					do(t, s, http.MethodGet, "/histogram", "")
-					do(t, s, http.MethodGet, "/stats", "")
+					do(t, s, http.MethodGet, "/v1/streams/default/histogram", "")
+					do(t, s, http.MethodGet, "/v1/streams/default/stats", "")
 					do(t, s, http.MethodGet, "/readyz", "")
 					if err := s.Checkpoint(); err != nil {
 						t.Errorf("manual checkpoint: %v", err)
@@ -394,7 +395,7 @@ func TestConcurrentIngestCheckpointStress(t *testing.T) {
 	if got, want := s2.Seen(), acked.Load(); got != want {
 		t.Errorf("recovered seen = %d, want %d acknowledged values", got, want)
 	}
-	if rec := do(t, s2, http.MethodPost, "/ingest", "1\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s2, http.MethodPost, "/v1/streams/default/ingest", "1\n"); rec.Code != http.StatusOK {
 		t.Errorf("ingest after reopen: %d", rec.Code)
 	}
 }

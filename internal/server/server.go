@@ -17,17 +17,20 @@
 //	GET  /v1/streams/K/snapshot     binary fixed-window snapshot (operator download)
 //	POST /v1/streams/K/restore      replace K's window from a snapshot download
 //	GET  /v1/streams/K/drift        distribution-change check against a reference
+//	GET  /v1/streams/K/slo          accuracy SLO state (with Options.Audit)
 //	GET  /v1/streams?after=&limit=  page through live stream keys
 //	DELETE /v1/streams/K            drop K's stream (durably, via a WAL tombstone)
 //	GET  /healthz                   liveness (always 200 while the process runs)
 //	GET  /readyz                    readiness (503 while recovering or draining)
 //	GET  /metrics                   Prometheus text exposition (with Options.Metrics)
+//	GET  /debug/quality             fleet-wide accuracy audit page
+//	GET  /debug/trace/events        flight-recorder ring as JSON (with Options.Trace)
+//	GET  /debug/trace/chrome        the ring in Chrome trace-event format (with Options.Trace)
 //	GET  /debug/pprof/              runtime profiles (with Options.EnablePprof)
 //
-// The pre-v1 routes (POST /ingest, GET /histogram, ...) remain mounted
-// as aliases for the reserved "default" stream; they answer with a
-// Deprecation header and a Link to their successor route. The "default"
-// stream always exists.
+// The reserved "default" stream always exists, so a single-stream
+// client can write and read /v1/streams/default/... without creating
+// anything first. Paths outside this list answer 404 not_found.
 //
 // Error responses (all of them — bad parameters, 413s, overload 429s,
 // restore failures, timeouts) share one JSON envelope,
@@ -76,9 +79,10 @@ import (
 	"streamhist/internal/vhist"
 )
 
-// DefaultStream is the reserved stream key the legacy (pre-/v1) routes
-// alias. It always exists on a running server; deleting it durably drops
-// its data and immediately recreates it empty.
+// DefaultStream is the reserved stream key that single-stream clients
+// and the window gauges in /metrics use. It always exists on a running
+// server; deleting it durably drops its data and immediately recreates
+// it empty.
 const DefaultStream = "default"
 
 // Server states, in lifecycle order.
@@ -124,82 +128,46 @@ type Server struct {
 	failpoint func(point string) // server-layer test seam; nil in production
 }
 
-// Option tweaks Options for New; see WithShards and friends.
-type Option func(*Options)
-
-// WithShards sets the number of shard loops (0 means GOMAXPROCS).
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithMaxKeys caps live streams across all shards (0 means unlimited).
-func WithMaxKeys(n int) Option { return func(o *Options) { o.MaxKeys = n } }
-
-// WithKeyInflight bounds concurrently-admitted requests per stream key
-// (0 means unlimited; the server-wide MaxInflight still applies).
-func WithKeyInflight(n int) Option { return func(o *Options) { o.KeyInflight = n } }
-
-// WithFactory supplies the per-key summary factory (overrides the one
-// derived from Window/Buckets/Eps/Delta). See MaintainerFactory.
-func WithFactory(f shard.Factory) Option { return func(o *Options) { o.Factory = f } }
-
-// WithIncremental enables incremental cover repair on every stream the
-// default factory creates (see Options.Incremental).
-func WithIncremental() Option { return func(o *Options) { o.Incremental = true } }
-
-// WithAudit enables the per-stream shadow auditor and accuracy SLO
-// engine (see Options.Audit).
-func WithAudit() Option { return func(o *Options) { o.Audit = true } }
-
-// WithAuditInterval sets the ingested points between audit passes per
-// stream (0 means 1024). Implies WithAudit.
-func WithAuditInterval(n int) Option {
-	return func(o *Options) { o.Audit, o.AuditInterval = true, n }
-}
-
-// WithSLOTarget sets the accuracy objective's required compliance
-// (0 means 0.9). Implies WithAudit.
-func WithSLOTarget(t float64) Option {
-	return func(o *Options) { o.Audit, o.SLOTarget = true, t }
-}
-
 // New creates an in-memory server (no durability) maintaining, per
 // stream key, a fixed-window histogram (last n points, b buckets, growth
 // factor delta), a whole-stream agglomerative histogram, a whole-stream
 // GK quantile summary, and a streaming equi-depth value histogram for
-// selectivity queries. Crash-safe servers are constructed with Open.
-func New(n, b int, eps, delta float64, opts ...Option) (*Server, error) {
-	o := Options{Window: n, Buckets: b, Eps: eps, Delta: delta}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return Open(o)
+// selectivity queries. It is shorthand for Open with only the window
+// parameters set; every other configuration goes through Open.
+func New(n, b int, eps, delta float64) (*Server, error) {
+	return Open(Options{Window: n, Buckets: b, Eps: eps, Delta: delta})
+}
+
+// streamOps are the per-stream operations, each mounted at
+// /v1/streams/{key}/<name>. This table is the one list of them: it drives
+// mux registration, the metrics path label (metricsPath) and the EvHTTP
+// trace code. A code is part of the trace format (capture files and
+// /debug/trace/events carry it), so an operation keeps its code for
+// good and a new one takes an unused number.
+var streamOps = []struct {
+	name string
+	h    func(*Server, http.ResponseWriter, *http.Request, string)
+	code uint8
+}{
+	{"ingest", (*Server).handleIngest, 18},
+	{"histogram", (*Server).handleHistogram, 19},
+	{"agglom", (*Server).handleAgglom, 20},
+	{"query", (*Server).handleQuery, 21},
+	{"stats", (*Server).handleStats, 22},
+	{"quantile", (*Server).handleQuantile, 23},
+	{"selectivity", (*Server).handleSelectivity, 24},
+	{"snapshot", (*Server).handleSnapshot, 25},
+	{"restore", (*Server).handleRestore, 26},
+	{"drift", (*Server).handleDrift, 27},
+	{"slo", (*Server).handleSLO, 29},
 }
 
 func (s *Server) routes() {
-	// Every per-stream operation is mounted twice: under its versioned
-	// /v1/streams/{key}/ route and at its legacy pre-v1 path aliasing the
-	// reserved "default" stream.
-	ops := []struct {
-		name string
-		h    func(http.ResponseWriter, *http.Request, string)
-	}{
-		{"ingest", s.handleIngest},
-		{"histogram", s.handleHistogram},
-		{"agglom", s.handleAgglom},
-		{"query", s.handleQuery},
-		{"stats", s.handleStats},
-		{"quantile", s.handleQuantile},
-		{"selectivity", s.handleSelectivity},
-		{"snapshot", s.handleSnapshot},
-		{"restore", s.handleRestore},
-		{"drift", s.handleDrift},
-		{"slo", s.handleSLO},
-	}
-	for _, op := range ops {
+	for _, op := range streamOps {
 		s.mux.HandleFunc("/v1/streams/{key}/"+op.name, s.keyed(op.h))
-		s.mux.HandleFunc("/"+op.name, s.legacy(op.name, op.h))
 	}
 	s.mux.HandleFunc("/v1/streams", s.handleStreams)
-	s.mux.HandleFunc("/v1/streams/{key}", s.keyed(s.handleStreamRoot))
+	s.mux.HandleFunc("/v1/streams/{key}", s.keyed((*Server).handleStreamRoot))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	if s.opts.Metrics != nil {
@@ -210,6 +178,7 @@ func (s *Server) routes() {
 		s.mux.HandleFunc("/debug/trace/chrome", s.handleTraceChrome)
 	}
 	s.mux.HandleFunc("/debug/quality", s.handleDebugQuality)
+	s.mux.HandleFunc("/", handleNotFound)
 	// traceware sits innermost so request spans measure handler time and
 	// the span ID reaches the handlers through the request context.
 	h := s.traceware(s.mux)
@@ -257,7 +226,7 @@ func validStreamKey(key string) bool {
 // keyed adapts a per-stream handler to a /v1 route carrying {key}.
 // Syntactically invalid keys answer 404 in the stream error envelope —
 // they can never name an existing stream.
-func (s *Server) keyed(h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
+func (s *Server) keyed(h func(*Server, http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("key")
 		if !validStreamKey(key) {
@@ -265,19 +234,14 @@ func (s *Server) keyed(h func(http.ResponseWriter, *http.Request, string)) http.
 				"unknown stream %q (keys are 1-128 chars of [A-Za-z0-9._-])", key)
 			return
 		}
-		h(w, r, key)
+		h(s, w, r, key)
 	}
 }
 
-// legacy mounts a pre-v1 route as an alias for the reserved "default"
-// stream, advertising its successor via Deprecation and Link headers.
-func (s *Server) legacy(op string, h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
-	successor := "/v1/streams/" + DefaultStream + "/" + op
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r, DefaultStream)
-	}
+// handleNotFound answers every path no route claims, in the error
+// envelope rather than ServeMux's plain-text 404.
+func handleNotFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, http.StatusNotFound, errNotFound, "no route for %s", r.URL.Path)
 }
 
 // ingestScratch holds the reusable parse buffers of one ingest request:
@@ -799,8 +763,7 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 
 // handleStreamRoot serves /v1/streams/{key} itself: DELETE durably drops
 // the stream (a WAL tombstone makes the deletion crash-safe). Deleting
-// the reserved default stream recreates it empty, so the legacy aliases
-// always have a target.
+// the reserved default stream recreates it empty, so it always exists.
 func (s *Server) handleStreamRoot(w http.ResponseWriter, r *http.Request, key string) {
 	if !requireMethod(w, r, http.MethodDelete) {
 		return

@@ -43,7 +43,7 @@ func TestNewRejectsBadArgs(t *testing.T) {
 
 func TestIngestAndHistogram(t *testing.T) {
 	s := newTestServer(t)
-	rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n4\n5\n")
+	rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
 	}
@@ -58,7 +58,7 @@ func TestIngestAndHistogram(t *testing.T) {
 		t.Errorf("ingest response %+v", ing)
 	}
 
-	rec = do(t, s, http.MethodGet, "/histogram", "")
+	rec = do(t, s, http.MethodGet, "/v1/streams/default/histogram", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("histogram status %d: %s", rec.Code, rec.Body)
 	}
@@ -85,9 +85,9 @@ func TestQueryEndpoint(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fmt.Fprintf(&lines, "%d\n", 10)
 	}
-	do(t, s, http.MethodPost, "/ingest", lines.String())
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", lines.String())
 
-	rec := do(t, s, http.MethodGet, "/query?lo=2&hi=5", "")
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/query?lo=2&hi=5", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query status %d: %s", rec.Code, rec.Body)
 	}
@@ -104,13 +104,13 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	s := newTestServer(t)
-	do(t, s, http.MethodPost, "/ingest", "1\n2\n")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n")
 	for _, target := range []string{
-		"/query",            // missing params
-		"/query?lo=a&hi=1",  // non-integer
-		"/query?lo=0&hi=99", // out of window
-		"/query?lo=1&hi=0",  // inverted
-		"/query?lo=-1&hi=1", // negative
+		"/v1/streams/default/query",            // missing params
+		"/v1/streams/default/query?lo=a&hi=1",  // non-integer
+		"/v1/streams/default/query?lo=0&hi=99", // out of window
+		"/v1/streams/default/query?lo=1&hi=0",  // inverted
+		"/v1/streams/default/query?lo=-1&hi=1", // negative
 	} {
 		if rec := do(t, s, http.MethodGet, target, ""); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d", target, rec.Code)
@@ -120,10 +120,10 @@ func TestQueryValidation(t *testing.T) {
 
 func TestMethodEnforcement(t *testing.T) {
 	s := newTestServer(t)
-	if rec := do(t, s, http.MethodGet, "/ingest", ""); rec.Code != http.StatusMethodNotAllowed {
+	if rec := do(t, s, http.MethodGet, "/v1/streams/default/ingest", ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /ingest: %d", rec.Code)
 	}
-	for _, target := range []string{"/histogram", "/query?lo=0&hi=0", "/stats"} {
+	for _, target := range []string{"/v1/streams/default/histogram", "/v1/streams/default/query?lo=0&hi=0", "/v1/streams/default/stats"} {
 		if rec := do(t, s, http.MethodPost, target, "x"); rec.Code != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s: %d", target, rec.Code)
 		}
@@ -132,22 +132,22 @@ func TestMethodEnforcement(t *testing.T) {
 
 func TestIngestRejectsMalformed(t *testing.T) {
 	s := newTestServer(t)
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\nnot-a-number\n"); rec.Code != http.StatusBadRequest {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\nnot-a-number\n"); rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed ingest: %d", rec.Code)
 	}
 }
 
 func TestHistogramOnEmptyStream(t *testing.T) {
 	s := newTestServer(t)
-	if rec := do(t, s, http.MethodGet, "/histogram", ""); rec.Code != http.StatusConflict {
+	if rec := do(t, s, http.MethodGet, "/v1/streams/default/histogram", ""); rec.Code != http.StatusConflict {
 		t.Errorf("empty histogram: %d", rec.Code)
 	}
 }
 
 func TestStats(t *testing.T) {
 	s := newTestServer(t)
-	do(t, s, http.MethodPost, "/ingest", "2\n4\n6\n")
-	rec := do(t, s, http.MethodGet, "/stats", "")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "2\n4\n6\n")
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/stats", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
@@ -170,7 +170,7 @@ func TestStats(t *testing.T) {
 // queries; run under -race.
 func TestConcurrentClients(t *testing.T) {
 	s := newTestServer(t)
-	do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n4\n")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -178,10 +178,10 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				if id%2 == 0 {
-					do(t, s, http.MethodPost, "/ingest", "7\n8\n")
+					do(t, s, http.MethodPost, "/v1/streams/default/ingest", "7\n8\n")
 				} else {
-					do(t, s, http.MethodGet, "/histogram", "")
-					do(t, s, http.MethodGet, "/stats", "")
+					do(t, s, http.MethodGet, "/v1/streams/default/histogram", "")
+					do(t, s, http.MethodGet, "/v1/streams/default/stats", "")
 				}
 			}
 		}(w)
@@ -195,9 +195,9 @@ func TestQuantileEndpoint(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		fmt.Fprintf(&lines, "%d\n", i)
 	}
-	do(t, s, http.MethodPost, "/ingest", lines.String())
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", lines.String())
 
-	rec := do(t, s, http.MethodGet, "/quantile?phi=0.5", "")
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/quantile?phi=0.5", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("quantile status %d: %s", rec.Code, rec.Body)
 	}
@@ -211,13 +211,13 @@ func TestQuantileEndpoint(t *testing.T) {
 	if q.N != 100 || q.Value < 45 || q.Value > 55 {
 		t.Errorf("quantile response %+v", q)
 	}
-	for _, bad := range []string{"/quantile", "/quantile?phi=x", "/quantile?phi=2"} {
+	for _, bad := range []string{"/v1/streams/default/quantile", "/v1/streams/default/quantile?phi=x", "/v1/streams/default/quantile?phi=2"} {
 		if rec := do(t, s, http.MethodGet, bad, ""); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d", bad, rec.Code)
 		}
 	}
 	empty := newTestServer(t)
-	if rec := do(t, empty, http.MethodGet, "/quantile?phi=0.5", ""); rec.Code != http.StatusConflict {
+	if rec := do(t, empty, http.MethodGet, "/v1/streams/default/quantile?phi=0.5", ""); rec.Code != http.StatusConflict {
 		t.Errorf("empty quantile: %d", rec.Code)
 	}
 }
@@ -228,9 +228,9 @@ func TestSelectivityEndpoint(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		fmt.Fprintf(&lines, "%d\n", i%100)
 	}
-	do(t, s, http.MethodPost, "/ingest", lines.String())
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", lines.String())
 
-	rec := do(t, s, http.MethodGet, "/selectivity?lo=0&hi=49", "")
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/selectivity?lo=0&hi=49", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("selectivity status %d: %s", rec.Code, rec.Body)
 	}
@@ -243,7 +243,7 @@ func TestSelectivityEndpoint(t *testing.T) {
 	if resp.Selectivity < 0.3 || resp.Selectivity > 0.7 {
 		t.Errorf("selectivity = %v, want ~0.5", resp.Selectivity)
 	}
-	for _, bad := range []string{"/selectivity", "/selectivity?lo=5&hi=1", "/selectivity?lo=a&hi=2"} {
+	for _, bad := range []string{"/v1/streams/default/selectivity", "/v1/streams/default/selectivity?lo=5&hi=1", "/v1/streams/default/selectivity?lo=a&hi=2"} {
 		if rec := do(t, s, http.MethodGet, bad, ""); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d", bad, rec.Code)
 		}
@@ -252,8 +252,8 @@ func TestSelectivityEndpoint(t *testing.T) {
 
 func TestSnapshotEndpoint(t *testing.T) {
 	s := newTestServer(t)
-	do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n4\n5\n")
-	rec := do(t, s, http.MethodGet, "/snapshot", "")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n")
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/snapshot", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
 	}
@@ -264,7 +264,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if restored.Seen() != 5 {
 		t.Errorf("restored Seen = %d", restored.Seen())
 	}
-	if rec := do(t, s, http.MethodPost, "/snapshot", "x"); rec.Code != http.StatusMethodNotAllowed {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/snapshot", "x"); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST snapshot: %d", rec.Code)
 	}
 }
@@ -278,9 +278,9 @@ func TestDriftEndpoint(t *testing.T) {
 		}
 		return sb.String()
 	}
-	do(t, s, http.MethodPost, "/ingest", fill(100))
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", fill(100))
 	// First call installs the reference.
-	rec := do(t, s, http.MethodGet, "/drift", "")
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/drift", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("drift status %d: %s", rec.Code, rec.Body)
 	}
@@ -295,8 +295,8 @@ func TestDriftEndpoint(t *testing.T) {
 		t.Error("first drift call drifted")
 	}
 	// Shift the regime and refill the whole window.
-	do(t, s, http.MethodPost, "/ingest", fill(900))
-	rec = do(t, s, http.MethodGet, "/drift", "")
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", fill(900))
+	rec = do(t, s, http.MethodGet, "/v1/streams/default/drift", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("drift status %d: %s", rec.Code, rec.Body)
 	}
@@ -306,11 +306,11 @@ func TestDriftEndpoint(t *testing.T) {
 	if !d.Drifted || d.Dist < 100 {
 		t.Errorf("shift not detected: %+v", d)
 	}
-	if rec := do(t, s, http.MethodPost, "/drift", "x"); rec.Code != http.StatusMethodNotAllowed {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/drift", "x"); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST drift: %d", rec.Code)
 	}
 	empty := newTestServer(t)
-	if rec := do(t, empty, http.MethodGet, "/drift", ""); rec.Code != http.StatusConflict {
+	if rec := do(t, empty, http.MethodGet, "/v1/streams/default/drift", ""); rec.Code != http.StatusConflict {
 		t.Errorf("empty drift: %d", rec.Code)
 	}
 }

@@ -19,7 +19,7 @@ func TestCloseStopsAllGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
 	}
 	if err := s.Close(); err != nil {

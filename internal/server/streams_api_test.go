@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,9 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"streamhist"
 	"streamhist/internal/faults"
 	"streamhist/internal/leakcheck"
+	"streamhist/internal/obs"
+	"streamhist/internal/shard"
 )
 
 // streamErrEnvelope is the per-stream variant of the error envelope: the
@@ -39,17 +41,15 @@ func decodeStreamEnvelope(t *testing.T, body string) streamErrEnvelope {
 
 // TestMethodNotAllowedAllowHeader pins the 405 contract: the shared
 // method guard answers every wrong-method request with the error
-// envelope AND an Allow header listing exactly what would have worked,
-// on legacy and versioned routes alike.
+// envelope AND an Allow header listing exactly what would have worked.
 func TestMethodNotAllowedAllowHeader(t *testing.T) {
 	s := newTestServer(t)
 	for _, tc := range []struct {
 		method, target, wantAllow string
 	}{
-		{http.MethodGet, "/ingest", "POST"},
-		{http.MethodDelete, "/histogram", "GET"},
-		{http.MethodPost, "/stats", "GET"},
-		{http.MethodPut, "/restore", "POST"},
+		{http.MethodDelete, "/v1/streams/default/histogram", "GET"},
+		{http.MethodPost, "/v1/streams/default/stats", "GET"},
+		{http.MethodPut, "/v1/streams/default/restore", "POST"},
 		{http.MethodGet, "/v1/streams/default/ingest", "POST"},
 		{http.MethodPost, "/v1/streams/default/histogram", "GET"},
 		{http.MethodDelete, "/v1/streams/default/quantile", "GET"},
@@ -71,55 +71,43 @@ func TestMethodNotAllowedAllowHeader(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesDefaultStream pins the migration contract: every
-// pre-v1 route is an alias for the reserved "default" stream —
-// observably the same state through both route families — and answers
-// with Deprecation plus a successor-version Link, which the v1 routes
-// must not carry.
-func TestLegacyAliasesDefaultStream(t *testing.T) {
-	s := newTestServer(t)
-
-	rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy ingest: %d: %s", rec.Code, rec.Body)
-	}
-	if got := rec.Header().Get("Deprecation"); got != "true" {
-		t.Errorf("legacy route Deprecation = %q, want \"true\"", got)
-	}
-	wantLink := `</v1/streams/default/ingest>; rel="successor-version"`
-	if got := rec.Header().Get("Link"); got != wantLink {
-		t.Errorf("legacy route Link = %q, want %q", got, wantLink)
-	}
-
-	// The legacy write is visible through the versioned route...
-	rec = do(t, s, http.MethodGet, "/v1/streams/default/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("v1 stats: %d: %s", rec.Code, rec.Body)
-	}
-	if rec.Header().Get("Deprecation") != "" || rec.Header().Get("Link") != "" {
-		t.Error("v1 route carries deprecation headers")
-	}
-	var stats struct {
-		Seen int64 `json:"seen"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+// TestUnknownPathsNotFound pins the envelope contract for paths no route
+// claims, the unversioned /ingest-style paths among them: 404 in the
+// JSON error envelope with code not_found, labelled "other" in /metrics,
+// and no write reaches the default stream.
+func TestUnknownPathsNotFound(t *testing.T) {
+	s, err := Open(Options{Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2, Metrics: obs.NewRegistry()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Seen != 3 {
-		t.Fatalf("v1 stats seen = %d after legacy ingest of 3", stats.Seen)
+	defer s.Close()
+	targets := []struct{ method, target string }{
+		{http.MethodPost, "/ingest"},
+		{http.MethodGet, "/histogram"},
+		{http.MethodGet, "/nope"},
+		{http.MethodGet, "/v1/streams/a/nope"},
+		{http.MethodPost, "/v1/streams/a/ingest/x"},
 	}
-
-	// ...and a versioned write is visible through the legacy route.
-	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "4\n5\n"); rec.Code != http.StatusOK {
-		t.Fatalf("v1 ingest: %d: %s", rec.Code, rec.Body)
+	for _, tc := range targets {
+		rec := do(t, s, tc.method, tc.target, "1\n2\n")
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", tc.method, tc.target, rec.Code)
+			continue
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s Content-Type = %q, want application/json", tc.method, tc.target, ct)
+		}
+		if env := decodeEnvelope(t, rec.Body.String()); env.Error.Code != errNotFound {
+			t.Errorf("%s %s code = %q, want %q", tc.method, tc.target, env.Error.Code, errNotFound)
+		}
 	}
-	legacyHist := do(t, s, http.MethodGet, "/histogram", "")
-	v1Hist := do(t, s, http.MethodGet, "/v1/streams/default/histogram", "")
-	if legacyHist.Code != http.StatusOK || v1Hist.Code != http.StatusOK {
-		t.Fatalf("histogram codes: legacy %d, v1 %d", legacyHist.Code, v1Hist.Code)
+	if got := s.Seen(); got != 0 {
+		t.Errorf("default stream seen = %d after unrouted ingests, want 0", got)
 	}
-	if legacyHist.Body.String() != v1Hist.Body.String() {
-		t.Errorf("legacy and v1 histogram bodies differ:\n%s\n%s", legacyHist.Body, v1Hist.Body)
+	metrics := do(t, s, http.MethodGet, "/metrics", "").Body.String()
+	want := fmt.Sprintf(`streamhist_http_requests_total{path="other",code="4xx"} %d`, len(targets))
+	if !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %s", want)
 	}
 }
 
@@ -268,8 +256,8 @@ func TestStreamDelete(t *testing.T) {
 	}
 
 	// Deleting the default stream drops its data but the key survives:
-	// the legacy aliases must always have a target.
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
+	// the default stream always exists.
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
 		t.Fatalf("default ingest: %d", rec.Code)
 	}
 	if rec := do(t, s, http.MethodDelete, "/v1/streams/"+DefaultStream, ""); rec.Code != http.StatusOK {
@@ -278,8 +266,8 @@ func TestStreamDelete(t *testing.T) {
 	if got := s.Seen(); got != 0 {
 		t.Fatalf("default stream seen = %d after delete, want 0", got)
 	}
-	if rec := do(t, s, http.MethodPost, "/ingest", "9\n"); rec.Code != http.StatusOK {
-		t.Fatalf("legacy ingest after default delete: %d", rec.Code)
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "9\n"); rec.Code != http.StatusOK {
+		t.Fatalf("default ingest after default delete: %d", rec.Code)
 	}
 }
 
@@ -328,11 +316,11 @@ func TestStreamDeleteDurable(t *testing.T) {
 	}
 }
 
-// TestStreamQuota checks WithMaxKeys: creating one stream over the cap
+// TestStreamQuota checks Options.MaxKeys: creating one stream over the cap
 // answers 429/quota_exceeded without creating anything, and deleting a
 // stream frees its slot.
 func TestStreamQuota(t *testing.T) {
-	s, err := New(8, 2, 0.2, 0.2, WithMaxKeys(2))
+	s, err := Open(Options{Window: 8, Buckets: 2, Eps: 0.2, Delta: 0.2, MaxKeys: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,15 +411,13 @@ func TestKeyInflightLimit(t *testing.T) {
 	}
 }
 
-// TestMaintainerFactoryEquivalence pins the Go-API contract: a server
-// built from the library's maintainer factory behaves exactly like the
-// plain constructor with the same window parameters, and a factory that
-// cannot back streams (time-based windows) fails Open, not the first
-// request.
-func TestMaintainerFactoryEquivalence(t *testing.T) {
+// TestFactoryEquivalence pins the Go-API contract: a server whose
+// streams come from a caller-supplied Options.Factory behaves exactly
+// like the plain constructor with the same window parameters, and a
+// factory that cannot build a stream fails Open, not the first request.
+func TestFactoryEquivalence(t *testing.T) {
 	plain := newTestServer(t) // New(64, 4, 0.2, 0.2)
-	viaFactory, err := New(0, 0, 0, 0,
-		WithFactory(MaintainerFactory(64, 4, 0.2, streamhist.WithDelta(0.2))))
+	viaFactory, err := Open(Options{Factory: defaultFactory(Options{Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,11 +443,12 @@ func TestMaintainerFactoryEquivalence(t *testing.T) {
 		}
 	}
 
-	// A WithSpan maintainer has no fixed window; the factory cannot back
-	// streams and Open must fail while creating the default stream.
-	if _, err := New(0, 0, 0, 0,
-		WithFactory(MaintainerFactory(64, 4, 0.2, streamhist.WithSpan(time.Minute)))); err == nil {
-		t.Fatal("Open accepted a time-based maintainer factory")
+	// Open builds the default stream with the factory, so a factory that
+	// cannot build streams fails Open.
+	errNoStream := errors.New("factory cannot build a stream")
+	_, err = Open(Options{Factory: func(string) (*shard.State, error) { return nil, errNoStream }})
+	if !errors.Is(err, errNoStream) {
+		t.Fatalf("Open with a failing factory: err = %v, want %v", err, errNoStream)
 	}
 }
 
@@ -470,11 +457,11 @@ func TestMaintainerFactoryEquivalence(t *testing.T) {
 // no residual goroutines, and the default stream untouched throughout.
 func TestTenantChurnHTTP(t *testing.T) {
 	before := leakcheck.Take()
-	s, err := New(16, 2, 0.2, 0.2, WithShards(2))
+	s, err := Open(Options{Window: 16, Buckets: 2, Eps: 0.2, Delta: 0.2, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, s, http.MethodPost, "/ingest", "1\n2\n"); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n"); rec.Code != http.StatusOK {
 		t.Fatalf("default ingest: %d", rec.Code)
 	}
 	for round := 0; round < 3; round++ {

@@ -8,47 +8,33 @@ import (
 	"streamhist/internal/trace"
 )
 
-// pathCodes compresses known request paths into the one-byte Code slot
-// of an EvHTTP event; 0 is "other". Versioned per-stream routes are
-// recorded under their {key} placeholder (via metricsPath), keeping the
-// code space bounded. codePaths is the inverse, used by the exports to
-// render codes back to paths.
-var pathCodes = map[string]uint8{
-	"/ingest":                       1,
-	"/histogram":                    2,
-	"/agglom":                       3,
-	"/query":                        4,
-	"/stats":                        5,
-	"/quantile":                     6,
-	"/selectivity":                  7,
-	"/snapshot":                     8,
-	"/restore":                      9,
-	"/drift":                        10,
-	"/healthz":                      11,
-	"/readyz":                       12,
-	"/metrics":                      13,
-	"/debug/trace/events":           14,
-	"/debug/trace/chrome":           15,
-	"/v1/streams":                   16,
-	"/v1/streams/{key}":             17,
-	"/v1/streams/{key}/ingest":      18,
-	"/v1/streams/{key}/histogram":   19,
-	"/v1/streams/{key}/agglom":      20,
-	"/v1/streams/{key}/query":       21,
-	"/v1/streams/{key}/stats":       22,
-	"/v1/streams/{key}/quantile":    23,
-	"/v1/streams/{key}/selectivity": 24,
-	"/v1/streams/{key}/snapshot":    25,
-	"/v1/streams/{key}/restore":     26,
-	"/v1/streams/{key}/drift":       27,
-	"/slo":                          28,
-	"/v1/streams/{key}/slo":         29,
-	"/debug/quality":                30,
-}
+// routeCodes maps each route's metrics label (see metricsPath) to the
+// one-byte Code slot of its EvHTTP events; 0 is "other". The literal
+// holds the fixed endpoints; each streamOps entry adds its
+// /v1/streams/{key}/<name> label. Codes 1-10 and 28 named the pre-v1
+// routes and stay unused, so a code means the same path in every capture
+// file. codePaths is the inverse, used by the exports to render codes
+// back to paths.
+var routeCodes = func() map[string]uint8 {
+	m := map[string]uint8{
+		"/healthz":            11,
+		"/readyz":             12,
+		"/metrics":            13,
+		"/debug/trace/events": 14,
+		"/debug/trace/chrome": 15,
+		"/v1/streams":         16,
+		"/v1/streams/{key}":   17,
+		"/debug/quality":      30,
+	}
+	for _, op := range streamOps {
+		m["/v1/streams/{key}/"+op.name] = op.code
+	}
+	return m
+}()
 
 var codePaths = func() map[uint8]string {
-	m := make(map[uint8]string, len(pathCodes))
-	for p, c := range pathCodes {
+	m := make(map[uint8]string, len(routeCodes))
+	for p, c := range routeCodes {
 		m[c] = p
 	}
 	return m
@@ -88,7 +74,7 @@ func (s *Server) traceware(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		code := pathCodes[metricsPath(r.URL.Path)] // 0 = other
+		code := routeCodes[metricsPath(r.URL.Path)] // 0 = other
 		hi, lo := s.tr.TraceID()
 		var parent trace.SpanID
 		if phi, plo, pspan, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {

@@ -65,7 +65,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	s, tr, _ := tracedServer(t, false)
 
 	const inTP = "00-0123456789abcdeffedcba9876543210-00000000000000ab-01"
-	rec := doTrace(t, s, http.MethodPost, "/ingest", "1\n2\n3\n", map[string]string{"traceparent": inTP})
+	rec := doTrace(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n", map[string]string{"traceparent": inTP})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
 	}
@@ -94,11 +94,56 @@ func TestTraceparentPropagation(t *testing.T) {
 		t.Fatalf("HTTP span end A = %d, want status 200", httpEnd.A)
 	}
 
-	rec = doTrace(t, s, http.MethodGet, "/stats", "", nil)
+	rec = doTrace(t, s, http.MethodGet, "/v1/streams/default/stats", "", nil)
 	out = rec.Header().Get("traceparent")
 	hi, lo := tr.TraceID()
 	if !strings.HasPrefix(out, "00-"+trace.FormatTraceparent(hi, lo, 0)[3:36]) {
 		t.Fatalf("headerless request got traceparent %q, want the server trace ID", out)
+	}
+}
+
+// TestTraceEndpointsLabelled: requests to the trace endpoints record
+// their own route code (14, 15) in their EvHTTP events and their own
+// path label in /metrics, not "other".
+func TestTraceEndpointsLabelled(t *testing.T) {
+	tr, err := trace.New(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2,
+		Trace: tr, Metrics: obs.NewRegistry(), Logger: quietLogger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for path, code := range map[string]uint8{"/debug/trace/events": 14, "/debug/trace/chrome": 15} {
+		rec := doTrace(t, s, http.MethodGet, path, "", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		_, _, span, ok := trace.ParseTraceparent(rec.Header().Get("traceparent"))
+		if !ok {
+			t.Fatalf("GET %s: no traceparent in the response", path)
+		}
+		seen := 0
+		for _, e := range tr.Snapshot() {
+			if e.Type != trace.EvHTTP || e.Span != span {
+				continue
+			}
+			seen++
+			if e.Code != code || tracePathName(e.Type, e.Code) != path {
+				t.Errorf("GET %s: EvHTTP event code %d (%q), want %d", path, e.Code, tracePathName(e.Type, e.Code), code)
+			}
+		}
+		if seen != 2 {
+			t.Errorf("GET %s: %d EvHTTP events for its span, want begin and end", path, seen)
+		}
+	}
+	metrics := doTrace(t, s, http.MethodGet, "/metrics", "", nil).Body.String()
+	for _, path := range []string{"/debug/trace/events", "/debug/trace/chrome"} {
+		if want := `streamhist_http_requests_total{path="` + path + `",code="2xx"} 1`; !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
 	}
 }
 
@@ -110,10 +155,10 @@ func TestTraceparentPropagation(t *testing.T) {
 func TestSlowRebuildCaptureSpanTree(t *testing.T) {
 	s, _, capDir := tracedServer(t, true)
 
-	if rec := doTrace(t, s, http.MethodPost, "/ingest", "1\n2\n3\n4\n5\n", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n", nil); rec.Code != http.StatusOK {
 		t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
 	}
-	if rec := doTrace(t, s, http.MethodGet, "/histogram", "", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodGet, "/v1/streams/default/histogram", "", nil); rec.Code != http.StatusOK {
 		t.Fatalf("histogram: %d %s", rec.Code, rec.Body.String())
 	}
 
@@ -169,7 +214,7 @@ func TestSlowRebuildCaptureSpanTree(t *testing.T) {
 	}
 	ing := ingests[0]
 	parent, ok := spans[ing.Parent]
-	if !ok || parent.Type != "http" || parent.Name != "/ingest" {
+	if !ok || parent.Type != "http" || parent.Name != "/v1/streams/{key}/ingest" {
 		t.Fatalf("ingest span parent = %+v, want the /ingest HTTP span", parent)
 	}
 	walAppends := find("wal_append", "instant")
@@ -191,7 +236,7 @@ func TestSlowRebuildCaptureSpanTree(t *testing.T) {
 	}
 	rb := rebuilds[0]
 	parent, ok = spans[rb.Parent]
-	if !ok || parent.Type != "http" || parent.Name != "/histogram" {
+	if !ok || parent.Type != "http" || parent.Name != "/v1/streams/{key}/histogram" {
 		t.Fatalf("rebuild parent = %+v, want the /histogram HTTP span (lazy-flush causality)", parent)
 	}
 	levels := find("level", "instant")
@@ -220,10 +265,10 @@ func TestSlowRebuildCaptureSpanTree(t *testing.T) {
 // correct content with tracing on, 404 with tracing off.
 func TestTraceEndpoints(t *testing.T) {
 	s, _, _ := tracedServer(t, false)
-	if rec := doTrace(t, s, http.MethodPost, "/ingest", "1\n2\n", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n", nil); rec.Code != http.StatusOK {
 		t.Fatalf("ingest: %d", rec.Code)
 	}
-	if rec := doTrace(t, s, http.MethodGet, "/histogram", "", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodGet, "/v1/streams/default/histogram", "", nil); rec.Code != http.StatusOK {
 		t.Fatalf("histogram: %d", rec.Code)
 	}
 
@@ -246,7 +291,7 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 	named := false
 	for _, e := range doc.Events {
-		if e.Type == "http" && e.Name == "/ingest" {
+		if e.Type == "http" && e.Name == "/v1/streams/{key}/ingest" {
 			named = true
 		}
 	}
@@ -292,7 +337,7 @@ func TestTraceEndpoints(t *testing.T) {
 // TestCheckpointTraced checks the durability path records EvCheckpoint.
 func TestCheckpointTraced(t *testing.T) {
 	s, tr, _ := tracedServer(t, false)
-	if rec := doTrace(t, s, http.MethodPost, "/ingest", "1\n2\n3\n", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n", nil); rec.Code != http.StatusOK {
 		t.Fatalf("ingest: %d", rec.Code)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -315,24 +360,24 @@ func TestCheckpointTraced(t *testing.T) {
 // TestRestoreReattachesTracer ensures a /restore'd window keeps tracing.
 func TestRestoreReattachesTracer(t *testing.T) {
 	s, tr, _ := tracedServer(t, false)
-	if rec := doTrace(t, s, http.MethodPost, "/ingest", "1\n2\n3\n", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n", nil); rec.Code != http.StatusOK {
 		t.Fatalf("ingest: %d", rec.Code)
 	}
-	snap := doTrace(t, s, http.MethodGet, "/snapshot", "", nil)
+	snap := doTrace(t, s, http.MethodGet, "/v1/streams/default/snapshot", "", nil)
 	if snap.Code != http.StatusOK {
 		t.Fatalf("snapshot: %d", snap.Code)
 	}
-	if rec := doTrace(t, s, http.MethodPost, "/restore", snap.Body.String(), nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodPost, "/v1/streams/default/restore", snap.Body.String(), nil); rec.Code != http.StatusOK {
 		t.Fatalf("restore: %d %s", rec.Code, rec.Body.String())
 	}
 	// The restored window is freshly rebuilt, so force new maintenance:
 	// ingest then query. The rebuild must be traced through the restored
 	// maintainer.
 	before := tr.Total()
-	if rec := doTrace(t, s, http.MethodPost, "/ingest", "4\n5\n", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodPost, "/v1/streams/default/ingest", "4\n5\n", nil); rec.Code != http.StatusOK {
 		t.Fatalf("ingest after restore: %d", rec.Code)
 	}
-	if rec := doTrace(t, s, http.MethodGet, "/histogram", "", nil); rec.Code != http.StatusOK {
+	if rec := doTrace(t, s, http.MethodGet, "/v1/streams/default/histogram", "", nil); rec.Code != http.StatusOK {
 		t.Fatalf("histogram: %d", rec.Code)
 	}
 	var sawRebuild bool
@@ -363,7 +408,7 @@ func TestTraceMetricsRegistered(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 5; i++ {
-		if rec := doTrace(t, s, http.MethodGet, "/histogram", "", nil); rec.Code != http.StatusOK && rec.Code != http.StatusConflict {
+		if rec := doTrace(t, s, http.MethodGet, "/v1/streams/default/histogram", "", nil); rec.Code != http.StatusOK && rec.Code != http.StatusConflict {
 			t.Fatalf("histogram: %d", rec.Code)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"streamhist"
+	"streamhist/internal/datagen"
 )
 
 // TestMaintainerDefaults checks the option defaulting matches the
@@ -113,7 +114,7 @@ func TestMaintainerConcurrencyRace(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 7, Quantize: true})
+		g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 7, Quantize: true})
 		for i := 0; i < 400; i++ {
 			m.Push(g.Next())
 		}

@@ -5,6 +5,13 @@ import (
 	"testing"
 
 	"streamhist"
+	"streamhist/internal/apca"
+	"streamhist/internal/datagen"
+	"streamhist/internal/histogram"
+	"streamhist/internal/quantile"
+	"streamhist/internal/query"
+	"streamhist/internal/similarity"
+	"streamhist/internal/wavelet"
 )
 
 // TestFacadeEndToEnd drives the full public API the way the README
@@ -14,7 +21,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 1, Quantize: true})
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 1, Quantize: true})
 	for i := 0; i < 300; i++ {
 		fw.Push(g.Next())
 	}
@@ -36,7 +43,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeAgglomerativeAndApproximate(t *testing.T) {
-	data := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 2, Quantize: true}), 500)
+	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 2, Quantize: true}), 500)
 
 	agg, err := streamhist.NewAgglomerative(8, 0.1)
 	if err != nil {
@@ -66,17 +73,17 @@ func TestFacadeAgglomerativeAndApproximate(t *testing.T) {
 }
 
 func TestFacadeBaselines(t *testing.T) {
-	data := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 3, Quantize: true}), 256)
+	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 3, Quantize: true}), 256)
 
-	wav, err := streamhist.NewWavelet(data, 16)
+	wav, err := wavelet.Build(data, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coeffs, err := streamhist.HaarTransform(data)
+	coeffs, err := wavelet.Transform(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := streamhist.HaarInverse(coeffs)
+	rec := wavelet.Inverse(coeffs)
 	for i, v := range data {
 		if math.Abs(rec[i]-v) > 1e-6 {
 			t.Fatalf("Haar roundtrip broke at %d", i)
@@ -87,10 +94,10 @@ func TestFacadeBaselines(t *testing.T) {
 	}
 
 	for name, build := range map[string]func([]float64, int) (*streamhist.Histogram, error){
-		"apca":        streamhist.BuildAPCA,
-		"equal-width": streamhist.EqualWidth,
-		"equal-depth": streamhist.EqualDepth,
-		"end-biased":  streamhist.EndBiased,
+		"apca":        apca.Build,
+		"equal-width": histogram.EqualWidth,
+		"equal-depth": histogram.EqualDepth,
+		"end-biased":  histogram.EndBiased,
 	} {
 		h, err := build(data, 16)
 		if err != nil {
@@ -101,21 +108,21 @@ func TestFacadeBaselines(t *testing.T) {
 		}
 	}
 
-	h, err := streamhist.NewHistogram(data, []int{99, 255})
+	h, err := histogram.New(data, []int{99, 255})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := h.SSE(data), streamhist.TotalSSE(data, []int{99, 255}); math.Abs(got-want) > 1e-6*(1+want) {
+	if got, want := h.SSE(data), histogram.TotalSSE(data, []int{99, 255}); math.Abs(got-want) > 1e-6*(1+want) {
 		t.Errorf("SSE %v != TotalSSE %v", got, want)
 	}
 }
 
 func TestFacadeQuantiles(t *testing.T) {
-	gk, err := streamhist.NewGKQuantile(0.05)
+	gk, err := quantile.NewGK(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := streamhist.NewReservoir(100, 4)
+	res, err := quantile.NewReservoir(100, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +147,8 @@ func TestFacadeQuantiles(t *testing.T) {
 }
 
 func TestFacadeWorkload(t *testing.T) {
-	data := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 5}), 200)
-	queries, err := streamhist.RandomRangeQueries(6, 50, len(data))
+	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 5}), 200)
+	queries, err := query.RandomRanges(6, 50, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +156,7 @@ func TestFacadeWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := streamhist.EvaluateRangeSums(opt.Histogram, data, queries)
+	m := query.Evaluate(opt.Histogram, data, queries)
 	if m.Count != 50 {
 		t.Errorf("Count = %d", m.Count)
 	}
@@ -159,18 +166,18 @@ func TestFacadeWorkload(t *testing.T) {
 }
 
 func TestFacadeGenerators(t *testing.T) {
-	gens := map[string]func() (streamhist.Generator, error){
-		"walk":    func() (streamhist.Generator, error) { return streamhist.NewRandomWalk(7, 50, 5, 0, 100, true) },
-		"steps":   func() (streamhist.Generator, error) { return streamhist.NewStepSignal(8, 20, 0, 50, 2, false) },
-		"zipf":    func() (streamhist.Generator, error) { return streamhist.NewZipf(9, 1.5, 100) },
-		"mixture": func() (streamhist.Generator, error) { return streamhist.NewGaussianMixture(10, 3, 0, 100, 5) },
+	gens := map[string]func() (datagen.Generator, error){
+		"walk":    func() (datagen.Generator, error) { return datagen.NewRandomWalk(7, 50, 5, 0, 100, true) },
+		"steps":   func() (datagen.Generator, error) { return datagen.NewStepSignal(8, 20, 0, 50, 2, false) },
+		"zipf":    func() (datagen.Generator, error) { return datagen.NewZipf(9, 1.5, 100) },
+		"mixture": func() (datagen.Generator, error) { return datagen.NewGaussianMixture(10, 3, 0, 100, 5) },
 	}
 	for name, mk := range gens {
 		g, err := mk()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s := streamhist.Series(g, 50)
+		s := datagen.Series(g, 50)
 		if len(s) != 50 {
 			t.Fatalf("%s: %d values", name, len(s))
 		}
@@ -178,7 +185,7 @@ func TestFacadeGenerators(t *testing.T) {
 }
 
 func TestFacadeSimilarity(t *testing.T) {
-	base := streamhist.Series(streamhist.NewUtilization(streamhist.UtilizationConfig{Seed: 11}), 64)
+	base := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 11}), 64)
 	corpus := make([][]float64, 10)
 	for i := range corpus {
 		s := make([]float64, len(base))
@@ -187,7 +194,7 @@ func TestFacadeSimilarity(t *testing.T) {
 		}
 		corpus[i] = s
 	}
-	idx, err := streamhist.NewSimilarityIndex(corpus, 4, streamhist.BuildAPCA)
+	idx, err := similarity.NewIndex(corpus, 4, apca.Build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestFacadeSimilarity(t *testing.T) {
 	if !found {
 		t.Error("query did not match itself")
 	}
-	d, err := streamhist.Euclidean(corpus[0], corpus[1])
+	d, err := similarity.Euclidean(corpus[0], corpus[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +222,7 @@ func TestFacadeSimilarity(t *testing.T) {
 	if math.Abs(d-want) > 1e-6 {
 		t.Errorf("Euclidean = %v, want %v", d, want)
 	}
-	subs, err := streamhist.SlidingSubsequences(base, 16, 16)
+	subs, err := similarity.SlidingSubsequences(base, 16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
