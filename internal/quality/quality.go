@@ -129,8 +129,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Target is the approximate side of an audit: the summaries of one
-// stream, queried under the owning shard's lock. Implementations adapt
-// the per-stream state without this package importing it.
+// stream, queried under that stream's lock. Implementations adapt the
+// per-stream state without this package importing it.
 type Target interface {
 	// Epsilon is the stream's configured approximation parameter — the ε
 	// of the SLO objective.

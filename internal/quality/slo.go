@@ -19,7 +19,7 @@ package quality
 // captures exactly once per episode.
 //
 // SLO is not self-locking: the owning auditor runs under its stream's
-// shard lock.
+// lock (and its shard's write lock) in the shard loop.
 type SLO struct {
 	target float64
 	// outcomes is a ring of the last window results (true = within ε).

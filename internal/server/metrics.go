@@ -99,9 +99,9 @@ func (hm *httpMetrics) middleware(next http.Handler) http.Handler {
 // registerGaugeFuncs publishes point-in-time state readings. The
 // window gauges read the reserved default stream, the one every server
 // has; per-stream gauges would be unbounded cardinality, so everything
-// else aggregates across shards. Each reading takes the owning shard's
-// lock, so collection contends with requests exactly like any other
-// reader; /metrics scrapes are infrequent by design.
+// else aggregates across shards. Each reading takes the default
+// stream's lock, so collection contends with requests exactly like any
+// other reader; /metrics scrapes are infrequent by design.
 func (s *Server) registerGaugeFuncs(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -305,11 +305,14 @@ func TestPanicOutsideLockContained(t *testing.T) {
 	}
 }
 
-// TestPanicUnderLockQuarantines: a panic mid-apply releases the shard
-// lock (no deadlock), quarantines the shard, refuses mutations with
-// 503/quarantined, flips /healthz unhealthy — and keeps serving reads.
-// The panicking batch itself is answered, not left hanging: the shard
-// loop catches the quarantine and fails every request riding the batch.
+// TestPanicUnderLockQuarantines: a panic mid-apply — the ingest.apply
+// failpoint fires inside the stream's critical section — releases both
+// the shard's write lock and the stream's lock (no deadlock),
+// quarantines the shard, refuses mutations with 503/quarantined, flips
+// /healthz unhealthy — and keeps serving reads, including of the very
+// stream whose apply panicked. The panicking batch itself is answered,
+// not left hanging: the shard loop catches the quarantine and fails
+// every request riding the batch.
 func TestPanicUnderLockQuarantines(t *testing.T) {
 	s := newTestServer(t)
 	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
@@ -327,7 +330,8 @@ func TestPanicUnderLockQuarantines(t *testing.T) {
 	if !s.eng.Quarantined() {
 		t.Fatal("lock-held panic did not quarantine")
 	}
-	// The lock was released: reads that take the shard lock still answer.
+	// Both locks were released: a read of the same stream, which looks it
+	// up under the shard lock and then takes its stream lock, answers.
 	if rec := do(t, s, http.MethodGet, "/v1/streams/default/stats", ""); rec.Code != http.StatusOK {
 		t.Fatalf("stats while quarantined (mutex leaked?): %d", rec.Code)
 	}

@@ -452,31 +452,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, key string)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	length := 0
-	verr := s.eng.View(key, func(st *shard.State) error {
-		length = st.FW.Len()
-		return nil
-	})
-	if s.writeEngineError(w, key, verr) {
-		return
-	}
-	if length == 0 {
-		writeError(w, http.StatusConflict, errConflict, "window is empty")
-		return
-	}
+	// Parse first, then answer from one View, so the emptiness check, the
+	// range check and the flush all see the same state of the stream. An
+	// empty window still answers 409 before malformed parameters do.
 	lo, err1 := strconv.Atoi(r.URL.Query().Get("lo"))
 	hi, err2 := strconv.Atoi(r.URL.Query().Get("hi"))
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, errBadRequest, "lo and hi must be integers")
-		return
-	}
+	parsed := err1 == nil && err2 == nil
 	var (
 		res     *core.Result
+		length  int
 		inRange bool
 	)
-	verr = s.eng.View(key, func(st *shard.State) error {
+	verr := s.eng.View(key, func(st *shard.State) error {
 		length = st.FW.Len()
-		if lo < 0 || hi >= length || hi < lo {
+		if !parsed || lo < 0 || hi >= length || hi < lo {
 			return nil
 		}
 		inRange = true
@@ -488,7 +477,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, key string)
 	if s.writeEngineError(w, key, verr) {
 		return
 	}
-	if verr == nil && !inRange {
+	if length == 0 {
+		writeError(w, http.StatusConflict, errConflict, "window is empty")
+		return
+	}
+	if !parsed {
+		writeError(w, http.StatusBadRequest, errBadRequest, "lo and hi must be integers")
+		return
+	}
+	if !inRange {
 		writeError(w, http.StatusBadRequest, errBadRequest, "range [%d,%d] outside window [0,%d]", lo, hi, length-1)
 		return
 	}

@@ -102,7 +102,7 @@ func (s *Server) traceware(next http.Handler) http.Handler {
 // fixed-window maintainer so a rebuild the request forces (lazy ingest
 // flushes at the next query) is attributed to this request.
 //
-//lint:ignore mutex-discipline runs with the owning shard's lock held (inside Engine.View)
+//lint:ignore mutex-discipline runs with the stream's lock held (inside Engine.View)
 func (s *Server) setTraceParent(r *http.Request, fw *core.FixedWindow) {
 	if s.tr != nil {
 		fw.SetTraceParent(spanFromContext(r.Context()))

@@ -22,8 +22,8 @@ func (sh *shard) wireAudit(key string, st *State) {
 }
 
 // auditTarget adapts one stream's summaries to the quality.Target
-// interface. It is only ever used under the owning shard's lock, for
-// the duration of one audit pass.
+// interface. It is only ever used from the loop's apply, under the
+// stream's lock, for the duration of one audit pass.
 type auditTarget struct{ st *State }
 
 func (t auditTarget) Epsilon() float64 { return t.st.FW.Epsilon() }
@@ -76,7 +76,7 @@ func (t auditTarget) DriftCheck() (dist float64, drifted bool, alarms, checks in
 // runAudit runs one due audit pass for key's stream and handles the
 // pass's side effects: drift re-anchor accounting and SLO breach
 // transitions (trace instant + anomaly capture, once per episode). Call
-// with sh.mu held, from the loop's apply phase.
+// from apply, with sh.mu held for writing and st.mu held.
 //
 //lint:ignore mutex-discipline runs under process()'s sh.mu
 func (sh *shard) runAudit(key string, st *State) {
@@ -137,14 +137,16 @@ type StreamQuality struct {
 }
 
 // QualitySnapshot collects every audited stream's status, sorted by key.
-// Each shard is snapshotted under its own lock (no cross-shard barrier);
-// the intended consumer is the /debug/quality endpoint.
+// Each shard is snapshotted under its read lock (no cross-shard
+// barrier), which suffices because only the loop's apply, holding the
+// write lock, mutates an auditor. The intended consumer is the
+// /debug/quality endpoint.
 func (e *Engine) QualitySnapshot() []StreamQuality {
 	var out []StreamQuality
 	for _, sh := range e.shards {
 		func() {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
+			sh.mu.RLock()
+			defer sh.mu.RUnlock()
 			for key, st := range sh.streams {
 				if st.Aud == nil {
 					continue
@@ -168,13 +170,13 @@ type ShardStatus struct {
 
 // ShardStatuses reports each shard's health: stream count, degraded and
 // quarantined flags, breaker state. Stream counts are read under each
-// shard's lock; flags are atomics.
+// shard's read lock; flags are atomics.
 func (e *Engine) ShardStatuses() []ShardStatus {
 	out := make([]ShardStatus, len(e.shards))
 	for i, sh := range e.shards {
-		sh.mu.Lock()
+		sh.mu.RLock()
 		n := len(sh.streams)
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 		br := "closed"
 		if sh.br != nil {
 			br = sh.br.State().String()

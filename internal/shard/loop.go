@@ -89,10 +89,13 @@ type plan struct {
 
 // process runs one batch: plan (resolve states and WAL records), persist
 // (one group commit for the whole batch), apply (mutate summaries and
-// reply). The shard lock is held across all three so readers never see a
-// half-applied batch; a panic inside quarantines the shard via
-// guardUnlock and the recovery here fails the batch's outstanding
-// replies instead of leaving clients blocked forever.
+// reply). The shard's write lock is held across all three, so lookups
+// wait for the batch and the stream map never shows a half-planned
+// create or delete; each request's apply also holds its stream's lock
+// (see apply), so a reader of a stream sees whole requests only. A panic
+// inside quarantines the shard via the lock guards and the recovery here
+// fails the batch's outstanding replies instead of leaving clients
+// blocked forever.
 func (sh *shard) process(batch []*request) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -196,7 +199,6 @@ func (sh *shard) process(batch []*request) {
 			}
 		}
 	}
-	sh.eng.failAt("ingest.apply")
 
 	// Phase C: apply and reply.
 	for _, p := range plans {
@@ -211,43 +213,55 @@ func (sh *shard) process(batch []*request) {
 				sh.installState(p.req.key, p.st)
 			}
 		}
-		st := p.st
-		if st.FW.IncrementalRebuild() {
-			// Incremental cover repair makes per-batch maintenance
-			// amortized sub-millisecond, so maintain eagerly — one repair
-			// pass per drained request — and keep read latency flat.
-			// Exact engines stay lazy: maintenance defers to the next
-			// query's flush rather than paying a full rebuild per ingest.
-			st.FW.PushBatch(p.req.values)
-		} else {
-			for _, v := range p.req.values {
-				st.FW.PushLazy(v)
-			}
-		}
-		for _, v := range p.req.values {
-			st.Agg.Push(v)
-			st.GK.Insert(v)
-			st.Sed.Push(v)
-			st.Stats.Push(v)
-		}
-		st.countEndpoints(sh.eng.aggEndpoints)
-		if st.Aud != nil {
-			// Shadow audit: feed the exact ring/reservoir, and when an
-			// interval's worth of points has landed, replay the panel
-			// against the summaries just updated above.
-			st.Aud.ObserveBatch(p.req.values, p.start)
-			if st.Aud.Due() {
-				sh.runAudit(p.req.key, st)
-			}
-		}
+		seen := sh.apply(p)
 		sh.applied += int64(len(p.req.values))
 		sh.dirtyGen++
 		if degradedAck {
 			sh.rm().degradedBatches.Inc()
 			sh.rm().degradedPoints.Add(int64(len(p.req.values)))
 		}
-		p.req.reply(response{seen: st.FW.Seen(), degraded: degradedAck})
+		p.req.reply(response{seen: seen, degraded: degradedAck})
 	}
+}
+
+// apply lands one planned request's values in its stream's summaries and
+// runs a due audit, all under the stream's lock, and returns the
+// stream's position after the request. Call from process, with sh.mu
+// held for writing.
+func (sh *shard) apply(p plan) int64 {
+	st := p.st
+	st.mu.Lock()
+	defer st.guardUnlock(sh)
+	sh.eng.failAt("ingest.apply")
+	if st.FW.IncrementalRebuild() {
+		// Incremental cover repair makes per-batch maintenance
+		// amortized sub-millisecond, so maintain eagerly — one repair
+		// pass per drained request — and keep read latency flat.
+		// Exact engines stay lazy: maintenance defers to the next
+		// query's flush rather than paying a full rebuild per ingest.
+		st.FW.PushBatch(p.req.values)
+	} else {
+		for _, v := range p.req.values {
+			st.FW.PushLazy(v)
+		}
+	}
+	for _, v := range p.req.values {
+		st.Agg.Push(v)
+		st.GK.Insert(v)
+		st.Sed.Push(v)
+		st.Stats.Push(v)
+	}
+	st.countEndpoints(sh.eng.aggEndpoints)
+	if st.Aud != nil {
+		// Shadow audit: feed the exact ring/reservoir, and when an
+		// interval's worth of points has landed, replay the panel
+		// against the summaries just updated above.
+		st.Aud.ObserveBatch(p.req.values, p.start)
+		if st.Aud.Due() {
+			sh.runAudit(p.req.key, st)
+		}
+	}
+	return st.FW.Seen()
 }
 
 // failBatch replies err to every still-unreplied planned request and

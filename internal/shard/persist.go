@@ -226,7 +226,7 @@ func (sh *shard) recoveredState(key string) (*State, error) {
 }
 
 // encodeContainerLocked serializes the shard's streams. Call with sh.mu
-// held.
+// held for writing; each stream's window is encoded under its own lock.
 //
 //lint:ignore mutex-discipline callers (checkpoint, Restore, probeAndReanchor) hold sh.mu
 func encodeContainerLocked(sh *shard, covered uint64) ([]byte, error) {

@@ -12,9 +12,9 @@
 //     the shard's streams (degraded memory-only points included) is made
 //     durable and the stripe's WAL restarts, so previously-degraded
 //     points become durable the moment the shard reports healthy.
-//   - A panic while the shard lock is held quarantines only that shard;
-//     with RestoreOnPanic its streams rebuild from the stripe in the
-//     background.
+//   - A panic while the shard's write lock or one of its streams' locks
+//     is held quarantines only that shard; with RestoreOnPanic its
+//     streams rebuild from the stripe in the background.
 package shard
 
 import (
@@ -172,10 +172,10 @@ func (sh *shard) diskProbe() error {
 	return nil
 }
 
-// LockedPanic wraps a panic that struck while a shard's state lock was
-// held, so the HTTP layer's recovery middleware can tell a
-// state-corrupting panic (already quarantined, closer to the fault) from
-// a harmless one.
+// LockedPanic wraps a panic that struck while a shard's write lock or a
+// stream's lock was held, so the HTTP layer's recovery middleware can
+// tell a state-corrupting panic (already quarantined, closer to the
+// fault) from a harmless one.
 type LockedPanic struct{ Val any }
 
 func (p *LockedPanic) Error() string {
@@ -183,26 +183,33 @@ func (p *LockedPanic) Error() string {
 }
 
 // guardUnlock pairs with sh.mu.Lock() as `defer sh.guardUnlock()` around
-// a critical section. On the normal path it is just Unlock. If the
-// critical section panicked, the streams behind the lock are in an
-// unknown half-mutated state: guardUnlock releases the lock (so the
+// a write-locked critical section. On the normal path it is just Unlock.
+// If the critical section panicked, the streams behind the lock are in
+// an unknown half-mutated state: guardUnlock releases the lock (so the
 // shard cannot deadlock), quarantines it, and re-panics wrapped so the
-// caller's recovery still answers the request.
+// caller's recovery still answers the request. State.guardUnlock is the
+// same guard for a stream's own lock.
 func (sh *shard) guardUnlock() {
 	if p := recover(); p != nil {
 		sh.mu.Unlock()
-		sh.quarantine(p)
-		panic(&LockedPanic{Val: p})
+		panic(sh.quarantine(p))
 	}
 	sh.mu.Unlock()
 }
 
-// quarantine marks the shard's streams suspect after a lock-held panic:
-// mutations on this shard are refused until a restore (automatic with
-// RestoreOnPanic, or an operator restart) replaces them from the stripe.
-func (sh *shard) quarantine(p any) {
+// quarantine marks the shard's streams suspect after a lock-held panic p
+// and returns p wrapped for the guard to re-panic: mutations on this
+// shard are refused until a restore (automatic with RestoreOnPanic, or an
+// operator restart) replaces them from the stripe. A p that is already a
+// *LockedPanic was quarantined by an inner stream lock's guard and comes
+// back unchanged.
+func (sh *shard) quarantine(p any) *LockedPanic {
+	if lp, ok := p.(*LockedPanic); ok {
+		return lp
+	}
+	lp := &LockedPanic{Val: p}
 	if !sh.quarantined.CompareAndSwap(false, true) {
-		return
+		return lp
 	}
 	sh.rm().quarantines.Inc()
 	sh.tracer().Instant(trace.EvPanic, uint8(sh.id), 0, 0, 1, 0)
@@ -210,6 +217,7 @@ func (sh *shard) quarantine(p any) {
 	if sh.eng.cfg.RestoreOnPanic && sh.dir != "" {
 		go sh.restoreFromDisk()
 	}
+	return lp
 }
 
 // restoreFromDisk rebuilds the shard's streams from its stripe — the

@@ -10,8 +10,19 @@
 // fsync, applies it, and replies per request. The acknowledged-
 // durability contract is unchanged from the single-stream daemon: a
 // non-degraded acknowledgment means the batch is durable to the
-// configured fsync policy. Reads lock the shard directly and never
-// touch the mailbox.
+// configured fsync policy.
+//
+// Reads never touch the mailbox. Locks nest in one order: ckptMu, then
+// the shard lock, then a stream's lock; nothing takes the shard lock
+// while holding a stream's lock. The shard lock is a RWMutex over the
+// stream map and the shard's counters: the loop's batches, checkpoint
+// and re-anchor encoding, Restore, Ensure and the quarantine swap hold
+// it for writing; lookups, Keys, ShardStatuses and QualitySnapshot hold
+// it for reading. Each stream's State has its own mutex over its
+// summaries, held by the loop while it applies one request to the
+// stream and by View around its callback, so reads (and fresh query
+// flushes) of different streams on one shard run in parallel and a
+// reader sees whole requests of its stream only.
 //
 // Durability is striped: shard i owns DataDir/shard-<i> with its own
 // keyed WAL (see internal/wal keyed mode) and its own checkpoint
@@ -114,8 +125,10 @@ type Config struct {
 	Trace *trace.Recorder
 	// Logger receives operational records; nil means slog.Default().
 	Logger *slog.Logger
-	// Failpoint is a test seam invoked at named points ("ingest.apply",
-	// "restore.apply") inside shard critical sections; nil in production.
+	// Failpoint is a test seam invoked at named points inside critical
+	// sections ("ingest.apply" under the stream's lock as each request
+	// applies, "restore.apply" under the shard's write lock); nil in
+	// production.
 	Failpoint func(point string)
 }
 
@@ -180,7 +193,10 @@ type shard struct {
 	eng *Engine
 	id  int
 
-	mu       sync.Mutex
+	// mu is write-locked by every mutation of the stream map and the
+	// counters below and read-locked by lookups and listings; see the
+	// package doc for the holders and the lock order.
+	mu       sync.RWMutex
 	streams  map[string]*State // guarded by mu
 	applied  int64             // guarded by mu; cumulative points applied, names checkpoints
 	dirtyGen int64             // guarded by mu; bumped per mutation batch
@@ -420,19 +436,31 @@ func (sh *shard) releaseKey(key string) {
 	}
 }
 
-// View runs fn on key's state under the shard lock. The state must not
-// be retained past fn's return. A panic inside fn quarantines the shard
-// (the state may be half-read mid-mutation is impossible — reads don't
-// mutate — but fn is arbitrary code and the lock discipline is uniform).
+// View runs fn on key's state under that stream's own lock; the shard
+// lock is held for reading only while the stream is looked up. fn sees
+// whole ingest requests of the stream, and reads of other streams on the
+// shard run alongside it; only a batch that writes this stream waits for
+// fn (and holds up the shard's lookups meanwhile). fn may mutate the
+// state's caches (a query flush does), must not call back into the
+// engine, and must not retain the state past its return. A panic inside
+// fn releases the stream lock, quarantines the shard (fn may have left
+// the state half mutated) and re-panics as *LockedPanic.
 func (e *Engine) View(key string, fn func(*State) error) error {
 	sh := e.shardFor(key)
-	sh.mu.Lock()
-	defer sh.guardUnlock()
-	st, ok := sh.streams[key]
-	if !ok {
+	st := sh.lookup(key)
+	if st == nil {
 		return ErrUnknownStream
 	}
+	st.mu.Lock()
+	defer st.guardUnlock(sh)
 	return fn(st)
+}
+
+// lookup returns key's state, or nil, under the shard's read lock.
+func (sh *shard) lookup(key string) *State {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.streams[key]
 }
 
 // Ensure creates key's stream if it does not exist yet (the reserved
@@ -508,16 +536,16 @@ func (sh *shard) dropState(key string) {
 func (sh *shard) releaseKeySlot() { sh.eng.keyCount.Add(-1) }
 
 // Keys returns every live stream key, sorted, as of a moment between
-// the call and the return (each shard is snapshotted under its own
+// the call and the return (each shard is snapshotted under its read
 // lock; there is no cross-shard barrier).
 func (e *Engine) Keys() []string {
 	var keys []string
 	for _, sh := range e.shards {
-		sh.mu.Lock()
+		sh.mu.RLock()
 		for k := range sh.streams {
 			keys = append(keys, k)
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	sort.Strings(keys)
 	return keys
@@ -555,10 +583,10 @@ func (e *Engine) Restore(key string, blob []byte) (seen int64, length int, err e
 	}
 	st.attach(e.cfg.Metrics, e.cfg.Trace)
 	sh.wireAudit(key, st)
-	// Lock order matches checkpointing: ckptMu then mu. The shard lock is
-	// held across the swap, the container save and the WAL reset, so no
-	// concurrent batch can land between the checkpoint and the reset and
-	// be destroyed unacknowledged.
+	// Lock order matches checkpointing: ckptMu then mu. The shard's write
+	// lock is held across the swap, the container save and the WAL reset,
+	// so no concurrent batch can land between the checkpoint and the reset
+	// and be destroyed unacknowledged.
 	sh.ckptMu.Lock()
 	defer sh.ckptMu.Unlock()
 	sh.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"streamhist/internal/agglom"
 	"streamhist/internal/core"
@@ -23,7 +24,17 @@ import (
 // stats). Only the fixed window is checkpointed; the auxiliaries are
 // rebuilt from the replayed WAL tail on recovery, exactly like the
 // single-stream daemon before it.
+//
+// Each State carries its own lock, mu, which serializes everything that
+// touches its summaries: the shard loop holds it around one request's
+// apply and audit, Engine.View around its callback, and checkpoint
+// encoding around each window snapshot. Readers of different streams
+// therefore never wait on each other. The window's position (FW.Seen)
+// moves only in the loop's apply, which also holds the shard's write
+// lock, so the loop's plan phase reads it under the write lock alone.
 type State struct {
+	mu sync.Mutex
+
 	FW    *core.FixedWindow
 	Agg   *agglom.Summary
 	GK    *quantile.GK
@@ -31,13 +42,14 @@ type State struct {
 	Det   *drift.Detector
 	Stats stream.Counter
 	// Aud is the stream's shadow auditor; nil unless the engine was
-	// configured with Config.Audit. Like the other summaries it is
-	// guarded by the owning shard's lock.
+	// configured with Config.Audit. Only the loop's apply mutates it,
+	// under both the shard's write lock and mu, so a reader may hold
+	// either.
 	Aud *quality.Auditor
 
 	// aggCounted is Agg's share of the engine's endpoint gauge: its
-	// StoredEndpoints as of the last countEndpoints. Guarded by the
-	// owning shard's lock.
+	// StoredEndpoints as of the last countEndpoints. Only holders of the
+	// owning shard's write lock touch it.
 	aggCounted int
 }
 
@@ -107,6 +119,27 @@ func (st *State) uncountEndpoints(g *obs.Gauge) {
 	st.aggCounted = 0
 }
 
+// guardUnlock pairs with st.mu.Lock() as `defer st.guardUnlock(sh)`
+// around a stream critical section, as the shard's guardUnlock does for
+// the shard lock: on the normal path it is just Unlock; after a panic it
+// releases the stream lock, quarantines sh (the stream may be half
+// mutated) and re-panics as *LockedPanic.
+func (st *State) guardUnlock(sh *shard) {
+	if p := recover(); p != nil {
+		st.mu.Unlock()
+		panic(sh.quarantine(p))
+	}
+	st.mu.Unlock()
+}
+
+// marshalWindow snapshots the fixed window under the stream's lock, so a
+// reader's flush cannot interleave with the encoding.
+func (st *State) marshalWindow() ([]byte, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.FW.MarshalBinary()
+}
+
 // attach wires the state's instrumentation into the engine's registry
 // and flight recorder. Metric names are shared across keys, so the
 // registry's dedup index aggregates all streams into one bounded set of
@@ -142,7 +175,7 @@ func encodeContainer(coveredSeq uint64, streams map[string]*State) ([]byte, erro
 	out = binary.LittleEndian.AppendUint64(out, coveredSeq)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(keys)))
 	for _, k := range keys {
-		blob, err := streams[k].FW.MarshalBinary()
+		blob, err := streams[k].marshalWindow()
 		if err != nil {
 			return nil, fmt.Errorf("shard: marshaling stream %q: %w", k, err)
 		}
