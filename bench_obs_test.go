@@ -11,7 +11,7 @@ import (
 // instrumentation detached (the default) and attached, over the same
 // stream. The "off" variant is the number to compare against the seed:
 // disabled metrics must cost nothing but a few nil checks and add zero
-// allocations. CI runs this pair and records both in BENCH_pr3.json.
+// allocations. CI runs this pair as a smoke test.
 func BenchmarkPushMetrics(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -14,8 +14,8 @@ import (
 // and with the per-value bookkeeping an armed, healthy circuit breaker
 // adds to the server's ingest path: a degraded-flag load and a breaker
 // Success. The server does this once per batch, so charging it per push
-// is a deliberate upper bound. CI runs this pair and benchsmoke gates
-// the paired overhead at ≤2%.
+// is a deliberate upper bound. TestResilienceOverheadBudget gates that
+// bookkeeping at ≤2% of a push.
 func BenchmarkPushResilience(b *testing.B) {
 	br := resilience.NewBreaker(resilience.BreakerConfig{
 		Threshold: 3, Backoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second,
@@ -76,5 +76,30 @@ func TestPushResilienceAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("push with armed breaker allocates %v per op", allocs)
+	}
+}
+
+// TestResilienceOverheadBudget holds the armed, healthy breaker's
+// bookkeeping (the degraded-flag load and Breaker.Success that
+// BenchmarkPushResilience charges per push) to at most 2% of the push.
+// The bookkeeping is timed on its own against the bare push, not as the
+// difference of two nearly equal push timings.
+func TestResilienceOverheadBudget(t *testing.T) {
+	const budget = 0.02
+	br := resilience.NewBreaker(resilience.BreakerConfig{
+		Threshold: 3, Backoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second,
+	})
+	var degraded atomic.Bool
+	armed := minNsPerOp(5, 1000, func() {
+		if !degraded.Load() {
+			br.Success()
+		}
+	})
+	base := barePushNs(t)
+	t.Logf("armed breaker %.0f ns against a %.0f ns push (%.3f%%, budget %.0f%%)",
+		armed, base, 100*armed/base, 100*budget)
+	if armed > budget*base {
+		t.Errorf("armed breaker adds %.0f ns to a %.0f ns push (%.1f%%), budget %.0f%%",
+			armed, base, 100*armed/base, 100*budget)
 	}
 }

@@ -134,7 +134,7 @@ func main() {
 		auditIvl  = flag.Int("audit-interval", 0, "points between audit passes per stream (0: default 1024; implies -audit)")
 		auditShad = flag.Int("audit-shadow", 0, "exact shadow ring size for range-query ground truth (0: default 2048)")
 		auditRes  = flag.Int("audit-reservoir", 0, "reservoir sample size for quantile/selectivity ground truth (0: default 512)")
-		auditSeed = flag.Int64("audit-seed", 0, "extra seed mixed into each stream's audit panel rng (0: key hash only)")
+		auditSeed = flag.Int64("audit-seed", 0, "base seed XORed into each stream key's hash to seed its audit panel rng (0 means 1, so 0 and 1 audit identically)")
 		sloTarget = flag.Float64("slo-target", 0, "accuracy SLO: required fraction of panel queries within eps over the rolling window (0: default 0.9; implies -audit)")
 		sloWindow = flag.Int("slo-window", 0, "rolling SLO window in panel-query outcomes (0: default 256)")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

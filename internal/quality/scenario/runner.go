@@ -17,13 +17,11 @@ import (
 )
 
 // RunConfig tunes how the matrix is replayed. Zero fields take the
-// defaults CI commits against.
+// defaults TestMatrixBudgets runs with.
 type RunConfig struct {
-	EvalEvery     int     // points between trajectory checkpoints (default 1024)
-	AuditInterval int     // auditor pass interval (default 256)
-	AuditShadow   int     // exact shadow ring size (default 1024)
-	SLOTarget     float64 // required in-contract query fraction (default 0.9)
-	SLOWindow     int     // rolling SLO window in query outcomes (default 256)
+	EvalEvery     int // points between trajectory checkpoints (default 1024)
+	AuditInterval int // auditor pass interval (default 256)
+	AuditShadow   int // exact shadow ring size (default 1024)
 
 	// DiagDir, when non-empty, attaches a metrics registry and a trace
 	// ring to each scenario's daemon and, if the scenario breaches its
@@ -32,6 +30,13 @@ type RunConfig struct {
 	// daemon closes — the files CI uploads as failure artifacts.
 	DiagDir string
 }
+
+// The accuracy SLO every scenario's daemon runs: the required in-contract
+// query fraction and the rolling window of query outcomes it is over.
+const (
+	sloTarget = 0.9
+	sloWindow = 256
+)
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.EvalEvery == 0 {
@@ -43,47 +48,29 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.AuditShadow == 0 {
 		c.AuditShadow = 1024
 	}
-	if c.SLOTarget == 0 {
-		c.SLOTarget = 0.9
-	}
-	if c.SLOWindow == 0 {
-		c.SLOWindow = 256
-	}
 	return c
 }
 
 // Checkpoint is one point of a scenario's measured-accuracy
 // trajectory, sampled from GET /v1/streams/{key}/slo.
 type Checkpoint struct {
-	Seen          int64   `json:"seen"`
-	MaxRelErr     float64 `json:"max_rel_err"`
-	Headroom      float64 `json:"eps_headroom"`
-	Staleness     float64 `json:"staleness"`
-	Compliance    float64 `json:"slo_compliance"`
-	BurnRate      float64 `json:"slo_burn_rate"`
-	Breaching     bool    `json:"slo_breaching"`
-	DriftDistance float64 `json:"drift_distance"`
-	DriftAlarms   int     `json:"drift_alarms"`
+	Seen       int64
+	MaxRelErr  float64
+	Staleness  float64
+	Compliance float64
+	BurnRate   float64
 }
 
-// Result is one scenario's replay outcome: its configuration echo,
-// the trajectory, the worst checkpoint, and the gate verdict.
+// Result is one scenario's replay outcome: the trajectory, the worst
+// checkpoint, and the gate verdict.
 type Result struct {
-	Name          string       `json:"name"`
-	Description   string       `json:"description"`
-	Points        int          `json:"points"`
-	Window        int          `json:"window"`
-	Buckets       int          `json:"buckets"`
-	Eps           float64      `json:"eps"`
-	Incremental   bool         `json:"incremental"`
-	MaxErrBudget  float64      `json:"max_err_budget"`
-	MinCompliance float64      `json:"min_compliance"`
-	Trajectory    []Checkpoint `json:"trajectory"`
-	WorstRelErr   float64      `json:"worst_rel_err"`
-	Audits        int64        `json:"audits"`
-	Queries       int64        `json:"queries"`
-	Breached      bool         `json:"breached"`
-	BreachReason  string       `json:"breach_reason,omitempty"`
+	Name         string
+	Trajectory   []Checkpoint
+	WorstRelErr  float64
+	Audits       int64
+	Queries      int64
+	Breached     bool
+	BreachReason string
 }
 
 // quiet is the runner's logger: scenario replays exercise breach paths
@@ -96,19 +83,13 @@ type sloResponse struct {
 	SLO struct {
 		Compliance float64 `json:"compliance"`
 		BurnRate   float64 `json:"burnRate"`
-		Breaching  bool    `json:"breaching"`
 	} `json:"slo"`
 	Audits    int64 `json:"audits"`
 	Queries   int64 `json:"queries"`
 	LastAudit *struct {
 		Seen      int64   `json:"seen"`
 		MaxRelErr float64 `json:"maxRelErr"`
-		Headroom  float64 `json:"headroom"`
 		Staleness float64 `json:"staleness"`
-		Drift     struct {
-			Distance float64 `json:"distance"`
-			Alarms   int     `json:"alarms"`
-		} `json:"drift"`
 	} `json:"lastAudit"`
 }
 
@@ -117,12 +98,7 @@ type sloResponse struct {
 // rerun reproduces the same measured errors exactly.
 func Run(sc Scenario, cfg RunConfig) (Result, error) {
 	cfg = cfg.withDefaults()
-	res := Result{
-		Name: sc.Name, Description: sc.Description,
-		Points: sc.Points, Window: sc.Window, Buckets: sc.Buckets,
-		Eps: sc.Eps, Incremental: sc.Incremental,
-		MaxErrBudget: sc.MaxErrBudget, MinCompliance: sc.MinCompliance,
-	}
+	res := Result{Name: sc.Name}
 	if sc.Batch > cfg.AuditInterval {
 		return res, fmt.Errorf("scenario %s: batch %d exceeds audit interval %d (audits fire at most once per batch)",
 			sc.Name, sc.Batch, cfg.AuditInterval)
@@ -136,8 +112,8 @@ func Run(sc Scenario, cfg RunConfig) (Result, error) {
 		Audit:         true,
 		AuditInterval: cfg.AuditInterval,
 		AuditShadow:   cfg.AuditShadow,
-		SLOTarget:     cfg.SLOTarget,
-		SLOWindow:     cfg.SLOWindow,
+		SLOTarget:     sloTarget,
+		SLOWindow:     sloWindow,
 		Logger:        quiet,
 	}
 	if cfg.DiagDir != "" {
@@ -239,15 +215,11 @@ func sampleSLO(s *server.Server, key string) (Checkpoint, sloResponse, error) {
 		return Checkpoint{}, slo, fmt.Errorf("slo: no audit pass has run yet")
 	}
 	return Checkpoint{
-		Seen:          slo.LastAudit.Seen,
-		MaxRelErr:     slo.LastAudit.MaxRelErr,
-		Headroom:      slo.LastAudit.Headroom,
-		Staleness:     slo.LastAudit.Staleness,
-		Compliance:    slo.SLO.Compliance,
-		BurnRate:      slo.SLO.BurnRate,
-		Breaching:     slo.SLO.Breaching,
-		DriftDistance: slo.LastAudit.Drift.Distance,
-		DriftAlarms:   slo.LastAudit.Drift.Alarms,
+		Seen:       slo.LastAudit.Seen,
+		MaxRelErr:  slo.LastAudit.MaxRelErr,
+		Staleness:  slo.LastAudit.Staleness,
+		Compliance: slo.SLO.Compliance,
+		BurnRate:   slo.SLO.BurnRate,
 	}, slo, nil
 }
 

@@ -9,10 +9,11 @@
 // The paper's guarantee bounds the histogram's sum-of-squared-errors
 // against the best B-bucket histogram, not the relative error of an
 // individual range query, so each scenario carries its own calibrated
-// measured-error ceiling (MaxErrBudget): the empirical ε contract CI
-// holds the engine to. A scenario "breaches" when its audited maximum
+// measured-error ceiling (MaxErrBudget): the empirical ε contract the
+// engine is held to. A scenario "breaches" when its audited maximum
 // relative error exceeds that ceiling or its final SLO compliance
-// falls below the calibrated floor (MinCompliance).
+// falls below the calibrated floor (MinCompliance). TestMatrixBudgets
+// replays the whole matrix and fails on any breach.
 package scenario
 
 import (
@@ -27,7 +28,6 @@ import (
 // configuration it runs against, and its calibrated accuracy contract.
 type Scenario struct {
 	Name        string  // stable identifier, used as the stream key
-	Description string  // one line for reports and -list output
 	Points      int     // total points streamed
 	Batch       int     // points per ingest batch (must not exceed the audit interval)
 	Window      int     // fixed-window capacity
@@ -67,23 +67,24 @@ func sawtooth(period int, lo, hi float64) datagen.Generator {
 	})
 }
 
-// Matrix returns the named scenarios CI replays. Order is stable;
-// names are stable identifiers committed in BENCH_pr10.json.
+// Matrix returns the named scenarios TestMatrixBudgets replays. Order
+// is stable; names are stable identifiers (stream keys and diagnostics
+// file names).
 func Matrix() []Scenario {
 	return []Scenario{
 		{
-			Name:        "diurnal",
-			Description: "utilization trace: diurnal sinusoid + AR(1) noise, mild bursts",
-			Points:      8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
+			// Utilization trace: diurnal sinusoid + AR(1) noise, mild bursts.
+			Name:   "diurnal",
+			Points: 8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
 			MaxErrBudget: 0.30, MinCompliance: 0.80,
 			Gen: func() datagen.Generator {
 				return datagen.NewUtilization(datagen.UtilizationConfig{Seed: 101, Quantize: true})
 			},
 		},
 		{
-			Name:        "bursty",
-			Description: "utilization trace with frequent tall bursts riding the diurnal",
-			Points:      8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
+			// Utilization trace with frequent tall bursts riding the diurnal.
+			Name:   "bursty",
+			Points: 8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
 			MaxErrBudget: 0.12, MinCompliance: 0.90,
 			Gen: func() datagen.Generator {
 				return datagen.NewUtilization(datagen.UtilizationConfig{
@@ -92,18 +93,20 @@ func Matrix() []Scenario {
 			},
 		},
 		{
-			Name:        "sawtooth",
-			Description: "adversarial linear ramp, crash, repeat: bucket boundaries chase a staircase",
-			Points:      8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
+			// Adversarial linear ramp, crash, repeat: bucket boundaries
+			// chase a staircase.
+			Name:   "sawtooth",
+			Points: 8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
 			MaxErrBudget: 0.15, MinCompliance: 0.95,
 			Gen: func() datagen.Generator {
 				return sawtooth(777, 50, 950)
 			},
 		},
 		{
-			Name:        "regime-drift",
-			Description: "step-signal regimes (normal / congestion / fault) switching every ~1.5 windows",
-			Points:      8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
+			// Step-signal regimes (normal / congestion / fault) switching
+			// every ~1.5 windows.
+			Name:   "regime-drift",
+			Points: 8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
 			MaxErrBudget: 0.20, MinCompliance: 0.90,
 			Gen: func() datagen.Generator {
 				mk := func(seed int64, lo, hi float64) datagen.Generator {
@@ -125,9 +128,9 @@ func Matrix() []Scenario {
 			},
 		},
 		{
-			Name:        "support-skew",
-			Description: "zipf(1.3) values: heavy mass on a few points, long sparse tail",
-			Points:      8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
+			// Zipf(1.3) values: heavy mass on a few points, long sparse tail.
+			Name:   "support-skew",
+			Points: 8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
 			MaxErrBudget: 0.80, MinCompliance: 0.60,
 			Gen: func() datagen.Generator {
 				g, err := datagen.NewZipf(404, 1.3, 1000)
@@ -138,9 +141,10 @@ func Matrix() []Scenario {
 			},
 		},
 		{
-			Name:        "incremental-diurnal",
-			Description: "diurnal trace on the incremental cover-repair engine: staleness in play",
-			Points:      8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
+			// The diurnal trace on the incremental cover-repair engine:
+			// staleness in play.
+			Name:   "incremental-diurnal",
+			Points: 8192, Batch: 64, Window: 1024, Buckets: 12, Eps: 0.1,
 			Incremental:  true,
 			MaxErrBudget: 0.40, MinCompliance: 0.80,
 			Gen: func() datagen.Generator {

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// TestMatrixShape pins the matrix contract CI relies on: at least five
-// named scenarios, unique stable names, full accuracy contracts, and
-// generator recipes that reproduce their streams.
+// TestMatrixShape pins the matrix contract TestMatrixBudgets relies on:
+// at least five named scenarios, unique stable names, full accuracy
+// contracts, and generator recipes that reproduce their streams.
 func TestMatrixShape(t *testing.T) {
 	m := Matrix()
 	if len(m) < 5 {
@@ -47,6 +47,33 @@ func TestMatrixShape(t *testing.T) {
 	}
 }
 
+// TestMatrixBudgets is the accuracy gate. It replays every scenario in
+// full through the daemon with the shadow auditor on and fails, naming
+// the scenario, if its audited max relative error exceeds MaxErrBudget
+// or its final SLO compliance falls below MinCompliance. The replays are
+// seeded, so the measured errors repeat bit for bit. With
+// STREAMHIST_SOAK_DIAG set, a breached scenario leaves its /metrics
+// snapshot and Perfetto trace export in that directory.
+func TestMatrixBudgets(t *testing.T) {
+	m := Matrix()
+	results, err := RunMatrix(RunConfig{DiagDir: os.Getenv("STREAMHIST_SOAK_DIAG")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(m) {
+		t.Fatalf("%d results for %d scenarios", len(results), len(m))
+	}
+	for i, res := range results {
+		sc := m[i]
+		last := res.Trajectory[len(res.Trajectory)-1]
+		t.Logf("%-20s worst rel err %.4f (budget %.2f), final compliance %.3f (floor %.2f)",
+			sc.Name, res.WorstRelErr, sc.MaxErrBudget, last.Compliance, sc.MinCompliance)
+		if res.Breached {
+			t.Errorf("scenario %s: %s", sc.Name, res.BreachReason)
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	sc, err := ByName("diurnal")
 	if err != nil || sc.Name != "diurnal" {
@@ -59,7 +86,7 @@ func TestByName(t *testing.T) {
 
 // TestRunDeterministic replays a shortened diurnal scenario twice
 // through two fresh daemons and requires bit-identical trajectories —
-// the property the committed BENCH_pr10.json gate depends on.
+// the property that lets TestMatrixBudgets hold fixed budgets.
 func TestRunDeterministic(t *testing.T) {
 	sc, err := ByName("diurnal")
 	if err != nil {

@@ -63,6 +63,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -531,7 +532,7 @@ func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request, key stri
 		return
 	}
 	phi, err := strconv.ParseFloat(r.URL.Query().Get("phi"), 64)
-	if err != nil || phi < 0 || phi > 1 {
+	if err != nil || !(phi >= 0 && phi <= 1) { // NaN fails both comparisons
 		writeError(w, http.StatusBadRequest, errBadRequest, "phi must be a number in [0,1]")
 		return
 	}
@@ -561,8 +562,10 @@ func (s *Server) handleSelectivity(w http.ResponseWriter, r *http.Request, key s
 	}
 	lo, err1 := strconv.ParseFloat(r.URL.Query().Get("lo"), 64)
 	hi, err2 := strconv.ParseFloat(r.URL.Query().Get("hi"), 64)
-	if err1 != nil || err2 != nil || hi < lo {
-		writeError(w, http.StatusBadRequest, errBadRequest, "lo and hi must be numbers with lo <= hi")
+	// NaN fails the lo <= hi comparison; ±Inf bounds would be echoed in
+	// the answer, which JSON cannot carry.
+	if err1 != nil || err2 != nil || !(lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		writeError(w, http.StatusBadRequest, errBadRequest, "lo and hi must be finite numbers with lo <= hi")
 		return
 	}
 	var (

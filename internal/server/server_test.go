@@ -250,6 +250,52 @@ func TestSelectivityEndpoint(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputRejected pins that NaN and ±Inf never reach a
+// stream or a query: each answers 400 bad_request, the stream's seen does
+// not move, and the histogram still encodes as JSON afterwards.
+func TestNonFiniteInputRejected(t *testing.T) {
+	s := newTestServer(t)
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
+		t.Fatalf("seed ingest: %d %s", rec.Code, rec.Body)
+	}
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodPost, "/v1/streams/default/ingest", "NaN\n"},
+		{http.MethodPost, "/v1/streams/default/ingest", "nan\n"},
+		{http.MethodPost, "/v1/streams/default/ingest", "Inf\n"},
+		{http.MethodPost, "/v1/streams/default/ingest", "+Inf\n"},
+		{http.MethodPost, "/v1/streams/default/ingest", "-Inf\n"},
+		{http.MethodPost, "/v1/streams/default/ingest", "4\n-infinity\n5\n"},
+		{http.MethodPost, "/v1/streams/default/ingest", "1e400\n"},
+		{http.MethodGet, "/v1/streams/default/quantile?phi=NaN", ""},
+		{http.MethodGet, "/v1/streams/default/quantile?phi=Inf", ""},
+		{http.MethodGet, "/v1/streams/default/selectivity?lo=NaN&hi=NaN", ""},
+		{http.MethodGet, "/v1/streams/default/selectivity?lo=NaN&hi=2", ""},
+		{http.MethodGet, "/v1/streams/default/selectivity?lo=-Inf&hi=2", ""},
+		{http.MethodGet, "/v1/streams/default/selectivity?lo=0&hi=Inf", ""},
+		{http.MethodGet, "/v1/streams/default/selectivity?lo=-Inf&hi=%2BInf", ""},
+	} {
+		rec := do(t, s, tc.method, tc.target, tc.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s %q = %d %q, want 400", tc.method, tc.target, tc.body, rec.Code, rec.Body)
+			continue
+		}
+		if env := decodeEnvelope(t, rec.Body.String()); env.Error.Code != errBadRequest {
+			t.Errorf("%s %s %q code = %q, want %q", tc.method, tc.target, tc.body, env.Error.Code, errBadRequest)
+		}
+	}
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/stats", "")
+	var st struct {
+		Seen int64 `json:"seen"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Seen != 3 {
+		t.Errorf("stats after refused input = %d %q (%v), want seen 3", rec.Code, rec.Body, err)
+	}
+	rec = do(t, s, http.MethodGet, "/v1/streams/default/histogram", "")
+	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+		t.Errorf("histogram after refused input = %d %q, want 200 with a JSON body", rec.Code, rec.Body)
+	}
+}
+
 func TestSnapshotEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n")

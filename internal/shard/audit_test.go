@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"streamhist/internal/core"
 	"streamhist/internal/quality"
@@ -283,5 +284,90 @@ func TestShardStatuses(t *testing.T) {
 	}
 	if total != 1 {
 		t.Fatalf("statuses count %d streams, want 1", total)
+	}
+}
+
+// TestAuditOverheadBudget holds the shadow audit to at most 5% of the
+// per-point cost of the stream it audits: n=1024, B=12, eps=0.1 at the
+// default growth factor, 64-point batches, a pass every 256 points. The
+// audit's own work — ObserveBatch on every batch and, once per interval,
+// the panel replay (Run) against the stream's summaries — is timed
+// directly, not as the difference of an audited and an unaudited run.
+// The base is an unaudited engine's ingest plus the histogram query a
+// serving daemon answers once per interval. That query runs just before
+// the panel, so the lazy rebuild it forces is billed to the base and not
+// to the audit, which would otherwise force it.
+func TestAuditOverheadBudget(t *testing.T) {
+	const (
+		budget   = 0.05
+		rounds   = 4
+		batches  = 64 // per round
+		batchLen = 64
+		interval = 256
+	)
+	e := testEngine(t, Config{Shards: 1, Factory: func(string) (*State, error) {
+		fw, err := core.New(1024, 12, 0.1)
+		if err != nil {
+			return nil, err
+		}
+		return NewState(fw)
+	}})
+	aud := quality.NewAuditor(quality.Config{Interval: interval, Shadow: 1024}, 1)
+	rng := rand.New(rand.NewSource(42))
+	batch := make([]float64, batchLen)
+	var minBase, minAudit time.Duration
+	for r := 0; r <= rounds; r++ {
+		var base, audit time.Duration
+		for i := 0; i < batches; i++ {
+			for j := range batch {
+				batch[j] = 100 + 800*rng.Float64()
+			}
+			start := time.Now()
+			seen, _, err := e.Ingest("s", 0, batch)
+			base += time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = e.View("s", func(st *State) error {
+				if (i+1)%(interval/batchLen) == 0 {
+					start := time.Now()
+					_, err := st.FW.Histogram()
+					base += time.Since(start)
+					if err != nil {
+						return err
+					}
+				}
+				start := time.Now()
+				aud.ObserveBatch(batch, seen-batchLen)
+				if aud.Due() {
+					aud.Run(auditTarget{st: st}, nil, nil, 0)
+				}
+				audit += time.Since(start)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r == 0 {
+			continue // round 0 fills the window and the shadows
+		}
+		if minBase == 0 || base < minBase {
+			minBase = base
+		}
+		if minAudit == 0 || audit < minAudit {
+			minAudit = audit
+		}
+	}
+	if got := aud.Status().Audits; got != (rounds+1)*batches*batchLen/interval {
+		t.Fatalf("%d audit passes, want one per %d points", got, interval)
+	}
+	points := float64(batches * batchLen)
+	frac := float64(minAudit) / float64(minBase)
+	t.Logf("audit %.0f ns per point against %.0f ns (%.2f%%, budget %.0f%%)",
+		float64(minAudit)/points, float64(minBase)/points, 100*frac, 100*budget)
+	if frac > budget {
+		t.Errorf("audit adds %.0f ns to a %.0f ns point (%.1f%%), budget %.0f%%",
+			float64(minAudit)/points, float64(minBase)/points, 100*frac, 100*budget)
 	}
 }

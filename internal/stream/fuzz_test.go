@@ -2,12 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReader feeds arbitrary bytes through the stream parser: it must
-// never panic, and whenever it parses successfully, writing the values
+// never panic, every value it accepts is finite, and writing the values
 // back out and re-parsing must be lossless.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte("1\n2.5\n-3e4\n"))
@@ -15,16 +16,15 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("not a number"))
 	f.Add([]byte(""))
 	f.Add([]byte("1e309\n")) // overflows float64
+	f.Add([]byte("1\nNaN\n-Inf\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		values, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		for _, v := range values {
-			if v != v {
-				// NaN round-trips as "NaN" which the parser accepts, so
-				// it is legal; just ensure Write handles it.
-				continue
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("parser accepted non-finite %v from %q", v, data)
 			}
 		}
 		var buf bytes.Buffer
@@ -39,7 +39,7 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("roundtrip length %d != %d", len(again), len(values))
 		}
 		for i := range values {
-			if again[i] != values[i] && !(again[i] != again[i] && values[i] != values[i]) {
+			if again[i] != values[i] {
 				t.Fatalf("roundtrip[%d] = %v, want %v", i, again[i], values[i])
 			}
 		}

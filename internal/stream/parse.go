@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -86,10 +87,25 @@ func parseSimple(b []byte) (f float64, ok bool) {
 	return f, true
 }
 
+// parseValue parses one stream value. A stream carries finite values
+// only: NaN and ±Inf parse as numbers, but they poison every summary's
+// sums and cannot be encoded in a JSON answer, so they are rejected
+// like malformed text.
+func parseValue(text []byte) (float64, error) {
+	v, err := ParseFloatBytes(text)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite value %q", text)
+	}
+	return v, nil
+}
+
 // AppendValues reads a value-per-line stream from r and appends every
 // value to dst, returning the extended slice. Blank lines and '#'
-// comments are skipped and parse errors carry line numbers, exactly like
-// Reader. scratch is the scanner's line buffer; passing a reused buffer
+// comments are skipped, and malformed or non-finite values are errors
+// carrying line numbers, exactly like Reader. scratch is the scanner's line buffer; passing a reused buffer
 // (and a dst with capacity) makes the whole pass allocation-free for
 // inputs with lines that fit scratch. A nil scratch allocates a default
 // buffer.
@@ -106,7 +122,7 @@ func AppendValues(dst []float64, r io.Reader, scratch []byte) ([]float64, error)
 		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		v, err := ParseFloatBytes(text)
+		v, err := parseValue(text)
 		if err != nil {
 			return dst, fmt.Errorf("stream: line %d: %w", line, err)
 		}

@@ -18,10 +18,10 @@ var parseCases = []string{
 	"1.5", "-1.5", ".5", "-.5", "5.", "-5.",
 	"0.1", "0.2", "0.3", "3.14159265358979",
 	"1234567890.0987654321",
-	"9007199254740992",      // 2^53: still exact
-	"9007199254740993",      // 2^53+1: fallback
-	"900719925474098",       // maxMant boundary
-	"900719925474099",       // just past the guard
+	"9007199254740992",               // 2^53: still exact
+	"9007199254740993",               // 2^53+1: fallback
+	"900719925474098",                // maxMant boundary
+	"900719925474099",                // just past the guard
 	"123456789012345678901234567890", // huge mantissa
 	"0.0000000000000000000001",       // 22 fractional digits
 	"0.00000000000000000000001",      // 23: fallback
@@ -131,6 +131,28 @@ func TestAppendValuesMatchesReadAll(t *testing.T) {
 	_, err = AppendValues(nil, strings.NewReader("1\nnope\n"), nil)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("error = %v, want line 2 parse error", err)
+	}
+}
+
+// TestNonFiniteValuesRejected checks that both line parsers refuse NaN
+// and ±Inf in every spelling strconv accepts, naming the line, while
+// ParseFloatBytes itself still returns them as strconv does.
+func TestNonFiniteValuesRejected(t *testing.T) {
+	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "inf", "-infinity", "1e400"} {
+		in := "1\n" + bad + "\n2\n"
+		if _, err := AppendValues(nil, strings.NewReader(in), nil); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("AppendValues(%q) error = %v, want a line 2 error", in, err)
+		}
+		r := NewReader(strings.NewReader(in))
+		if v, err := r.Next(); err != nil || v != 1 {
+			t.Fatalf("Reader.Next on %q = %v, %v, want 1", in, v, err)
+		}
+		if v, err := r.Next(); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("Reader.Next on %q = %v, %v, want a line 2 error", in, v, err)
+		}
+	}
+	if v, err := ParseFloatBytes([]byte("NaN")); err != nil || !math.IsNaN(v) {
+		t.Errorf("ParseFloatBytes(NaN) = %v, %v, want NaN as strconv returns", v, err)
 	}
 }
 

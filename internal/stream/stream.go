@@ -16,7 +16,7 @@ import (
 const maxLine = 1024 * 1024
 
 // Reader parses a value-per-line stream. Blank lines and lines starting
-// with '#' are skipped.
+// with '#' are skipped; NaN and ±Inf are rejected.
 type Reader struct {
 	sc   *bufio.Scanner
 	line int64
@@ -31,7 +31,7 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // Next returns the next value. It reports io.EOF after the last value and
-// a parse error (with line number) on malformed input. The hot path is
+// a parse error (with line number) on malformed or non-finite input. The hot path is
 // allocation-free: lines are trimmed and parsed as byte-slice views into
 // the scanner's buffer (ParseFloatBytes), never copied to strings.
 func (r *Reader) Next() (float64, error) {
@@ -44,7 +44,7 @@ func (r *Reader) Next() (float64, error) {
 		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		v, err := ParseFloatBytes(text)
+		v, err := parseValue(text)
 		if err != nil {
 			r.err = fmt.Errorf("stream: line %d: %w", r.line, err)
 			return 0, r.err
