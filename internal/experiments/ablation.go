@@ -105,6 +105,7 @@ func ablationSearch(cfg Config) (*Table, error) {
 		Columns: []string{
 			"window n", "delta", "binary evals/pt", "linear evals/pt", "binary us/pt", "linear us/pt",
 		},
+		Timing: []string{"binary us/pt", "linear us/pt"},
 		Notes: []string{
 			"binary search costs ~intervals*log n evaluations per level, linear scan ~n;",
 			"the advantage appears once the interval count is well below n/log n (large delta or large n),",
@@ -156,6 +157,7 @@ func ablationRebuild(cfg Config) (*Table, error) {
 		Columns: []string{
 			"window n", "B", "incremental us/pt", "from-scratch us/pt", "speedup",
 		},
+		Timing: []string{"incremental us/pt", "from-scratch us/pt", "speedup"},
 	}
 	steps := 200
 	if cfg.Fast {

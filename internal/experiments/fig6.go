@@ -136,6 +136,7 @@ func fig6Time(cfg Config, id string, eps float64) ([]*Table, error) {
 		Columns: []string{
 			"window n", "B", "hist total (s)", "hist us/pt", "wavelet us/pt", "slowdown (wav/hist)",
 		},
+		Timing: []string{"hist total (s)", "hist us/pt", "wavelet us/pt", "slowdown (wav/hist)"},
 		Notes: []string{
 			"hist = FixedWindowHistogram per-point rebuild (Figure 5); wavelet = from-scratch top-B recompute per slide",
 			"paper shape: histogram time grows with B and 1/eps; the wavelet rebuild grows linearly in n,",

@@ -77,6 +77,7 @@ func similarityTable(cfg Config, id, title string, corpus [][]float64) (*Table, 
 		Columns: []string{
 			"method", "avg candidates", "avg matches", "avg false pos", "FP rate", "false dismissals", "index build (ms)",
 		},
+		Timing: []string{"index build (ms)"},
 		Notes: []string{
 			"radius per query set to the 10th-percentile true distance, so ~10% of the corpus matches",
 			"paper shape: V-optimal approximations admit fewer false positives than APCA at equal budget",
