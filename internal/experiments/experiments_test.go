@@ -50,6 +50,29 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	}
 }
 
+// TestDefaults checks that Defaults fills only zero fields: Fast picks
+// smaller fill values but never overrides a size set explicitly.
+func TestDefaults(t *testing.T) {
+	// points, timed, queries, checkpoints, seed
+	sizes := func(c Config) [5]int64 {
+		return [5]int64{int64(c.Points), int64(c.TimedPoints), int64(c.Queries), int64(c.Checkpoints), c.Seed}
+	}
+	for _, tc := range []struct {
+		name string
+		in   Config
+		want [5]int64
+	}{
+		{"zero", Config{}, [5]int64{20000, 600, 400, 8, 2002}},
+		{"fast", Config{Fast: true}, [5]int64{4000, 300, 100, 3, 2002}},
+		{"explicit", Config{Points: 50000, TimedPoints: 10, Queries: 7, Checkpoints: 2, Seed: 9}, [5]int64{50000, 10, 7, 2, 9}},
+		{"fast keeps explicit", Config{Fast: true, Points: 50000, TimedPoints: 10}, [5]int64{50000, 10, 100, 3, 2002}},
+	} {
+		if got := sizes(tc.in.Defaults()); got != tc.want {
+			t.Errorf("%s: Defaults() sizes %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("nope", Config{Fast: true}, &buf); err == nil {
