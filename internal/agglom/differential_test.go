@@ -103,6 +103,7 @@ func TestPushMatchesReference(t *testing.T) {
 	}
 	for name, data := range diffStreams(t, n) {
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			for _, b := range []int{1, 2, 8, 16, 32} {
 				for _, eps := range []float64{0.01, 0.1, 0.5} {
 					s, err := New(b, eps)
