@@ -2,8 +2,8 @@
 // motivates histogram research. A single pass over a stream of column
 // values simultaneously feeds a streaming equi-depth value histogram
 // (for "how many rows match value BETWEEN a AND b"), a Greenwald-Khanna
-// quantile summary, and a Flajolet-Martin sketch (distinct-value count for
-// join-size estimation), using a tee so the stream really is read once.
+// quantile summary and running column statistics, using a tee so the
+// stream really is read once.
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"streamhist/internal/datagen"
-	"streamhist/internal/fm"
 	"streamhist/internal/quantile"
 	"streamhist/internal/stream"
 	"streamhist/internal/vhist"
@@ -32,16 +31,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmSketch, err := fm.New(64, 2026)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var stats stream.Counter
 
 	tee := stream.Tee{
 		stream.ConsumerFunc(sed.Push),
 		stream.ConsumerFunc(gk.Insert),
-		stream.ConsumerFunc(fmSketch.AddFloat),
 		&stats,
 	}
 
@@ -59,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("one pass over %d rows -> %d-bucket value histogram (%d summary tuples), GK summary, FM sketch\n\n",
+	fmt.Printf("one pass over %d rows -> %d-bucket value histogram (%d summary tuples), GK summary, column stats\n\n",
 		rows, h.NumBuckets(), sed.Space())
 
 	fmt.Println("predicate selectivity: value BETWEEN a AND b")
@@ -79,11 +73,6 @@ func main() {
 		fmt.Printf("  p%-4.0f = %.0f\n", phi*100, v)
 	}
 
-	distinct := map[float64]bool{}
-	for _, v := range column {
-		distinct[v] = true
-	}
-	fmt.Printf("\ndistinct values: FM estimate %.0f, exact %d\n", fmSketch.Estimate(), len(distinct))
-	fmt.Printf("column stats: mean %.1f, stddev %.1f, range [%.0f, %.0f]\n",
+	fmt.Printf("\ncolumn stats: mean %.1f, stddev %.1f, range [%.0f, %.0f]\n",
 		stats.Mean(), math.Sqrt(stats.Variance()), stats.Min, stats.Max)
 }

@@ -9,7 +9,6 @@ import (
 	"streamhist/internal/datagen"
 	"streamhist/internal/quantile"
 	"streamhist/internal/query"
-	"streamhist/internal/similarity"
 	"streamhist/internal/stream"
 	"streamhist/internal/vhist"
 )
@@ -173,52 +172,5 @@ func TestSnapshotThroughFacade(t *testing.T) {
 	}
 	if agg.ApproxError() != agg2.ApproxError() {
 		t.Error("agglomerative diverged after restore")
-	}
-}
-
-// TestIndexedSimilarityThroughFacade runs the GEMINI pipeline (an R-tree
-// over PAA features, then exact verification) on a generated corpus: a
-// corpus member finds itself by range and as its own nearest neighbour.
-func TestIndexedSimilarityThroughFacade(t *testing.T) {
-	base := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 154}), 64)
-	corpus := make([][]float64, 40)
-	for i := range corpus {
-		s := make([]float64, 64)
-		for j := range s {
-			s[j] = base[j] + float64(i)*3
-		}
-		corpus[i] = s
-	}
-	ic, err := similarity.NewIndexedCollection(corpus, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	query := corpus[20]
-	matches, verified, err := ic.RangeQuery(query, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if verified > len(corpus) {
-		t.Errorf("verified %d", verified)
-	}
-	found := false
-	for _, m := range matches {
-		if m == 20 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("query did not find itself")
-	}
-	best, dist, _, err := ic.NearestNeighbor(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 20 || dist != 0 {
-		t.Errorf("NN = %d at %v", best, dist)
-	}
-	f, err := similarity.PAA(query, 8)
-	if err != nil || len(f) != 8 {
-		t.Errorf("PAA: %v %v", f, err)
 	}
 }

@@ -158,3 +158,22 @@ func TestSnapshotRejectsSplitSinglePositionInterval(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMarshal measures encoding a SAG1 snapshot after 4096 points
+// at B=16, eps=0.1.
+func BenchmarkMarshal(b *testing.B) {
+	s, err := New(16, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 26, Quantize: true})
+	for i := 0; i < 4096; i++ {
+		s.Push(g.Next())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MarshalBinary(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -138,3 +138,36 @@ func TestSnapshotIgnoresLinearScanByte(t *testing.T) {
 		t.Error("flush did not consult the probe memo")
 	}
 }
+
+// BenchmarkSnapshot measures encoding and restoring a full window at
+// n=4096, B=16.
+func BenchmarkSnapshot(b *testing.B) {
+	fw, err := NewWithDelta(4096, 16, 0.1, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 26, Quantize: true})
+	for i := 0; i < 4096; i++ {
+		fw.PushLazy(g.Next())
+	}
+	b.Run("marshal", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := fw.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		blob, err := fw.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var r FixedWindow
+			if err := r.UnmarshalBinary(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"streamhist/internal/datagen"
 	"streamhist/internal/vopt"
 )
 
@@ -160,5 +161,28 @@ func TestEvictOldestDirect(t *testing.T) {
 	}
 	if got := fw.sums.RangeSum(0, fw.sums.Len()-1); got <= 0 {
 		t.Errorf("RangeSum = %v", got)
+	}
+}
+
+// BenchmarkTimeWindowPush measures timestamped maintenance of a full
+// window, one expiry per push.
+func BenchmarkTimeWindowPush(b *testing.B) {
+	tw, err := NewTimeWindow(2048, 8, 0.1, 0.1, time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 27, Quantize: true})
+	base := time.Unix(0, 0)
+	for i := 0; i < 2048; i++ {
+		if err := tw.Push(base.Add(time.Duration(i)*time.Second), g.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts := base.Add(time.Duration(2048+i) * time.Second)
+		if err := tw.Push(ts, g.Next()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

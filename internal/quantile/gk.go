@@ -1,9 +1,8 @@
 // Package quantile implements one-pass quantile summaries over data
 // streams: the Greenwald–Khanna summary (SIGMOD 2001), cited by the paper
-// as the state of the art for streaming order statistics, and reservoir
-// sampling as the classical baseline. They complement the histogram
-// algorithms: histograms summarize a sequence by position, quantile
-// summaries by value.
+// as the state of the art for streaming order statistics. It complements
+// the histogram algorithms: histograms summarize a sequence by position,
+// quantile summaries by value.
 package quantile
 
 import (

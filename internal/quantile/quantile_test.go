@@ -156,49 +156,6 @@ func TestQuickGKWithinRange(t *testing.T) {
 	}
 }
 
-func TestReservoirBasics(t *testing.T) {
-	if _, err := NewReservoir(0, 1); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	r, err := NewReservoir(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Query(0.5); err == nil {
-		t.Error("query on empty reservoir succeeded")
-	}
-	for i := 0; i < 5; i++ {
-		r.Insert(float64(i))
-	}
-	if r.Size() != 5 || r.N() != 5 {
-		t.Errorf("Size=%d N=%d", r.Size(), r.N())
-	}
-	v, err := r.Query(0)
-	if err != nil || v != 0 {
-		t.Errorf("min = %v, %v", v, err)
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Insert 0..9999; with capacity 1000, the sample mean should be close
-	// to the stream mean.
-	r, _ := NewReservoir(1000, 37)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		r.Insert(float64(i))
-	}
-	if r.Size() != 1000 {
-		t.Fatalf("Size = %d", r.Size())
-	}
-	med, err := r.Query(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(med-n/2) > 0.1*n {
-		t.Errorf("sample median %v far from %v", med, n/2)
-	}
-}
-
 func TestExactQuantileAndRankOf(t *testing.T) {
 	data := []float64{10, 20, 30, 40}
 	if v := ExactQuantile(data, 0.5); v != 20 {

@@ -1,7 +1,6 @@
 package similarity
 
 import (
-	"math/rand"
 	"testing"
 
 	"streamhist/internal/histogram"
@@ -69,43 +68,5 @@ func TestNearestNeighborSingleton(t *testing.T) {
 	}
 	if best != 0 || dist != 0 || verified != 1 {
 		t.Errorf("best=%d dist=%v verified=%d", best, dist, verified)
-	}
-}
-
-// TestIndexedCollectionLargeFanout exercises deep R-tree structure.
-func TestIndexedCollectionLargeFanout(t *testing.T) {
-	rng := rand.New(rand.NewSource(240))
-	corpus := make([][]float64, 600)
-	for i := range corpus {
-		s := make([]float64, 16)
-		for j := range s {
-			s[j] = rng.Float64() * 100
-		}
-		corpus[i] = s
-	}
-	ic, err := NewIndexedCollection(corpus, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := corpus[123]
-	best, dist, _, err := ic.NearestNeighbor(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 123 || dist != 0 {
-		t.Errorf("self NN: %d at %v", best, dist)
-	}
-	matches, _, err := ic.RangeQuery(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range matches {
-		if m == 123 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("zero-radius query missed the identical series")
 	}
 }
