@@ -93,7 +93,7 @@ func Write(w io.Writer, values []float64) error {
 }
 
 // Consumer receives stream values one at a time. All the library's
-// summaries (FixedWindow, Agglomerative, GK, vhist builders, FM sketches)
+// summaries (FixedWindow, Agglomerative, GK, vhist builders)
 // satisfy it via small adapters or directly.
 type Consumer interface {
 	Push(v float64)
