@@ -1,8 +1,10 @@
 // Package experiments regenerates every figure and table of the paper's
 // evaluation (section 5), plus the ablation studies called out in
-// DESIGN.md. Each experiment produces a Table that cmd/experiments prints;
-// the benchmark harness at the repository root reuses the same code so
-// `go test -bench` and the CLI agree.
+// DESIGN.md. Each experiment produces a Table that cmd/experiments prints,
+// and TestPaperTables pins every non-timing cell of those tables to the
+// committed experiments_output.txt. The benchmarks at the repository root
+// (bench_test.go) time the same algorithms at their own sizes and seeds;
+// nothing compares their figures with the CLI's tables.
 //
 // Parameters follow EXPERIMENTS.md: the paper's exact values were partially
 // garbled in the source text and its data was proprietary, so defaults are

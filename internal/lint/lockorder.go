@@ -467,4 +467,3 @@ func collectFieldOwners(pkgs []*Package) map[*types.Var]string {
 	}
 	return labels
 }
-

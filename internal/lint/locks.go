@@ -19,11 +19,11 @@ import (
 // deliberately absent: its acquisition is conditional on the return
 // value, which a path-insensitive transfer cannot track.
 var mutexMethodOps = map[string]string{
-	"(*sync.Mutex).Lock":     "lock",
-	"(*sync.Mutex).Unlock":   "unlock",
-	"(*sync.RWMutex).Lock":   "lock",
-	"(*sync.RWMutex).Unlock": "unlock",
-	"(*sync.RWMutex).RLock":  "lock",
+	"(*sync.Mutex).Lock":      "lock",
+	"(*sync.Mutex).Unlock":    "unlock",
+	"(*sync.RWMutex).Lock":    "lock",
+	"(*sync.RWMutex).Unlock":  "unlock",
+	"(*sync.RWMutex).RLock":   "lock",
 	"(*sync.RWMutex).RUnlock": "unlock",
 }
 

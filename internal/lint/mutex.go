@@ -160,4 +160,3 @@ func structFieldByName(p *Package, st *ast.StructType, name string) *types.Var {
 	}
 	return nil
 }
-

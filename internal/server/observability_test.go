@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"streamhist/internal/faults"
@@ -131,8 +133,11 @@ func requireEndpointTotal(t *testing.T, s *Server, reg *obs.Registry, step strin
 // TestAgglomEndpointsGaugeIsDaemonTotal: the endpoint gauge is the
 // daemon-wide total over live streams, not the last-pushed stream's
 // count. It must follow ingest into several streams, a delete, a restore
-// that replaces a stream, and a crash recovery whose WAL replay creates,
-// feeds and deletes streams.
+// that replaces a stream, a crash recovery whose WAL replay creates,
+// feeds and deletes streams, and ingests racing deletes and restores of
+// the same keys: an ingest's agglomerative update runs after the shard
+// loop's reply, so it can reach a stream the loop has since discarded,
+// and must then leave the gauge alone.
 func TestAgglomEndpointsGaugeIsDaemonTotal(t *testing.T) {
 	dir := t.TempDir()
 	opts := crashOptions(dir, faults.OS{})
@@ -196,6 +201,51 @@ func TestAgglomEndpointsGaugeIsDaemonTotal(t *testing.T) {
 	if requireEndpointTotal(t, s2, reg2, "after recovery", DefaultStream, "a", "c") == 0 {
 		t.Fatal("no endpoints rebuilt by the replayed tail")
 	}
+
+	rounds := 40
+	if testing.Short() {
+		rounds = 15
+	}
+	keys := []string{"r0", "r1", "r2", "r3"}
+	serve := func(method, target, body string, ok ...int) {
+		rec := httptest.NewRecorder()
+		s2.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		for _, code := range ok {
+			if rec.Code == code {
+				return
+			}
+		}
+		t.Errorf("%s %s: %d: %s", method, target, rec.Code, rec.Body)
+	}
+	var wg sync.WaitGroup
+	for i, key := range keys {
+		wg.Add(1)
+		go func(i int, key string) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var b strings.Builder
+				for j := 0; j < 40; j++ {
+					fmt.Fprintf(&b, "%d\n", (j*(i+3)+r)%23+j/5)
+				}
+				serve(http.MethodPost, "/v1/streams/"+key+"/ingest", b.String(), http.StatusOK)
+			}
+		}(i, key)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			serve(http.MethodDelete, "/v1/streams/"+keys[r%len(keys)], "", http.StatusOK, http.StatusNotFound)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			serve(http.MethodPost, "/v1/streams/"+keys[(r+2)%len(keys)]+"/restore", snap.Body.String(), http.StatusOK)
+		}
+	}()
+	wg.Wait()
+	requireEndpointTotal(t, s2, reg2, "after ingests raced deletes and restores", s2.eng.Keys()...)
 }
 
 // TestMetricsEndpoint drives a durable, instrumented server through

@@ -23,7 +23,9 @@ func (sh *shard) wireAudit(key string, st *State) {
 
 // auditTarget adapts one stream's summaries to the quality.Target
 // interface. It is only ever used from the loop's apply, under the
-// stream's lock, for the duration of one audit pass.
+// stream's lock, for the duration of one audit pass, after apply has
+// drained the stream's queued values so the auxiliaries it reads are
+// caught up with the window.
 type auditTarget struct{ st *State }
 
 func (t auditTarget) Epsilon() float64 { return t.st.FW.Epsilon() }
@@ -76,7 +78,8 @@ func (t auditTarget) DriftCheck() (dist float64, drifted bool, alarms, checks in
 // runAudit runs one due audit pass for key's stream and handles the
 // pass's side effects: drift re-anchor accounting and SLO breach
 // transitions (trace instant + anomaly capture, once per episode). Call
-// from apply, with sh.mu held for writing and st.mu held.
+// from apply, with sh.mu held for writing and st.mu held, after st's
+// queued values are drained.
 //
 //lint:ignore mutex-discipline runs under process()'s sh.mu
 func (sh *shard) runAudit(key string, st *State) {

@@ -27,6 +27,7 @@ type response struct {
 	seen     int64
 	degraded bool
 	err      error
+	st       *State // the stream the request was pushed into; Ingest drains it
 }
 
 // reply delivers the response once; later calls are no-ops.
@@ -39,8 +40,8 @@ func (r *request) reply(resp response) {
 }
 
 // loop is the shard's single writer: it drains the mailbox in batches,
-// write-ahead-logs each batch with one group fsync, applies it to the
-// in-memory summaries, and replies per request.
+// write-ahead-logs each batch with one group fsync, pushes it into the
+// streams' windows, and replies per request.
 func (sh *shard) loop() {
 	defer close(sh.loopDone)
 	for {
@@ -88,14 +89,16 @@ type plan struct {
 }
 
 // process runs one batch: plan (resolve states and WAL records), persist
-// (one group commit for the whole batch), apply (mutate summaries and
-// reply). The shard's write lock is held across all three, so lookups
-// wait for the batch and the stream map never shows a half-planned
-// create or delete; each request's apply also holds its stream's lock
-// (see apply), so a reader of a stream sees whole requests only. A panic
-// inside quarantines the shard via the lock guards and the recovery here
-// fails the batch's outstanding replies instead of leaving clients
-// blocked forever.
+// (one group commit for the whole batch), apply (push each request into
+// its stream's window, queue its values for the auxiliaries, and reply).
+// The shard's write lock is held across all three, so lookups wait for
+// the batch and the stream map never shows a half-planned create or
+// delete; each request's apply also holds its stream's lock (see apply),
+// so a reader of a stream sees whole requests only. The auxiliaries are
+// not fed here: each reply carries the request's state, and Ingest
+// drains it after the write lock is gone. A panic inside quarantines the
+// shard via the lock guards and the recovery here fails the batch's
+// outstanding replies instead of leaving clients blocked forever.
 func (sh *shard) process(batch []*request) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -220,14 +223,16 @@ func (sh *shard) process(batch []*request) {
 			sh.rm().degradedBatches.Inc()
 			sh.rm().degradedPoints.Add(int64(len(p.req.values)))
 		}
-		p.req.reply(response{seen: seen, degraded: degradedAck})
+		p.req.reply(response{seen: seen, degraded: degradedAck, st: p.st})
 	}
 }
 
-// apply lands one planned request's values in its stream's summaries and
-// runs a due audit, all under the stream's lock, and returns the
-// stream's position after the request. Call from process, with sh.mu
-// held for writing.
+// apply pushes one planned request's values into its stream's window,
+// queues a copy of them for the stream's auxiliaries and runs a due
+// audit, all under the stream's lock, and returns the stream's position
+// after the request. The queued values are drained by the next holder of
+// the stream's lock: normally the request's own Ingest, after the reply.
+// Call from process, with sh.mu held for writing.
 func (sh *shard) apply(p plan) int64 {
 	st := p.st
 	st.mu.Lock()
@@ -245,19 +250,14 @@ func (sh *shard) apply(p plan) int64 {
 			st.FW.PushLazy(v)
 		}
 	}
-	for _, v := range p.req.values {
-		st.Agg.Push(v)
-		st.GK.Insert(v)
-		st.Sed.Push(v)
-		st.Stats.Push(v)
-	}
-	st.countEndpoints(sh.eng.aggEndpoints)
+	st.pending = append(st.pending, p.req.values...)
 	if st.Aud != nil {
 		// Shadow audit: feed the exact ring/reservoir, and when an
-		// interval's worth of points has landed, replay the panel
-		// against the summaries just updated above.
+		// interval's worth of points has landed, bring the auxiliaries
+		// up to the window and replay the panel against them.
 		st.Aud.ObserveBatch(p.req.values, p.start)
 		if st.Aud.Due() {
+			st.drain(sh.eng.aggEndpoints)
 			sh.runAudit(p.req.key, st)
 		}
 	}

@@ -91,7 +91,8 @@ func (e *Engine) checkMeta() error {
 
 // recover rebuilds this shard's streams from its stripe: open the keyed
 // WAL, load the newest checkpoint container, then replay the uncovered
-// log tail into every stream's summaries. Fixed windows restore exactly;
+// log tail into every stream's summaries (the window push, then the same
+// drain a live ingest runs). Fixed windows restore exactly;
 // the whole-stream auxiliaries rebuild from the replayed tail only, as
 // in the single-stream daemon. Shards recover concurrently — each one
 // touches only its own stripe and its own fields. The engine sums the
@@ -179,16 +180,15 @@ func (sh *shard) loadStreams() error {
 				// Covered by the checkpoint.
 			case p == st.FW.Seen():
 				st.FW.PushLazy(v)
-				st.Agg.Push(v)
-				st.GK.Insert(v)
-				st.Sed.Push(v)
-				st.Stats.Push(v)
+				st.pending = append(st.pending, v)
 				replayed++
 			default:
 				return fmt.Errorf("gap: stream %q record for position %d but state ends at %d", r.Key, p, st.FW.Seen())
 			}
 		}
-		st.countEndpoints(sh.eng.aggEndpoints)
+		// The auxiliaries absorb the record the way a live ingest's
+		// drain feeds them.
+		st.drain(sh.eng.aggEndpoints)
 		return nil
 	})
 	if err != nil {

@@ -5,12 +5,20 @@
 // supervisor, panic quarantine).
 //
 // Writes are message-passing: an ingest enqueues onto its shard's
-// bounded mailbox and is acknowledged when the shard loop drains it —
-// the loop write-ahead-logs the whole drained batch with one group
-// fsync, applies it, and replies per request. The acknowledged-
-// durability contract is unchanged from the single-stream daemon: a
-// non-degraded acknowledgment means the batch is durable to the
-// configured fsync policy.
+// bounded mailbox and the shard loop drains it — the loop
+// write-ahead-logs the whole drained batch with one group fsync, pushes
+// each request into its stream's window, queues a copy of its values for
+// the stream's whole-stream auxiliaries, and replies per request. The
+// window's position orders the WAL and its snapshot is what checkpoints
+// cover, so only the window push belongs to the loop. The auxiliaries
+// (agglomerative histogram, GK quantiles, equi-depth value histogram,
+// running stats) absorb the queued values off the loop, under the
+// stream's lock alone: Ingest drains them after the loop's reply and
+// before it returns, so ingests to different streams of one shard run
+// those updates in parallel. The acknowledged-durability contract is
+// unchanged from the single-stream daemon: a non-degraded
+// acknowledgment means the batch is durable to the configured fsync
+// policy, and that every summary of the stream includes it.
 //
 // Reads never touch the mailbox. Locks nest in one order: ckptMu, then
 // the shard lock, then a stream's lock; nothing takes the shard lock
@@ -19,10 +27,12 @@
 // and re-anchor encoding, Restore, Ensure and the quarantine swap hold
 // it for writing; lookups, Keys, ShardStatuses and QualitySnapshot hold
 // it for reading. Each stream's State has its own mutex over its
-// summaries, held by the loop while it applies one request to the
-// stream and by View around its callback, so reads (and fresh query
-// flushes) of different streams on one shard run in parallel and a
-// reader sees whole requests of its stream only.
+// summaries, held by the loop while it pushes one request into the
+// stream's window, by Ingest while it drains the stream's queued values
+// and by View (which drains them too) around its callback, so reads,
+// fresh query flushes and auxiliary updates of different streams on one
+// shard run in parallel and a reader sees whole requests of its stream
+// only.
 //
 // Durability is striped: shard i owns DataDir/shard-<i> with its own
 // keyed WAL (see internal/wal keyed mode) and its own checkpoint
@@ -126,9 +136,11 @@ type Config struct {
 	// Logger receives operational records; nil means slog.Default().
 	Logger *slog.Logger
 	// Failpoint is a test seam invoked at named points inside critical
-	// sections ("ingest.apply" under the stream's lock as each request
-	// applies, "restore.apply" under the shard's write lock); nil in
-	// production.
+	// sections ("ingest.apply" in the loop, under the shard's write lock
+	// and the stream's lock, as each request is pushed into its window;
+	// "ingest.drain" in Ingest, under the stream's lock only, before the
+	// auxiliaries absorb the batch; "restore.apply" under the shard's
+	// write lock); nil in production.
 	Failpoint func(point string)
 }
 
@@ -358,10 +370,16 @@ func (e *Engine) SetFailpoint(fn func(point string)) {
 
 // Ingest appends values to key's stream, creating it on first use, and
 // blocks until the shard loop has made the batch durable (or degraded-
-// acknowledged it) and applied it. It returns the stream's position
-// after the batch and whether the acknowledgment is degraded
+// acknowledged it) and pushed it into the stream's window, and the
+// stream's auxiliaries have absorbed it too. It returns the stream's
+// position after the batch and whether the acknowledgment is degraded
 // (memory-only). The parent span, when tracing, receives the WAL append
 // and fsync events.
+//
+// The auxiliaries absorb the batch here, on the caller's goroutine,
+// under the stream's lock only: ingests to different streams of one
+// shard run their agglomerative updates in parallel, and the shard's
+// write lock covers only the WAL append and the window push.
 func (e *Engine) Ingest(key string, parent trace.SpanID, values []float64) (seen int64, degraded bool, err error) {
 	sh := e.shardFor(key)
 	if sh.quarantined.Load() {
@@ -374,7 +392,34 @@ func (e *Engine) Ingest(key string, parent trace.SpanID, values []float64) (seen
 		defer sh.releaseKey(key)
 	}
 	resp := sh.submit(&request{key: key, values: values, parent: parent})
-	return resp.seen, resp.degraded, resp.err
+	if resp.err != nil {
+		return 0, false, resp.err
+	}
+	if err := sh.drain(resp.st); err != nil {
+		return 0, false, err
+	}
+	return resp.seen, resp.degraded, nil
+}
+
+// drain catches st's auxiliaries up with its window off the shard loop:
+// it holds st's lock and not the shard's. The pending values it feeds
+// include this caller's batch and any earlier one not yet drained. A
+// panic while feeding them quarantines the shard, and the ingest fails
+// with ErrQuarantined, as it does when its window push panics in the
+// loop.
+func (sh *shard) drain(st *State) (err error) {
+	defer func() {
+		// Only a *LockedPanic can arrive: guardUnlock wraps whatever
+		// panicked under the lock, after quarantining and logging it.
+		if recover() != nil {
+			err = ErrQuarantined
+		}
+	}()
+	st.mu.Lock()
+	defer st.guardUnlock(sh)
+	sh.eng.failAt("ingest.drain")
+	st.drain(sh.eng.aggEndpoints)
+	return nil
 }
 
 // Delete removes key's stream, appending a tombstone to the stripe's WAL
@@ -437,14 +482,16 @@ func (sh *shard) releaseKey(key string) {
 }
 
 // View runs fn on key's state under that stream's own lock; the shard
-// lock is held for reading only while the stream is looked up. fn sees
-// whole ingest requests of the stream, and reads of other streams on the
-// shard run alongside it; only a batch that writes this stream waits for
-// fn (and holds up the shard's lookups meanwhile). fn may mutate the
-// state's caches (a query flush does), must not call back into the
-// engine, and must not retain the state past its return. A panic inside
-// fn releases the stream lock, quarantines the shard (fn may have left
-// the state half mutated) and re-panics as *LockedPanic.
+// lock is held for reading only while the stream is looked up. Values the
+// loop has pushed into the window but no one has drained yet are drained
+// into the auxiliaries first, so fn sees whole ingest requests of the
+// stream in every summary. Reads of other streams on the shard run
+// alongside it; only a batch that writes this stream waits for fn (and
+// holds up the shard's lookups meanwhile). fn may mutate the state's
+// caches (a query flush does), must not call back into the engine, and
+// must not retain the state past its return. A panic inside fn releases
+// the stream lock, quarantines the shard (fn may have left the state
+// half mutated) and re-panics as *LockedPanic.
 func (e *Engine) View(key string, fn func(*State) error) error {
 	sh := e.shardFor(key)
 	st := sh.lookup(key)
@@ -453,6 +500,7 @@ func (e *Engine) View(key string, fn func(*State) error) error {
 	}
 	st.mu.Lock()
 	defer st.guardUnlock(sh)
+	st.drain(e.aggEndpoints)
 	return fn(st)
 }
 
@@ -515,8 +563,10 @@ func (sh *shard) installState(key string, st *State) {
 		old.uncountEndpoints(sh.eng.aggEndpoints)
 	}
 	sh.streams[key] = st
-	st.countEndpoints(sh.eng.aggEndpoints)
 	sh.streamsGauge.Set(float64(len(sh.streams)))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.countEndpoints(sh.eng.aggEndpoints)
 }
 
 // dropState removes a state from the shard map. Call with sh.mu held.

@@ -26,12 +26,21 @@ import (
 // single-stream daemon before it.
 //
 // Each State carries its own lock, mu, which serializes everything that
-// touches its summaries: the shard loop holds it around one request's
-// apply and audit, Engine.View around its callback, and checkpoint
-// encoding around each window snapshot. Readers of different streams
-// therefore never wait on each other. The window's position (FW.Seen)
-// moves only in the loop's apply, which also holds the shard's write
-// lock, so the loop's plan phase reads it under the write lock alone.
+// touches its summaries: the shard loop holds it while it pushes one
+// request into the window, Engine.Ingest while it drains the request
+// into the auxiliaries, Engine.View around its callback, and checkpoint
+// encoding around each window snapshot. Readers and drains of different
+// streams therefore never wait on each other. The window's position
+// (FW.Seen) moves only in the loop's apply, which also holds the shard's
+// write lock, so the loop's plan phase reads it under the write lock
+// alone.
+//
+// The auxiliaries may trail the window: the loop queues each request's
+// values in pending, and whoever next holds mu drains them in arrival
+// order (the request's own Ingest before it returns, a View before its
+// callback, the loop before a due audit). So a View callback and an
+// audit always see them caught up; the window push and checkpoint
+// encoding read only the window and do not drain.
 type State struct {
 	mu sync.Mutex
 
@@ -47,10 +56,17 @@ type State struct {
 	// either.
 	Aud *quality.Auditor
 
+	// pending holds values already in FW but not yet in the auxiliaries,
+	// in arrival order (WAL order). It is a copy: the ingest handler's
+	// slice is pooled scratch.
+	pending []float64 // guarded by mu
 	// aggCounted is Agg's share of the engine's endpoint gauge: its
-	// StoredEndpoints as of the last countEndpoints. Only holders of the
-	// owning shard's write lock touch it.
-	aggCounted int
+	// StoredEndpoints as of the last countEndpoints.
+	aggCounted int // guarded by mu
+	// discarded is set once the shard has let go of the state (deleted,
+	// replaced, or swapped out after a quarantine); a drain that reaches
+	// it later must leave the gauge alone.
+	discarded bool // guarded by mu
 }
 
 // Factory builds the State for a newly created stream key. The engine
@@ -101,22 +117,58 @@ func restoreWindow(st *State, blob []byte) (*State, error) {
 	return NewState(st.FW)
 }
 
+// drain feeds the pending values into the whole-stream auxiliaries in
+// arrival order, then moves g by the change in Agg's stored endpoints.
+// It is the only way values reach the auxiliaries: the live paths and
+// WAL replay both queue values in pending and drain them here. Call with
+// st.mu held.
+//
+//lint:ignore mutex-discipline every caller holds st.mu (Engine.Ingest, Engine.View, the loop's apply) or owns st alone (WAL replay)
+func (st *State) drain(g *obs.Gauge) {
+	if len(st.pending) == 0 {
+		return
+	}
+	for _, v := range st.pending {
+		st.Agg.Push(v)
+		st.GK.Insert(v)
+		st.Sed.Push(v)
+		st.Stats.Push(v)
+	}
+	// Reuse the buffer for the next batch, unless a batch longer than
+	// the window grew it: one outsized ingest (the daemon accepts 32 MiB
+	// bodies by default) must not pin its copy to the stream for good.
+	if cap(st.pending) > st.FW.Capacity() {
+		st.pending = nil
+	} else {
+		st.pending = st.pending[:0]
+	}
+	st.countEndpoints(g)
+}
+
 // countEndpoints moves g by the change in Agg's stored endpoints since
-// the last call, so g stays the sum over every live stream. The shard
-// calls it after each request's points land instead of recounting per
-// point.
+// the last call, so g stays the sum over every live stream; a discarded
+// state no longer counts. Call with st.mu held.
+//
+//lint:ignore mutex-discipline callers hold st.mu (drain, installState)
 func (st *State) countEndpoints(g *obs.Gauge) {
+	if st.discarded {
+		return
+	}
 	if n := st.Agg.StoredEndpoints(); n != st.aggCounted {
 		g.Add(float64(n - st.aggCounted))
 		st.aggCounted = n
 	}
 }
 
-// uncountEndpoints takes st's share out of g; the shard calls it wherever
-// it discards st.
+// uncountEndpoints takes st's share out of g for good; the shard calls it
+// wherever it discards st, and a drain that reaches st afterwards (an
+// Ingest acknowledged just before the discard) leaves g alone.
 func (st *State) uncountEndpoints(g *obs.Gauge) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	g.Add(-float64(st.aggCounted))
 	st.aggCounted = 0
+	st.discarded = true
 }
 
 // guardUnlock pairs with st.mu.Lock() as `defer st.guardUnlock(sh)`

@@ -197,17 +197,17 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"00-abc-def-01",
-		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafe",        // missing flags
-		"ff-0123456789abcdeffedcba9876543210-0000deadbeefcafe-01",     // forbidden version
-		"zz-0123456789abcdeffedcba9876543210-0000deadbeefcafe-01",     // non-hex version
-		"00-0123456789abcdeffedcba987654321X-0000deadbeefcafe-01",     // non-hex trace id
-		"00-X123456789abcdeffedcba9876543210-0000deadbeefcafe-01",     // non-hex trace id (hi)
-		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafX-01",     // non-hex parent
-		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafe-0X",     // non-hex flags
-		"00-00000000000000000000000000000000-0000deadbeefcafe-01",     // zero trace id
-		"00-0123456789abcdeffedcba9876543210-0000000000000000-01",     // zero parent
-		"00-0123456789abcdeffedcba98765432100-0000deadbeefcafe-01",    // trace id too long
-		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafe-01-99",  // trailing field
+		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafe",       // missing flags
+		"ff-0123456789abcdeffedcba9876543210-0000deadbeefcafe-01",    // forbidden version
+		"zz-0123456789abcdeffedcba9876543210-0000deadbeefcafe-01",    // non-hex version
+		"00-0123456789abcdeffedcba987654321X-0000deadbeefcafe-01",    // non-hex trace id
+		"00-X123456789abcdeffedcba9876543210-0000deadbeefcafe-01",    // non-hex trace id (hi)
+		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafX-01",    // non-hex parent
+		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafe-0X",    // non-hex flags
+		"00-00000000000000000000000000000000-0000deadbeefcafe-01",    // zero trace id
+		"00-0123456789abcdeffedcba9876543210-0000000000000000-01",    // zero parent
+		"00-0123456789abcdeffedcba98765432100-0000deadbeefcafe-01",   // trace id too long
+		"00-0123456789abcdeffedcba9876543210-0000deadbeefcafe-01-99", // trailing field
 	}
 	for _, h := range bad {
 		if _, _, _, ok := ParseTraceparent(h); ok {
