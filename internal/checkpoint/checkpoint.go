@@ -38,11 +38,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Save atomically writes a checkpoint of state blob taken at stream
 // position seen (total points ingested). On return without error the
 // checkpoint is durable: crash at any point before that leaves the
-// previous checkpoint intact.
-func Save(fsys faults.FS, dir string, seen int64, blob []byte) error {
+// previous checkpoint intact. A non-nil tr records an EvCheckpoint event
+// carrying code (the shard engine stamps the owning shard's ID there),
+// the blob size, the stream position and the write's duration.
+func Save(tr *trace.Recorder, code uint8, fsys faults.FS, dir string, seen int64, blob []byte) error {
 	if fsys == nil {
 		fsys = faults.OS{}
 	}
+	start := tr.Now()
 	frame := encodeFrame(seen, blob)
 	name := fileName(seen)
 	tmp := filepath.Join(dir, name+".tmp")
@@ -68,28 +71,8 @@ func Save(fsys faults.FS, dir string, seen int64, blob []byte) error {
 	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	return nil
-}
-
-// SaveTraced is Save with flight-recorder context: on success it records
-// an EvCheckpoint event under parent carrying the blob size, the stream
-// position and the write's duration. A nil recorder makes it exactly
-// Save.
-func SaveTraced(tr *trace.Recorder, parent trace.SpanID, fsys faults.FS, dir string, seen int64, blob []byte) error {
-	return SaveTracedCode(tr, parent, 0, fsys, dir, seen, blob)
-}
-
-// SaveTracedCode is SaveTraced with an event code carried on the
-// EvCheckpoint record — the shard engine stamps the owning shard's ID
-// there so checkpoint events in a striped deployment attribute to their
-// stripe.
-func SaveTracedCode(tr *trace.Recorder, parent trace.SpanID, code uint8, fsys faults.FS, dir string, seen int64, blob []byte) error {
-	start := tr.Now()
-	if err := Save(fsys, dir, seen, blob); err != nil {
-		return err
-	}
 	if tr != nil {
-		tr.Instant(trace.EvCheckpoint, code, parent, time.Duration(tr.Now()-start), int64(len(blob)), seen)
+		tr.Instant(trace.EvCheckpoint, code, 0, time.Duration(tr.Now()-start), int64(len(blob)), seen)
 	}
 	return nil
 }

@@ -11,10 +11,10 @@ import (
 
 func TestSaveLatestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(nil, dir, 42, []byte("state-at-42")); err != nil {
+	if err := Save(nil, 0, nil, dir, 42, []byte("state-at-42")); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(nil, dir, 99, []byte("state-at-99")); err != nil {
+	if err := Save(nil, 0, nil, dir, 99, []byte("state-at-99")); err != nil {
 		t.Fatal(err)
 	}
 	blob, seen, err := Latest(nil, dir)
@@ -42,10 +42,10 @@ func TestLatestEmptyDir(t *testing.T) {
 // back to the previous good one — the reason two are retained.
 func TestLatestSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(nil, dir, 10, []byte("good")); err != nil {
+	if err := Save(nil, 0, nil, dir, 10, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(nil, dir, 20, []byte("soon-corrupt")); err != nil {
+	if err := Save(nil, 0, nil, dir, 20, []byte("soon-corrupt")); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, fileName(20))
@@ -76,7 +76,7 @@ func TestLatestSkipsCorrupt(t *testing.T) {
 func TestPrune(t *testing.T) {
 	dir := t.TempDir()
 	for _, seen := range []int64{1, 2, 3, 4} {
-		if err := Save(nil, dir, seen, []byte{byte(seen)}); err != nil {
+		if err := Save(nil, 0, nil, dir, seen, []byte{byte(seen)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestPrune(t *testing.T) {
 func TestPruneReportsRemoveFailure(t *testing.T) {
 	dir := t.TempDir()
 	for _, seen := range []int64{1, 2, 3} {
-		if err := Save(nil, dir, seen, []byte{byte(seen)}); err != nil {
+		if err := Save(nil, 0, nil, dir, seen, []byte{byte(seen)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,9 +132,9 @@ func TestPruneReportsRemoveFailure(t *testing.T) {
 // crashes, the previous checkpoint still loads.
 func TestSaveFaultPreservesPrevious(t *testing.T) {
 	// Count the ops of one full save.
-	probe := faults.NewInjector(faults.OS{}, -1)
+	probe := faults.NewChaos(faults.OS{}, 1)
 	dir := t.TempDir()
-	if err := Save(probe, dir, 1, []byte("first")); err != nil {
+	if err := Save(nil, 0, probe, dir, 1, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.Ops()
@@ -143,11 +143,11 @@ func TestSaveFaultPreservesPrevious(t *testing.T) {
 	}
 	for n := 1; n <= total; n++ {
 		dir := t.TempDir()
-		if err := Save(nil, dir, 1, []byte("first")); err != nil {
+		if err := Save(nil, 0, nil, dir, 1, []byte("first")); err != nil {
 			t.Fatal(err)
 		}
-		inj := faults.NewInjector(faults.OS{}, n)
-		err := Save(inj, dir, 2, []byte("second"))
+		inj := faults.CrashAt(faults.OS{}, n)
+		err := Save(nil, 0, inj, dir, 2, []byte("second"))
 		blob, seen, lerr := Latest(nil, dir)
 		if lerr != nil {
 			t.Fatalf("fault at op %d: Latest: %v", n, lerr)

@@ -100,19 +100,18 @@ func (d *Detector) Checks() int { return d.checks }
 // Alarms returns the number of drift events raised.
 func (d *Detector) Alarms() int { return d.alarms }
 
-// Reset drops the reference; the next observation installs a new one.
-// Alarm and check counters are preserved.
-func (d *Detector) Reset() { d.reference = nil }
-
 // Observe compares h to the reference. The first observation installs the
-// reference and reports no drift. On drift, the reference is replaced by h
-// (so subsequent windows are compared against the new regime) and the
-// drift distance is returned with drifted=true.
+// reference and reports no drift, as does a histogram whose span differs
+// from the reference's (while a window fills, its span grows between
+// observations): h becomes the new reference and no check is counted.
+// On drift, the reference is replaced by h (so subsequent windows are
+// compared against the new regime) and the drift distance is returned
+// with drifted=true.
 func (d *Detector) Observe(h *histogram.Histogram) (dist float64, drifted bool, err error) {
 	if err := h.Validate(); err != nil {
 		return 0, false, fmt.Errorf("drift: %w", err)
 	}
-	if d.reference == nil {
+	if d.reference == nil || !sameSpan(d.reference, h) {
 		d.reference = h.Clone()
 		return 0, false, nil
 	}
@@ -127,4 +126,10 @@ func (d *Detector) Observe(h *histogram.Histogram) (dist float64, drifted bool, 
 		return dist, true, nil
 	}
 	return dist, false, nil
+}
+
+func sameSpan(a, b *histogram.Histogram) bool {
+	as, ae := a.Span()
+	bs, be := b.Span()
+	return as == bs && ae == be
 }

@@ -110,6 +110,35 @@ func TestDetectorFirstObservationInstallsReference(t *testing.T) {
 	}
 }
 
+// TestDetectorReanchorsOnSpanChange: while a window fills, its
+// histogram's span grows between observations. A histogram of another
+// span than the reference's becomes the new reference, with no check
+// counted and no alarm, however different its values.
+func TestDetectorReanchorsOnSpanChange(t *testing.T) {
+	d, _ := NewDetector(5)
+	if _, _, err := d.Observe(mkHist(t, []float64{1, 1, 1, 1}, 2)); err != nil {
+		t.Fatal(err)
+	}
+	longer := mkHist(t, []float64{90, 90, 90, 90, 90, 90, 90, 90}, 2)
+	dist, drifted, err := d.Observe(longer)
+	if err != nil || drifted || dist != 0 {
+		t.Fatalf("span change: dist %v drifted %v err %v, want a silent re-anchor", dist, drifted, err)
+	}
+	if d.Checks() != 0 || d.Alarms() != 0 {
+		t.Errorf("span change counted: checks %d alarms %d", d.Checks(), d.Alarms())
+	}
+	if s, e := d.Reference().Span(); s != 0 || e != 7 {
+		t.Errorf("reference span [%d,%d], want the new [0,7]", s, e)
+	}
+	// A histogram of the same span is compared against the new reference.
+	if _, drifted, err := d.Observe(mkHist(t, []float64{90, 90, 90, 90, 91, 91, 91, 91}, 2)); err != nil || drifted {
+		t.Fatalf("same-span observation: drifted %v err %v", drifted, err)
+	}
+	if d.Checks() != 1 {
+		t.Errorf("Checks = %d after one comparison, want 1", d.Checks())
+	}
+}
+
 // TestDetectorOnLevelShift drives a fixed-window summary through a stream
 // with an abrupt level shift: the detector must stay quiet before the
 // shift, alarm as it crosses the window, then settle on the new regime.

@@ -100,11 +100,14 @@ type ruleState struct {
 
 // Chaos is a runtime fault-injection filesystem: a wrapper around an
 // inner FS that applies a mutable rule set to every mutating operation.
-// Unlike Injector — which models one crash and stays tripped — Chaos
-// models a sick-but-alive device: probabilistic errors, intermittent
-// fault windows, ENOSPC streaks, torn writes and injected latency,
-// driven by a seeded generator so a chaos schedule is reproducible from
-// its seed. Read-side operations always pass through.
+// Its rules model a crash (see CrashAt) or a sick-but-alive device:
+// probabilistic errors, intermittent fault windows, ENOSPC streaks, torn
+// writes and injected latency, driven by a seeded generator so a chaos
+// schedule is reproducible from its seed. Read-side operations always
+// pass through: after a crash, tests reopen the state through a fresh
+// FS. MkdirAll is idempotent setup and is not counted, and neither is
+// Close: closing neither persists nor loses data, and a crashed
+// process's descriptors are closed by the kernel anyway.
 //
 // Rules can be swapped at runtime (SetRules), so a test can alternate
 // healthy and faulty phases while the daemon under test keeps running.
@@ -122,6 +125,15 @@ type Chaos struct {
 // with seed. With no rules installed every operation passes through.
 func NewChaos(inner FS, seed int64) *Chaos {
 	return &Chaos{inner: inner, rng: rand.New(rand.NewSource(seed))}
+}
+
+// CrashAt wraps inner as the crash injector: the nth mutating operation
+// (1-based) and every one after it fail, and a failing Write first
+// writes half its buffer (a torn write). With no crash yet, Fired is 0.
+func CrashAt(inner FS, n int) *Chaos {
+	c := NewChaos(inner, 0)
+	c.SetRules(Rule{Ops: OpAll, Prob: 1, After: n - 1, Torn: true})
+	return c
 }
 
 // SetRules atomically replaces the rule set. Match accounting restarts:
@@ -259,7 +271,7 @@ func (c *Chaos) Truncate(name string, size int64) error {
 	return c.inner.Truncate(name, size)
 }
 
-// MkdirAll passes through (idempotent setup, as with Injector).
+// MkdirAll passes through (idempotent setup).
 func (c *Chaos) MkdirAll(name string, perm os.FileMode) error {
 	return c.inner.MkdirAll(name, perm)
 }
@@ -308,5 +320,5 @@ func (f *chaosFile) Sync() error {
 	return f.f.Sync()
 }
 
-// Close is never faulted, as with Injector.
+// Close is never faulted.
 func (f *chaosFile) Close() error { return f.f.Close() }

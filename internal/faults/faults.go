@@ -4,18 +4,17 @@
 // surviving on-disk state is correct at every crash point.
 //
 // Two implementations are provided: OS, a thin passthrough to the os
-// package, and Injector, a wrapper that counts mutating operations and
-// fails — optionally after a short write — at the Nth one, then keeps
-// failing, modelling a process that crashed mid-operation and never wrote
-// again.
+// package, and Chaos, a wrapper that applies a mutable set of fault
+// rules to every mutating operation. CrashAt configures a Chaos as the
+// crash injector: it fails — after a torn half-write, when the operation
+// is a Write — the Nth mutating operation and every one after it,
+// modelling a process that crashed mid-operation and never wrote again.
 package faults
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
-	"sync"
 )
 
 // File is the subset of *os.File the durability layer writes through.
@@ -93,161 +92,9 @@ func (OS) SyncDir(name string) error {
 // Stat stats via os.Stat.
 func (OS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
 
-// ErrInjected is returned by every faulted operation of an Injector.
+// ErrInjected is the error an injected fault returns unless its rule
+// names another.
 var ErrInjected = errors.New("faults: injected failure")
 
 // IsInjected reports whether err stems from an injected fault.
 func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
-
-// Injector wraps an FS and fails the Nth mutating operation — and every
-// mutating operation after it, modelling a crash. When the faulted
-// operation is a Write, half of the buffer is written first (a torn
-// write), exercising the WAL's tail-truncation path. Read operations
-// always pass through: after the "crash", tests reopen the state through
-// a fresh FS, but the injector's reads stay usable for debugging.
-//
-// Mutating operations counted: OpenFile with O_CREATE, Write, Sync,
-// Rename, Remove, Truncate, SyncDir. MkdirAll is idempotent setup and is
-// not counted.
-type Injector struct {
-	inner FS
-
-	mu        sync.Mutex
-	remaining int // ops until the fault fires; <0 disables injection
-	tripped   bool
-	ops       int // total mutating ops observed (attempted)
-}
-
-// NewInjector wraps inner, faulting the failAfter-th mutating operation
-// (1-based). failAfter < 0 disables injection, making the Injector a
-// pure operation counter.
-func NewInjector(inner FS, failAfter int) *Injector {
-	return &Injector{inner: inner, remaining: failAfter}
-}
-
-// Ops returns the number of mutating operations attempted so far.
-func (in *Injector) Ops() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops
-}
-
-// Tripped reports whether the fault has fired.
-func (in *Injector) Tripped() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.tripped
-}
-
-// op accounts one mutating operation and reports whether it must fail.
-func (in *Injector) op() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.ops++
-	if in.tripped {
-		return true
-	}
-	if in.remaining < 0 {
-		return false
-	}
-	in.remaining--
-	if in.remaining == 0 {
-		in.tripped = true
-		return true
-	}
-	return false
-}
-
-// OpenFile counts as mutating only when it may create the file.
-func (in *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if flag&os.O_CREATE != 0 {
-		if _, err := in.inner.Stat(name); err != nil {
-			// Creating a new file is a metadata write.
-			if in.op() {
-				return nil, fmt.Errorf("create %s: %w", name, ErrInjected)
-			}
-		}
-	}
-	f, err := in.inner.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &injectedFile{in: in, f: f, name: name}, nil
-}
-
-// ReadFile passes through.
-func (in *Injector) ReadFile(name string) ([]byte, error) { return in.inner.ReadFile(name) }
-
-// ReadDir passes through.
-func (in *Injector) ReadDir(name string) ([]fs.DirEntry, error) { return in.inner.ReadDir(name) }
-
-// Rename is mutating.
-func (in *Injector) Rename(oldname, newname string) error {
-	if in.op() {
-		return fmt.Errorf("rename %s: %w", oldname, ErrInjected)
-	}
-	return in.inner.Rename(oldname, newname)
-}
-
-// Remove is mutating.
-func (in *Injector) Remove(name string) error {
-	if in.op() {
-		return fmt.Errorf("remove %s: %w", name, ErrInjected)
-	}
-	return in.inner.Remove(name)
-}
-
-// Truncate is mutating.
-func (in *Injector) Truncate(name string, size int64) error {
-	if in.op() {
-		return fmt.Errorf("truncate %s: %w", name, ErrInjected)
-	}
-	return in.inner.Truncate(name, size)
-}
-
-// MkdirAll passes through (idempotent setup, not counted).
-func (in *Injector) MkdirAll(name string, perm os.FileMode) error {
-	return in.inner.MkdirAll(name, perm)
-}
-
-// SyncDir is mutating (it is the durability point of renames).
-func (in *Injector) SyncDir(name string) error {
-	if in.op() {
-		return fmt.Errorf("syncdir %s: %w", name, ErrInjected)
-	}
-	return in.inner.SyncDir(name)
-}
-
-// Stat passes through.
-func (in *Injector) Stat(name string) (fs.FileInfo, error) { return in.inner.Stat(name) }
-
-type injectedFile struct {
-	in   *Injector
-	f    File
-	name string
-}
-
-// Write fails at the fault point after writing half the buffer — the torn
-// write a real crash can leave behind.
-func (f *injectedFile) Write(p []byte) (int, error) {
-	if f.in.op() {
-		n := 0
-		if len(p) > 1 {
-			n, _ = f.f.Write(p[:len(p)/2])
-		}
-		return n, fmt.Errorf("write %s: %w", f.name, ErrInjected)
-	}
-	return f.f.Write(p)
-}
-
-// Sync is mutating (it is the durability point of writes).
-func (f *injectedFile) Sync() error {
-	if f.in.op() {
-		return fmt.Errorf("sync %s: %w", f.name, ErrInjected)
-	}
-	return f.f.Sync()
-}
-
-// Close is not counted: closing neither persists nor loses data, and a
-// crashed process's descriptors are closed by the kernel anyway.
-func (f *injectedFile) Close() error { return f.f.Close() }

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
+// The TestInjector tests check the crash injector CrashAt builds.
+
 func TestInjectorDisabledCountsOps(t *testing.T) {
 	dir := t.TempDir()
-	inj := NewInjector(OS{}, -1)
-	f, err := inj.OpenFile(filepath.Join(dir, "a"), os.O_WRONLY|os.O_CREATE, 0o644)
+	c := NewChaos(OS{}, 1)
+	f, err := c.OpenFile(filepath.Join(dir, "a"), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,22 +24,22 @@ func TestInjectorDisabledCountsOps(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := inj.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b")); err != nil {
+	if err := c.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b")); err != nil {
 		t.Fatal(err)
 	}
 	// create + write + sync + rename = 4 (close is free)
-	if got := inj.Ops(); got != 4 {
+	if got := c.Ops(); got != 4 {
 		t.Errorf("Ops = %d, want 4", got)
 	}
-	if inj.Tripped() {
-		t.Error("disabled injector tripped")
+	if c.Fired() != 0 {
+		t.Error("rule-less filesystem injected a fault")
 	}
 }
 
 func TestInjectorTripsAtNAndStaysTripped(t *testing.T) {
 	dir := t.TempDir()
-	inj := NewInjector(OS{}, 2)
-	f, err := inj.OpenFile(filepath.Join(dir, "a"), os.O_WRONLY|os.O_CREATE, 0o644) // op 1
+	c := CrashAt(OS{}, 2)
+	f, err := c.OpenFile(filepath.Join(dir, "a"), os.O_WRONLY|os.O_CREATE, 0o644) // op 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestInjectorTripsAtNAndStaysTripped(t *testing.T) {
 	} else if !IsInjected(err) {
 		t.Fatalf("wrong error: %v", err)
 	}
-	if !inj.Tripped() {
+	if c.Fired() == 0 {
 		t.Error("not tripped after fault")
 	}
 	// Everything mutating keeps failing: the process "crashed".
@@ -56,11 +58,11 @@ func TestInjectorTripsAtNAndStaysTripped(t *testing.T) {
 	if err := f.Sync(); err == nil {
 		t.Error("sync after trip succeeded")
 	}
-	if err := inj.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b")); err == nil {
+	if err := c.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b")); err == nil {
 		t.Error("rename after trip succeeded")
 	}
 	// Reads still pass through.
-	if _, err := inj.ReadFile(filepath.Join(dir, "a")); err != nil {
+	if _, err := c.ReadFile(filepath.Join(dir, "a")); err != nil {
 		t.Errorf("read after trip failed: %v", err)
 	}
 }
@@ -70,8 +72,8 @@ func TestInjectorTripsAtNAndStaysTripped(t *testing.T) {
 func TestInjectorShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")
-	inj := NewInjector(OS{}, 2)
-	f, err := inj.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644) // op 1
+	c := CrashAt(OS{}, 2)
+	f, err := c.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644) // op 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +96,18 @@ func TestOpenFileCountsOnlyCreation(t *testing.T) {
 	if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(OS{}, 1)
+	c := CrashAt(OS{}, 1)
 	// Opening an existing file, even with O_CREATE, is not a metadata write.
-	f, err := inj.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := c.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatalf("open of existing file faulted: %v", err)
 	}
 	f.Close()
-	if inj.Tripped() {
+	if c.Fired() != 0 {
 		t.Error("tripped without a mutating op")
 	}
 	// Creating a missing file is.
-	if _, err := inj.OpenFile(filepath.Join(dir, "new"), os.O_WRONLY|os.O_CREATE, 0o644); err == nil {
+	if _, err := c.OpenFile(filepath.Join(dir, "new"), os.O_WRONLY|os.O_CREATE, 0o644); err == nil {
 		t.Error("creation did not fault")
 	}
 }
@@ -117,8 +119,8 @@ func TestOpenFileCountsOnlyCreation(t *testing.T) {
 func TestInjectorSyncFaultLeavesWrittenBytes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")
-	inj := NewInjector(OS{}, 3)
-	f, err := inj.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644) // op 1
+	c := CrashAt(OS{}, 3)
+	f, err := c.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644) // op 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,23 +154,23 @@ func TestInjectorSyncDirFault(t *testing.T) {
 	if err := os.WriteFile(old, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(OS{}, 2)
-	if err := inj.Rename(old, new); err != nil { // op 1
+	c := CrashAt(OS{}, 2)
+	if err := c.Rename(old, new); err != nil { // op 1
 		t.Fatal(err)
 	}
-	if err := inj.SyncDir(dir); err == nil { // op 2: fault
+	if err := c.SyncDir(dir); err == nil { // op 2: fault
 		t.Fatal("syncdir did not fault")
 	} else if !IsInjected(err) {
 		t.Fatalf("wrong error: %v", err)
 	}
-	if !inj.Tripped() {
+	if c.Fired() == 0 {
 		t.Error("not tripped after syncdir fault")
 	}
 	// The rename itself reached the (possibly un-durable) directory.
 	if _, err := os.Stat(new); err != nil {
 		t.Errorf("renamed file missing after syncdir fault: %v", err)
 	}
-	if err := inj.SyncDir(dir); err == nil {
+	if err := c.SyncDir(dir); err == nil {
 		t.Error("syncdir after trip succeeded")
 	}
 }

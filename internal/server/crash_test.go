@@ -69,7 +69,7 @@ func openTolerant(t *testing.T, opts Options, fsys faults.FS) *Server {
 	t.Helper()
 	s, err := Open(opts)
 	if err != nil {
-		if inj, ok := fsys.(*faults.Injector); ok && inj.Tripped() {
+		if c, ok := fsys.(*faults.Chaos); ok && c.Fired() > 0 {
 			return nil
 		}
 		t.Fatalf("initial open: %v", err)
@@ -186,7 +186,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	const batchLen = 4
 
 	// Probe pass: no fault, count the mutating filesystem operations.
-	probe := faults.NewInjector(faults.OS{}, -1)
+	probe := faults.NewChaos(faults.OS{}, 1)
 	if acked := runWorkload(t, t.TempDir(), probe); acked != len(allValues) {
 		t.Fatalf("probe run acked %d of %d", acked, len(allValues))
 	}
@@ -199,9 +199,9 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	for n := 1; n <= total; n++ {
 		t.Run(fmt.Sprintf("op%03d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			inj := faults.NewInjector(faults.OS{}, n)
+			inj := faults.CrashAt(faults.OS{}, n)
 			acked := runWorkload(t, dir, inj)
-			if !inj.Tripped() {
+			if inj.Fired() == 0 {
 				t.Fatal("fault never fired")
 			}
 			// The crash: the first server is abandoned un-Closed. Restart
@@ -315,7 +315,7 @@ func TestCrashRecoveryExtendedMatrix(t *testing.T) {
 		return acked
 	}
 
-	probe := faults.NewInjector(faults.OS{}, -1)
+	probe := faults.NewChaos(faults.OS{}, 1)
 	if acked := run(t, t.TempDir(), probe); acked != len(allValues) {
 		t.Fatalf("probe run acked %d of %d", acked, len(allValues))
 	}
@@ -328,9 +328,9 @@ func TestCrashRecoveryExtendedMatrix(t *testing.T) {
 	for n := 1; n <= total; n++ {
 		t.Run(fmt.Sprintf("op%03d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			inj := faults.NewInjector(faults.OS{}, n)
+			inj := faults.CrashAt(faults.OS{}, n)
 			acked := run(t, dir, inj)
-			if !inj.Tripped() {
+			if inj.Fired() == 0 {
 				t.Fatal("fault never fired")
 			}
 			opts := crashOptions(dir, faults.OS{})
@@ -358,12 +358,13 @@ func TestCrashRecoveryExtendedMatrix(t *testing.T) {
 	}
 }
 
-// TestDiskFullAtRotate: ENOSPC exactly when the WAL starts a new
-// segment. The rotate failure strikes after the record is durable, so
-// the log end advances past the unapplied state and every later append
-// would be a gap — the breaker turns that into degraded mode, and the
-// re-anchor (fresh checkpoint + WAL reset) is what makes the log
-// appendable again once space returns.
+// TestDiskFullAtRotate: ENOSPC from the first time the WAL rolls to a
+// new segment. The batch that triggers the roll is already durable and
+// stays acknowledged; every later append fails before writing anything,
+// because the segment it needs cannot be created. The breaker turns
+// those failures into degraded mode, and the re-anchor (fresh
+// checkpoint + WAL reset) makes the log appendable again once space
+// returns.
 func TestDiskFullAtRotate(t *testing.T) {
 	dir := t.TempDir()
 	chaos := faults.NewChaos(faults.OS{}, 1)
@@ -471,7 +472,7 @@ func TestRestoreCrashPoints(t *testing.T) {
 
 	// Probe pass: no fault, count the mutating ops of open + restore.
 	dir := build(t)
-	probe := faults.NewInjector(faults.OS{}, -1)
+	probe := faults.NewChaos(faults.OS{}, 1)
 	if !run(t, dir, probe) {
 		t.Fatal("probe restore not acknowledged")
 	}
@@ -484,9 +485,9 @@ func TestRestoreCrashPoints(t *testing.T) {
 	for n := 1; n <= total; n++ {
 		t.Run(fmt.Sprintf("op%03d", n), func(t *testing.T) {
 			dir := build(t)
-			inj := faults.NewInjector(faults.OS{}, n)
+			inj := faults.CrashAt(faults.OS{}, n)
 			restored := run(t, dir, inj)
-			if !inj.Tripped() {
+			if inj.Fired() == 0 {
 				t.Fatal("fault never fired")
 			}
 			s2, err := Open(crashOptions(dir, faults.OS{}))

@@ -663,9 +663,10 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, key strin
 }
 
 // handleDrift compares the current window's histogram against the drift
-// reference (installed on the first call), returning the normalized L2
-// distance and whether the distribution drifted; on drift the reference
-// re-anchors to the current window.
+// reference (installed on the first call, and again while a filling
+// window's span grows), returning the normalized L2 distance and whether
+// the distribution drifted; on drift the reference re-anchors to the
+// current window.
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request, key string) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
@@ -681,15 +682,6 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request, key string)
 		res, err := st.FW.Histogram()
 		if err != nil {
 			return err
-		}
-		// While the window is still filling its span grows between calls;
-		// re-anchor rather than compare histograms of different extents.
-		if ref := st.Det.Reference(); ref != nil {
-			rs, re := ref.Span()
-			cs, ce := res.Histogram.Span()
-			if rs != cs || re != ce {
-				st.Det.Reset()
-			}
 		}
 		dist, drifted, derr = st.Det.Observe(res.Histogram)
 		alarms, checks = st.Det.Alarms(), st.Det.Checks()

@@ -55,21 +55,12 @@ func (t auditTarget) Staleness() float64 {
 	return 0
 }
 
-// DriftCheck mirrors the HTTP drift endpoint's observation discipline:
-// re-anchor rather than compare histograms of different spans (the
-// window is still filling), then run one detector observation against
-// the current window histogram.
+// DriftCheck runs one detector observation against the current window
+// histogram, as the HTTP drift endpoint does.
 func (t auditTarget) DriftCheck() (dist float64, drifted bool, alarms, checks int, err error) {
 	res, err := t.st.FW.Histogram()
 	if err != nil {
 		return 0, false, 0, 0, err
-	}
-	if ref := t.st.Det.Reference(); ref != nil {
-		rs, re := ref.Span()
-		cs, ce := res.Histogram.Span()
-		if rs != cs || re != ce {
-			t.st.Det.Reset()
-		}
 	}
 	dist, drifted, err = t.st.Det.Observe(res.Histogram)
 	return dist, drifted, t.st.Det.Alarms(), t.st.Det.Checks(), err

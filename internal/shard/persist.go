@@ -89,7 +89,7 @@ func (e *Engine) checkMeta() error {
 	return nil
 }
 
-// recover rebuilds this shard's streams from its stripe: open the keyed
+// recover rebuilds this shard's streams from its stripe: open the
 // WAL, load the newest checkpoint container, then replay the uncovered
 // log tail into every stream's summaries (the window push, then the same
 // drain a live ingest runs). Fixed windows restore exactly;
@@ -106,7 +106,6 @@ func (sh *shard) recover() error {
 	w, err := wal.Open(wal.Options{
 		Dir:             sh.dir,
 		FS:              fs,
-		Keyed:           true,
 		SegmentBytes:    sh.eng.cfg.SegmentBytes,
 		SyncEveryAppend: sh.eng.cfg.SyncEveryAppend,
 		Metrics:         sh.eng.cfg.Metrics,
@@ -239,7 +238,7 @@ func encodeContainerLocked(sh *shard, covered uint64) ([]byte, error) {
 //
 //lint:ignore mutex-discipline callers (Restore, probeAndReanchor) hold sh.mu
 func (sh *shard) saveContainer(blob []byte) error {
-	if err := checkpoint.SaveTracedCode(sh.tracer(), 0, uint8(sh.id), sh.eng.cfg.FS, sh.dir, sh.applied, blob); err != nil {
+	if err := checkpoint.Save(sh.tracer(), uint8(sh.id), sh.eng.cfg.FS, sh.dir, sh.applied, blob); err != nil {
 		return err
 	}
 	sh.cm().total.Inc()
@@ -282,7 +281,7 @@ func (sh *shard) checkpoint() error {
 	if !dirty {
 		return nil
 	}
-	if err := checkpoint.SaveTracedCode(sh.tracer(), 0, uint8(sh.id), sh.eng.cfg.FS, sh.dir, seen, blob); err != nil {
+	if err := checkpoint.Save(sh.tracer(), uint8(sh.id), sh.eng.cfg.FS, sh.dir, seen, blob); err != nil {
 		sh.cm().failures.Inc()
 		return err
 	}

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"streamhist/internal/faults"
 )
 
 // stripeSegments returns shard id's WAL segment file names, sorted.
@@ -148,4 +151,63 @@ func TestParallelRecoveryCrashMatrix(t *testing.T) {
 			t.Fatal("no test key routed to shard 0; matrix case did not exercise the missing stripe")
 		}
 	})
+}
+
+// TestFailedRollKeepsBatchAcknowledged: the roll to a new segment runs
+// after a batch is written and synced, so a failed roll must not fail
+// that batch. Were it failed, the stream's next batch would be planned
+// at the same positions and acknowledged, and recovery would replay the
+// failed batch and skip the acknowledged one as covered.
+func TestFailedRollKeepsBatchAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	chaos := faults.NewChaos(faults.OS{}, 1)
+	cfg := Config{Shards: 1, DataDir: dir, FS: chaos, SegmentBytes: 64, SyncEveryAppend: true, Factory: testFactory(t)}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first segment creation goes through; the second, the roll after
+	// the first batch, fails once.
+	chaos.SetRules(faults.Rule{Ops: faults.OpCreate, PathContains: "wal-", Prob: 1, After: 1, Count: 1})
+	var errs []error
+	var seen int64
+	for _, b := range [][]float64{{1, 2, 3, 4, 5, 6}, {7, 8, 9, 10, 11, 12}} {
+		s, _, err := e.Ingest("a", 0, b)
+		errs = append(errs, err)
+		if err == nil {
+			seen = s
+		}
+	}
+	if chaos.Fired() != 1 {
+		t.Fatalf("roll fault fired %d times, want 1", chaos.Fired())
+	}
+	var live []float64
+	if err := e.View("a", func(st *State) error {
+		live = st.FW.Window()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.Abort()
+
+	cfg.FS = faults.OS{}
+	e2, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	var got []float64
+	if err := e2.View("a", func(st *State) error {
+		got = st.FW.Window()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if e2.Seen("a") != seen || !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovered seen %d window %v, want the acknowledged seen %d window %v (ingest errors %v)",
+			e2.Seen("a"), got, seen, live, errs)
+	}
+	if errs[0] != nil {
+		t.Fatalf("batch already in the log failed by its roll: %v", errs[0])
+	}
 }

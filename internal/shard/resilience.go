@@ -134,7 +134,7 @@ func (sh *shard) probeAndReanchor() error {
 	if err := sh.saveContainer(blob); err != nil {
 		return fmt.Errorf("shard %d: reanchor: %w", sh.id, err)
 	}
-	if err := sh.w.Reset(0); err != nil {
+	if err := sh.w.Reset(); err != nil {
 		return fmt.Errorf("shard %d: reanchor wal reset: %w", sh.id, err)
 	}
 	sh.br.Success()

@@ -35,7 +35,7 @@
 // only.
 //
 // Durability is striped: shard i owns DataDir/shard-<i> with its own
-// keyed WAL (see internal/wal keyed mode) and its own checkpoint
+// WAL of keyed records (see internal/wal) and its own checkpoint
 // containers, so recovery replays all shards in parallel and one
 // tenant's failing stripe degrades only the shard it lives on.
 package shard
@@ -95,7 +95,7 @@ type Config struct {
 	// Factory builds the summary state for a newly created stream.
 	Factory Factory
 
-	// DataDir enables striped durability: shard i keeps its keyed WAL and
+	// DataDir enables striped durability: shard i keeps its WAL and
 	// checkpoints under DataDir/shard-<i>. Empty means memory-only.
 	DataDir string
 	// FS is the filesystem the durability layer writes through; nil means
@@ -667,7 +667,7 @@ func (e *Engine) Restore(key string, blob []byte) (seen int64, length int, err e
 		if serr := sh.saveContainer(container); serr != nil {
 			return 0, 0, fmt.Errorf("shard: checkpointing restored state: %w", serr)
 		}
-		if rerr := sh.w.Reset(0); rerr != nil {
+		if rerr := sh.w.Reset(); rerr != nil {
 			return 0, 0, fmt.Errorf("shard: resetting wal: %w", rerr)
 		}
 		sh.ckptGen = sh.dirtyGen

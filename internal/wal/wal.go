@@ -1,25 +1,28 @@
 // Package wal implements the write-ahead log that makes streamhistd's
-// sliding window durable. A sliding-window summary is exactly the state
+// fixed windows durable. A sliding-window summary is exactly the state
 // that cannot be recomputed after a fault — the stream is gone — so every
 // acknowledged ingest batch is framed, checksummed and appended here
-// before it is applied to the in-memory summaries.
+// before it is applied to the in-memory summaries. One log serves every
+// stream of a shard: each record carries its stream's key.
 //
 // Layout: the log is a sequence of segment files
 //
-//	wal-<seq>-<start>.log
+//	wal-<seq>-0000000000000000.log
 //
-// in a data directory, where seq orders the segments and start is the
-// stream position (total points seen) of the first value recorded in the
-// segment. Each segment begins with a 4-byte magic and the start position;
-// records follow as
+// in a data directory, where seq orders the segments. Each segment
+// begins with the 4-byte magic "SWK1" and an 8-byte segment start that,
+// like the name's second field, is always zero: stream positions are per
+// key and live in the records. Records follow as
 //
 //	uint32 payload length | uint32 CRC-32C(payload) | payload
+//	payload = uint8 flags | uint16 keyLen | key |
+//	          int64 per-key start | float64 values...
 //
-// with payload = int64 start position of the batch, then the batch's
-// float64 values, all little-endian. Records are contiguous in stream
-// position across segments, so a segment is garbage once a checkpoint
-// covers every position before its successor's start — TruncateBefore
-// deletes such segments by filename arithmetic alone.
+// all little-endian. flags bit 0 marks a tombstone (stream deleted; no
+// values follow the start). Garbage collection works by sequence number:
+// a checkpoint records the first sequence number it does NOT cover,
+// replay skips wholly covered segments, and DropSealedBefore deletes
+// them.
 //
 // Recovery tolerates exactly the damage a crash can cause: a torn or
 // half-written record at the tail of the last segment, which Open
@@ -46,12 +49,17 @@ import (
 )
 
 const (
-	magic     = "SWL1"
-	headerLen = len(magic) + 8 // magic + segment start position
+	magic     = "SWK1"
+	headerLen = len(magic) + 8 // magic + an always-zero segment start
 	recHdrLen = 8              // payload length + CRC
+	// recFixed is the fixed payload overhead: flags, keyLen, start.
+	recFixed = 1 + 2 + 8
+	// MaxKeyLen bounds stream keys so a record's key length prefix cannot
+	// be abused and segment scans stay cheap.
+	MaxKeyLen = 256
 	// maxPayload bounds a record so a corrupt length prefix cannot drive a
 	// huge allocation: 1M values per batch is far beyond any HTTP ingest.
-	maxPayload = 8 + 8*(1<<20)
+	maxPayload = recFixed + MaxKeyLen + 8*(1<<20)
 	// DefaultSegmentBytes is the rotation threshold when Options leaves it 0.
 	DefaultSegmentBytes = 4 << 20
 )
@@ -67,9 +75,9 @@ type Options struct {
 	// SegmentBytes is the size at which the active segment is sealed and a
 	// new one started; 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// SyncEveryAppend fsyncs after each Append. When false the OS decides
-	// when buffered records reach disk, and a crash may lose the un-fsynced
-	// suffix of acknowledged batches.
+	// SyncEveryAppend fsyncs after each AppendBatch. When false the OS
+	// decides when buffered records reach disk, and a crash may lose the
+	// un-fsynced suffix of acknowledged batches.
 	SyncEveryAppend bool
 	// Metrics receives the log's instrumentation (appends, bytes, fsync
 	// latency, segment rolls); nil disables it.
@@ -77,32 +85,26 @@ type Options struct {
 	// Trace receives per-append and per-fsync flight-recorder events;
 	// nil disables it.
 	Trace *trace.Recorder
-	// Keyed selects the multi-stream record format (see keyed.go): records
-	// carry a stream key and per-key positions instead of one global
-	// contiguous position. A keyed log accepts AppendBatch/ReplayKeyed and
-	// rejects the single-stream Append/Replay, and vice versa; the two
-	// formats use distinct magics so opening a directory in the wrong mode
-	// fails loudly instead of misparsing.
+	// Keyed is ignored: every log uses the keyed record format.
+	//
+	// Deprecated: leave it unset.
 	Keyed bool
 }
 
-// WAL is an open write-ahead log. Methods are safe for concurrent use;
-// the caller additionally serializes Append ordering (records must be
-// contiguous in stream position) — streamhistd appends under its state
-// mutex while the checkpoint loop rotates and truncates concurrently.
+// WAL is an open write-ahead log. Methods are safe for concurrent use:
+// the shard loop appends while its checkpoint loop rotates and drops
+// covered segments.
 type WAL struct {
 	mu        sync.Mutex
 	dir       string
 	fs        faults.FS
 	segBytes  int64
 	syncEvery bool
-	keyed     bool
 
 	segs    []segment // sorted by seq; last is the active one (if any)
 	cur     faults.File
 	curSize int64
 	nextSeq uint64
-	lastEnd int64 // stream position after the last record; -1 = empty log
 	// repair is the size to truncate the active segment back to before
 	// the next append, after a failed write left a torn (or un-fsyncable)
 	// record at its tail; -1 means the tail is clean.
@@ -135,9 +137,25 @@ func newWALMetrics(reg *obs.Registry) walMetrics {
 }
 
 type segment struct {
-	name  string
-	seq   uint64
-	start int64
+	name string
+	seq  uint64
+}
+
+// KeyedRecord is one durable batch (or tombstone) for one stream.
+type KeyedRecord struct {
+	// Key names the stream. Must be non-empty and at most MaxKeyLen bytes.
+	Key string
+	// Start is the stream's per-key position (points seen before this
+	// batch). Zero for tombstones.
+	Start int64
+	// Values is the batch; nil for tombstones.
+	Values []float64
+	// Delete marks a tombstone: the stream was deleted at this point in
+	// the log. Replay must drop the stream's accumulated state.
+	Delete bool
+	// Parent is the trace span the record's append event is attributed
+	// to; not serialized.
+	Parent trace.SpanID
 }
 
 // Open scans dir, truncates a torn tail off the last segment, and
@@ -158,23 +176,20 @@ func Open(opts Options) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sweep out segments whose header never finished writing. Records
-	// are only ever written after the header is complete, so a
-	// bad-header file is a failed creation — garbage left by a crash or
-	// full disk mid-create. It may even share a sequence number with a
-	// real segment (creation failures don't consume sequence numbers),
-	// which would scramble replay order if it were kept.
-	wantMagic := magic
-	if opts.Keyed {
-		wantMagic = keyedMagic
-	}
+	// Sweep out segments whose header never finished writing (or is not
+	// this format's). Records are only ever written after the header is
+	// complete, so a bad-header file is a failed creation — garbage left
+	// by a crash or full disk mid-create. It may even share a sequence
+	// number with a real segment (creation failures don't consume
+	// sequence numbers), which would scramble replay order if it were
+	// kept.
 	kept := segs[:0]
 	for _, seg := range segs {
 		data, err := fsys.ReadFile(filepath.Join(opts.Dir, seg.name))
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		if len(data) >= headerLen && string(data[:len(magic)]) == wantMagic {
+		if len(data) >= headerLen && string(data[:len(magic)]) == magic {
 			kept = append(kept, seg)
 			continue
 		}
@@ -182,28 +197,13 @@ func Open(opts Options) (*WAL, error) {
 			return nil, fmt.Errorf("wal: discarding torn segment %s: %w", seg.name, err)
 		}
 	}
-	segs = kept
-	w := &WAL{dir: opts.Dir, fs: fsys, segBytes: segBytes, syncEvery: opts.SyncEveryAppend, keyed: opts.Keyed, segs: segs, lastEnd: -1, repair: -1, m: newWALMetrics(opts.Metrics), tr: opts.Trace}
-	w.m.segments.Set(float64(len(segs)))
-	if n := len(segs); n > 0 {
-		w.nextSeq = segs[n-1].seq + 1
-	}
-	for len(w.segs) > 0 {
-		err := w.openLast()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, errBadHeader) {
+	w := &WAL{dir: opts.Dir, fs: fsys, segBytes: segBytes, syncEvery: opts.SyncEveryAppend, segs: kept, repair: -1, m: newWALMetrics(opts.Metrics), tr: opts.Trace}
+	w.m.segments.Set(float64(len(kept)))
+	if n := len(kept); n > 0 {
+		w.nextSeq = kept[n-1].seq + 1
+		if err := w.openLast(); err != nil {
 			return nil, err
 		}
-		// A crash during segment creation tore the header before any
-		// record could exist: the file is garbage, fall back to the
-		// previous segment.
-		last := w.segs[len(w.segs)-1]
-		if rerr := w.fs.Remove(filepath.Join(w.dir, last.name)); rerr != nil {
-			return nil, fmt.Errorf("wal: discarding torn segment %s: %w", last.name, rerr)
-		}
-		w.segs = w.segs[:len(w.segs)-1]
 	}
 	return w, nil
 }
@@ -220,12 +220,7 @@ func (w *WAL) openLast() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var valid, end int64
-	if w.keyed {
-		valid, err = scanKeyedSegment(data, nil)
-	} else {
-		valid, end, err = scanSegment(data, last.start, nil)
-	}
+	valid, err := scanSegment(data, nil)
 	if err != nil {
 		return fmt.Errorf("wal: segment %s: %w", last.name, err)
 	}
@@ -240,18 +235,7 @@ func (w *WAL) openLast() error {
 	}
 	w.cur = f
 	w.curSize = valid
-	// end is the segment's start when it holds no records, which still
-	// pins the position the next Append must continue from.
-	w.lastEnd = end
 	return nil
-}
-
-// End returns the stream position after the last durable record, or -1
-// when the log is empty and unpinned (a first Append chooses the start).
-func (w *WAL) End() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastEnd
 }
 
 // SizeBytes returns the bytes the log occupies on disk: sealed segment
@@ -274,37 +258,31 @@ func (w *WAL) SizeBytes() int64 {
 	return total
 }
 
-// Append records that values were ingested starting at stream position
-// start (start = points seen before the batch). It fails if start does
-// not continue the log, and fsyncs before returning when configured.
-// A failed append leaves at most a torn tail that recovery truncates.
-func (w *WAL) Append(start int64, values []float64) error {
-	return w.AppendCtx(0, start, values)
-}
-
-// AppendCtx is Append with trace context: the recorded append and fsync
-// events are parented to the given span (0 = root). With no recorder
-// attached it is exactly Append.
-func (w *WAL) AppendCtx(parent trace.SpanID, start int64, values []float64) error {
-	if w.keyed {
-		return errKeyedMode
-	}
-	if len(values) == 0 {
+// AppendBatch appends a group of records as one write and (when
+// configured) one fsync — the shard loop's group commit. Either the whole
+// batch becomes durable or none of it does: any write or sync error
+// poisons the active segment back to its pre-batch size, so no record of
+// a failed batch survives recovery.
+func (w *WAL) AppendBatch(recs []KeyedRecord) error {
+	if len(recs) == 0 {
 		return nil
 	}
 	tstart := w.tr.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.lastEnd >= 0 && start != w.lastEnd {
-		return fmt.Errorf("wal: append at %d does not continue log end %d", start, w.lastEnd)
+	var buf []byte
+	for _, r := range recs {
+		if r.Key == "" || len(r.Key) > MaxKeyLen {
+			return fmt.Errorf("wal: bad stream key %q", r.Key)
+		}
+		buf = appendRecord(buf, r)
 	}
 	if w.cur == nil {
-		if err := w.reopenOrCreate(start); err != nil {
+		if err := w.reopenOrCreate(); err != nil {
 			return err
 		}
 	}
-	rec := encodeRecord(start, values)
-	if _, err := w.cur.Write(rec); err != nil {
+	if _, err := w.cur.Write(buf); err != nil {
 		// The tail is torn. Remember the clean size so a later append can
 		// truncate the tear away; until then the handle stays poisoned so
 		// nothing writes past it. (If the process dies first, recovery
@@ -316,27 +294,31 @@ func (w *WAL) AppendCtx(parent trace.SpanID, start int64, values []float64) erro
 		fsyncStart := w.m.fsync.Start()
 		trSyncStart := w.tr.Now()
 		if err := w.cur.Sync(); err != nil {
-			// The record reached the file but not durably; it was not
-			// acknowledged, so drop it entirely rather than let the log-end
-			// position diverge from the applied state.
+			// The batch reached the file but not durably; it is not
+			// acknowledged, so drop it entirely.
 			w.poison(w.curSize)
 			return fmt.Errorf("wal: %w", err)
 		}
 		w.m.fsync.ObserveSince(fsyncStart)
 		if w.tr != nil {
-			w.tr.Instant(trace.EvWALSync, 0, parent, time.Duration(w.tr.Now()-trSyncStart), 0, 0)
+			w.tr.Instant(trace.EvWALSync, 0, recs[0].Parent, time.Duration(w.tr.Now()-trSyncStart), 0, 0)
 		}
 	}
-	// Only now is the record part of the log.
-	w.curSize += int64(len(rec))
-	w.lastEnd = start + int64(len(values))
-	w.m.appends.Inc()
-	w.m.bytes.Add(int64(len(rec)))
-	if w.tr != nil {
-		w.tr.Instant(trace.EvWALAppend, 0, parent, time.Duration(w.tr.Now()-tstart), int64(len(rec)), int64(len(values)))
+	// Only now is the batch part of the log.
+	w.curSize += int64(len(buf))
+	for _, r := range recs {
+		w.m.appends.Inc()
+		if w.tr != nil {
+			recLen := int64(recHdrLen + recFixed + len(r.Key) + 8*len(r.Values))
+			w.tr.Instant(trace.EvWALAppend, 0, r.Parent, time.Duration(w.tr.Now()-tstart), recLen, int64(len(r.Values)))
+		}
 	}
+	w.m.bytes.Add(int64(len(buf)))
 	if w.curSize >= w.segBytes {
-		return w.rotate(w.lastEnd)
+		// The batch is already in the log, so a failed roll must not fail
+		// it: the active segment is left closed, and the next append
+		// creates its successor or fails before writing anything.
+		_ = w.rotate()
 	}
 	return nil
 }
@@ -349,8 +331,8 @@ func (w *WAL) poison(size int64) {
 }
 
 // reopenOrCreate restores an appendable active segment: repair a torn
-// tail left by a failed append, or start a fresh segment at start.
-func (w *WAL) reopenOrCreate(start int64) error {
+// tail left by a failed append, or start a fresh segment.
+func (w *WAL) reopenOrCreate() error {
 	if w.repair >= 0 && len(w.segs) > 0 {
 		last := w.segs[len(w.segs)-1]
 		path := filepath.Join(w.dir, last.name)
@@ -365,29 +347,16 @@ func (w *WAL) reopenOrCreate(start int64) error {
 		return nil
 	}
 	w.repair = -1
-	return w.newSegment(start)
+	return w.newSegment()
 }
 
-// Sync flushes the active segment to disk.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cur == nil {
-		return nil
-	}
-	if err := w.cur.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
-}
-
-// Rotate seals the active segment so TruncateBefore can later delete it,
-// starting a fresh segment pinned at the log's end. Rotating an empty or
-// record-less log is a no-op.
+// Rotate seals the active segment so DropSealedBefore can later delete
+// it, starting a fresh one. Rotating an empty or record-less log is a
+// no-op.
 func (w *WAL) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.lastEnd < 0 || (w.cur != nil && w.curSize <= int64(headerLen)) {
+	if len(w.segs) == 0 || (w.cur != nil && w.curSize <= int64(headerLen)) {
 		return nil
 	}
 	if w.repair >= 0 {
@@ -395,22 +364,23 @@ func (w *WAL) Rotate() error {
 		// into a non-last segment. Let the next append repair it first.
 		return nil
 	}
-	return w.rotate(w.lastEnd)
+	return w.rotate()
 }
 
-// Reset discards every segment and pins a fresh log at stream position
-// start. Used when the daemon's state is replaced wholesale (POST
-// /restore) after the new state has been checkpointed durably.
-func (w *WAL) Reset(start int64) error {
+// Reset discards every segment and starts a fresh log. Used when a
+// shard's state is replaced wholesale (a restore or a re-anchor) after
+// the new state has been checkpointed durably.
+func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.closeCur()
 	// Remove every segment file on disk, not just the tracked ones: a
-	// failed creation leaves an untracked bad-header file whose name can
-	// collide with the fresh log's first segment (O_EXCL), wedging the
-	// very reset that is supposed to heal the log. Removal stays
-	// best-effort; a leftover the sweep can't delete surfaces as a
-	// newSegment error and the caller retries.
+	// creation that failed and could not remove its file leaves an
+	// untracked bad-header file whose name can collide with the fresh
+	// log's first segment (O_EXCL), wedging the very reset that is
+	// supposed to heal the log. Removal stays best-effort; a leftover the
+	// sweep can't delete surfaces as a newSegment error and the caller
+	// retries.
 	if segs, err := listSegments(w.fs, w.dir); err == nil {
 		for _, seg := range segs {
 			_ = w.fs.Remove(filepath.Join(w.dir, seg.name))
@@ -421,12 +391,11 @@ func (w *WAL) Reset(start int64) error {
 		}
 	}
 	w.segs = w.segs[:0]
-	w.lastEnd = -1
 	w.repair = -1
-	return w.newSegment(start)
+	return w.newSegment()
 }
 
-func (w *WAL) rotate(nextStart int64) error {
+func (w *WAL) rotate() error {
 	if w.cur != nil {
 		if err := w.cur.Sync(); err != nil {
 			w.closeCur()
@@ -434,7 +403,7 @@ func (w *WAL) rotate(nextStart int64) error {
 		}
 		w.closeCur()
 	}
-	return w.newSegment(nextStart)
+	return w.newSegment()
 }
 
 func (w *WAL) closeCur() {
@@ -446,64 +415,58 @@ func (w *WAL) closeCur() {
 	}
 }
 
-// newSegment creates and opens segment (nextSeq, start).
-func (w *WAL) newSegment(start int64) error {
-	name := fmt.Sprintf("wal-%016x-%016x.log", w.nextSeq, uint64(start))
+// newSegment creates and opens segment nextSeq.
+func (w *WAL) newSegment() error {
+	name := fmt.Sprintf("wal-%016x-0000000000000000.log", w.nextSeq)
 	path := filepath.Join(w.dir, name)
 	f, err := w.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	hdr := make([]byte, headerLen)
-	if w.keyed {
-		copy(hdr, keyedMagic)
-	} else {
-		copy(hdr, magic)
+	copy(hdr, magic)
+	_, err = f.Write(hdr)
+	if err == nil && w.syncEvery {
+		if err = f.Sync(); err == nil {
+			err = w.fs.SyncDir(w.dir)
+		}
 	}
-	binary.LittleEndian.PutUint64(hdr[len(magic):], uint64(start))
-	if _, err := f.Write(hdr); err != nil {
+	if err != nil {
+		// The file holds no record yet. The retry reuses this sequence
+		// number and so this name, so remove it (best effort; Open and
+		// Reset sweep what this misses).
 		_ = f.Close()
+		_ = w.fs.Remove(path)
 		return fmt.Errorf("wal: %w", err)
 	}
-	if w.syncEvery {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-		if err := w.fs.SyncDir(w.dir); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	w.segs = append(w.segs, segment{name: name, seq: w.nextSeq, start: start})
+	w.segs = append(w.segs, segment{name: name, seq: w.nextSeq})
 	w.nextSeq++
 	w.m.rolls.Inc()
 	w.m.segments.Set(float64(len(w.segs)))
 	w.cur = f
 	w.curSize = int64(headerLen)
-	if w.lastEnd < 0 {
-		w.lastEnd = start
-	}
 	return nil
 }
 
-// Replay streams every durable record in order to fn. Call it after Open
-// and before the first Append. A torn tail is only legal in the last
-// segment (Open already removed it); corruption in a sealed segment is an
-// error.
-func (w *WAL) Replay(fn func(start int64, values []float64) error) error {
-	if w.keyed {
-		return errKeyedMode
-	}
+// ReplayKeyed streams every durable record in log order to fn, wholesale
+// skipping segments whose sequence number is below coveredSeq (those a
+// checkpoint already covers — their files are not even read). Call it
+// after Open and before the first AppendBatch. A torn tail is only legal
+// in the last segment (Open already removed it); corruption in a sealed
+// segment is an error.
+func (w *WAL) ReplayKeyed(coveredSeq uint64, fn func(KeyedRecord) error) error {
 	w.mu.Lock()
 	segs := append([]segment(nil), w.segs...)
 	w.mu.Unlock()
 	for i, seg := range segs {
+		if seg.seq < coveredSeq {
+			continue
+		}
 		data, err := w.fs.ReadFile(filepath.Join(w.dir, seg.name))
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		valid, _, err := scanSegment(data, seg.start, fn)
+		valid, err := scanSegment(data, fn)
 		if err != nil {
 			return fmt.Errorf("wal: segment %s: %w", seg.name, err)
 		}
@@ -514,29 +477,43 @@ func (w *WAL) Replay(fn func(start int64, values []float64) error) error {
 	return nil
 }
 
-// TruncateBefore deletes sealed segments every record of which lies below
-// stream position seen — those fully covered by a durable checkpoint. The
-// active segment is never deleted.
-func (w *WAL) TruncateBefore(seen int64) error {
-	if w.keyed {
-		// Keyed segments all carry start 0; the filename arithmetic below
-		// would delete live data. Keyed logs truncate by sequence number.
-		return errKeyedMode
-	}
+// ActiveSeq returns the active segment's sequence number, or the next
+// sequence number to be assigned when the log has no segments yet. A
+// checkpoint taken now covers every sealed segment below this value; the
+// active segment may still gain records after the checkpoint, so replay
+// must not skip it.
+func (w *WAL) ActiveSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// Segment i spans [segs[i].start, segs[i+1].start); the active (last)
-	// segment always stays.
+	if n := len(w.segs); n > 0 {
+		return w.segs[n-1].seq
+	}
+	return w.nextSeq
+}
+
+// NextSeq returns the sequence number the NEXT segment will get: every
+// existing segment, active one included, is below it. A restore that is
+// about to Reset the log records this as its covered sequence so replay
+// skips everything predating the reset.
+func (w *WAL) NextSeq() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.nextSeq
+}
+
+// DropSealedBefore deletes sealed segments with sequence numbers below
+// seq — those fully covered by a durable checkpoint. The active (last)
+// segment is never deleted. Removal failures keep the segment: a leftover
+// only costs disk, since replay skips covered sequence numbers anyway.
+func (w *WAL) DropSealedBefore(seq uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	kept := w.segs[:0]
 	for i, seg := range w.segs {
-		if i+1 < len(w.segs) && w.segs[i+1].start <= seen {
-			if err := w.fs.Remove(filepath.Join(w.dir, seg.name)); err != nil {
-				// Keep it; a leftover segment only costs disk — replay skips
-				// records a checkpoint already covers.
-				kept = append(kept, seg)
+		if i+1 < len(w.segs) && seg.seq < seq {
+			if err := w.fs.Remove(filepath.Join(w.dir, seg.name)); err == nil {
 				continue
 			}
-			continue
 		}
 		kept = append(kept, seg)
 	}
@@ -564,42 +541,47 @@ func (w *WAL) Close() error {
 	return nil
 }
 
-// encodeRecord frames one batch as a single buffer so it is written with
-// one Write call: a crash mid-call tears this record only.
-func encodeRecord(start int64, values []float64) []byte {
-	payloadLen := 8 + 8*len(values)
-	rec := make([]byte, recHdrLen+payloadLen)
-	payload := rec[recHdrLen:]
-	binary.LittleEndian.PutUint64(payload, uint64(start))
-	for i, v := range values {
-		binary.LittleEndian.PutUint64(payload[8+8*i:], math.Float64bits(v))
+// appendRecord frames one record onto buf. A batch is framed into one
+// buffer so it is written with one Write call: a crash mid-call tears
+// only the tail of the batch.
+func appendRecord(buf []byte, r KeyedRecord) []byte {
+	payloadLen := recFixed + len(r.Key) + 8*len(r.Values)
+	off := len(buf)
+	buf = append(buf, make([]byte, recHdrLen+payloadLen)...)
+	payload := buf[off+recHdrLen:]
+	flags := byte(0)
+	if r.Delete {
+		flags |= 1
 	}
-	binary.LittleEndian.PutUint32(rec, uint32(payloadLen))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, castagnoli))
-	return rec
+	payload[0] = flags
+	binary.LittleEndian.PutUint16(payload[1:], uint16(len(r.Key)))
+	copy(payload[3:], r.Key)
+	binary.LittleEndian.PutUint64(payload[3+len(r.Key):], uint64(r.Start))
+	vals := payload[recFixed+len(r.Key):]
+	for i, v := range r.Values {
+		binary.LittleEndian.PutUint64(vals[8*i:], math.Float64bits(v))
+	}
+	binary.LittleEndian.PutUint32(buf[off:], uint32(payloadLen))
+	binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(payload[:payloadLen], castagnoli))
+	return buf
 }
 
 // scanSegment parses a segment image, invoking fn (when non-nil) per
-// record. It returns the length of the valid prefix and the stream
-// position after the last valid record (segStart when there are none).
-// A malformed header is an error; a short or checksum-failing tail merely
-// ends the valid prefix (the torn-tail case).
-func scanSegment(data []byte, segStart int64, fn func(start int64, values []float64) error) (valid int64, end int64, err error) {
+// record. It returns the length of the valid prefix. A malformed header
+// is an error; a short, checksum-failing or structurally corrupt tail
+// merely ends the valid prefix (the torn-tail case).
+func scanSegment(data []byte, fn func(KeyedRecord) error) (valid int64, err error) {
 	if len(data) < headerLen || string(data[:len(magic)]) != magic {
-		return 0, 0, errBadHeader
-	}
-	if got := int64(binary.LittleEndian.Uint64(data[len(magic):])); got != segStart {
-		return 0, 0, fmt.Errorf("segment start %d does not match filename start %d", got, segStart)
+		return 0, errBadHeader
 	}
 	off := headerLen
-	end = segStart
 	for {
 		if len(data)-off < recHdrLen {
 			break // torn record header (or clean EOF)
 		}
 		payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
 		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if payloadLen < 8 || payloadLen > maxPayload || (payloadLen-8)%8 != 0 {
+		if payloadLen < recFixed+1 || payloadLen > maxPayload {
 			break // corrupt length: treat as tear
 		}
 		if len(data)-off-recHdrLen < payloadLen {
@@ -609,20 +591,32 @@ func scanSegment(data []byte, segStart int64, fn func(start int64, values []floa
 		if crc32.Checksum(payload, castagnoli) != sum {
 			break // torn or corrupt payload
 		}
-		start := int64(binary.LittleEndian.Uint64(payload))
+		keyLen := int(binary.LittleEndian.Uint16(payload[1:]))
+		if keyLen == 0 || keyLen > MaxKeyLen ||
+			payloadLen < recFixed+keyLen ||
+			(payloadLen-recFixed-keyLen)%8 != 0 {
+			break // structurally corrupt record: treat as tear
+		}
 		if fn != nil {
-			values := make([]float64, (payloadLen-8)/8)
-			for i := range values {
-				values[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8+8*i:]))
+			rec := KeyedRecord{
+				Key:    string(payload[3 : 3+keyLen]),
+				Start:  int64(binary.LittleEndian.Uint64(payload[3+keyLen:])),
+				Delete: payload[0]&1 != 0,
 			}
-			if err := fn(start, values); err != nil {
-				return int64(off), end, err
+			if n := (payloadLen - recFixed - keyLen) / 8; n > 0 && !rec.Delete {
+				rec.Values = make([]float64, n)
+				vals := payload[recFixed+keyLen:]
+				for i := range rec.Values {
+					rec.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
+				}
+			}
+			if err := fn(rec); err != nil {
+				return int64(off), err
 			}
 		}
-		end = start + int64((payloadLen-8)/8)
 		off += recHdrLen + payloadLen
 	}
-	return int64(off), end, nil
+	return int64(off), nil
 }
 
 // listSegments returns dir's segments sorted by sequence number.
@@ -641,13 +635,8 @@ func listSegments(fsys faults.FS, dir string) ([]segment, error) {
 		if _, err := fmt.Sscanf(name, "wal-%016x-%016x.log", &seq, &start); err != nil {
 			continue
 		}
-		segs = append(segs, segment{name: name, seq: seq, start: int64(start)})
+		segs = append(segs, segment{name: name, seq: seq})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	for i := 1; i < len(segs); i++ {
-		if segs[i].start < segs[i-1].start {
-			return nil, fmt.Errorf("wal: segments %s and %s out of order", segs[i-1].name, segs[i].name)
-		}
-	}
 	return segs, nil
 }

@@ -1,31 +1,50 @@
 package wal
 
 import (
-	"errors"
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamhist/internal/faults"
 )
 
-type rec struct {
-	start  int64
-	values []float64
-}
-
-func replayAll(t *testing.T, w *WAL) []rec {
+func replayKeyedAll(t *testing.T, w *WAL, coveredSeq uint64) []KeyedRecord {
 	t.Helper()
-	var out []rec
-	if err := w.Replay(func(start int64, values []float64) error {
-		out = append(out, rec{start, append([]float64(nil), values...)})
+	var out []KeyedRecord
+	if err := w.ReplayKeyed(coveredSeq, func(r KeyedRecord) error {
+		r.Values = append([]float64(nil), r.Values...)
+		out = append(out, r)
 		return nil
 	}); err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatalf("replay keyed: %v", err)
 	}
 	return out
+}
+
+// segmentNames lists the files in dir.
+func segmentNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+func appendOne(t *testing.T, w *WAL, r KeyedRecord) {
+	t.Helper()
+	if err := w.AppendBatch([]KeyedRecord{r}); err != nil {
+		t.Fatalf("append %+v: %v", r, err)
+	}
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -34,18 +53,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := []rec{
-		{0, []float64{1, 2, 3}},
-		{3, []float64{4.5}},
-		{4, []float64{-1, 0.25, 1e9, -2.5}},
+	recs := []KeyedRecord{
+		{Key: "a", Start: 0, Values: []float64{1, 2, 3}},
+		{Key: strings.Repeat("k", MaxKeyLen), Start: 0, Values: []float64{4.5}},
+		{Key: "a", Start: 3, Values: []float64{-1, 0.25, 1e9, -2.5}},
 	}
-	for _, b := range batches {
-		if err := w.Append(b.start, b.values); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	if got := w.End(); got != 8 {
-		t.Errorf("End = %d, want 8", got)
+	for _, r := range recs {
+		appendOne(t, w, r)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -55,63 +69,148 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := replayAll(t, w2); !reflect.DeepEqual(got, batches) {
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, recs) {
+		t.Errorf("replay = %+v, want %+v", got, recs)
+	}
+	// Appends continue the reopened active segment.
+	more := KeyedRecord{Key: "a", Start: 7, Values: []float64{9}}
+	appendOne(t, w2, more)
+	if got := segmentNames(t, dir); len(got) != 1 {
+		t.Errorf("segments after reopen and append = %v, want one", got)
+	}
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, append(recs, more)) {
+		t.Errorf("replay after reopen and append = %+v", got)
+	}
+}
+
+func TestKeyedAppendReplayRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := []KeyedRecord{
+		{Key: "alpha", Start: 0, Values: []float64{1, 2, 3}},
+		{Key: "beta", Start: 0, Values: []float64{4.5}},
+		{Key: "alpha", Start: 3, Values: []float64{-1, 0.25, 1e9}},
+		{Key: "beta", Start: 1, Delete: true},
+	}
+	// Two records in one batch (group commit), then two single appends.
+	if err := w.AppendBatch(batches[:2]); err != nil {
+		t.Fatalf("append batch: %v", err)
+	}
+	for _, r := range batches[2:] {
+		appendOne(t, w, r)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, batches) {
 		t.Errorf("replay = %+v, want %+v", got, batches)
 	}
-	if got := w2.End(); got != 8 {
-		t.Errorf("reopened End = %d, want 8", got)
+}
+
+// TestSegmentBytesPinned pins the on-disk format: the name and exact
+// bytes of the segment a fixed group commit and a tombstone leave, so
+// data directories written by earlier builds keep opening.
+func TestSegmentBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Appends continue where the log left off.
-	if err := w2.Append(5, []float64{9}); err == nil {
-		t.Error("non-contiguous append accepted")
+	if err := w.AppendBatch([]KeyedRecord{
+		{Key: "a", Start: 0, Values: []float64{1, -2.5}},
+		{Key: "bc", Start: 7, Values: []float64{0.125}},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if err := w2.Append(8, []float64{9}); err != nil {
-		t.Errorf("contiguous append after reopen: %v", err)
+	appendOne(t, w, KeyedRecord{Key: "a", Delete: true})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const name = "wal-0000000000000000-0000000000000000.log"
+	const want = "53574b31" + "0000000000000000" + // magic, segment start 0
+		// length, CRC, flags, keyLen, key, start, values
+		"1c000000" + "8d964846" + "00" + "0100" + "61" + "0000000000000000" + "000000000000f03f" + "00000000000004c0" +
+		"15000000" + "12d7fbbe" + "00" + "0200" + "6263" + "0700000000000000" + "000000000000c03f" +
+		"0c000000" + "d75e8b42" + "01" + "0100" + "61" + "0000000000000000"
+	if got := segmentNames(t, dir); len(got) != 1 || got[0] != name {
+		t.Fatalf("segments = %v, want [%s]", got, name)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("segment bytes\n got %s\nwant %s", got, want)
 	}
 }
 
 func TestEmptyLog(t *testing.T) {
-	w, err := Open(Options{Dir: t.TempDir()})
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.End(); got != -1 {
-		t.Errorf("empty End = %d, want -1", got)
-	}
-	if got := replayAll(t, w); len(got) != 0 {
+	if got := replayKeyedAll(t, w, 0); len(got) != 0 {
 		t.Errorf("empty replay returned %d records", len(got))
 	}
-	// The first append pins the log at an arbitrary position (a daemon
-	// seeded from a checkpoint or /restore starts mid-stream).
-	if err := w.Append(1000, []float64{1}); err != nil {
+	if got := w.SizeBytes(); got != 0 {
+		t.Errorf("empty SizeBytes = %d", got)
+	}
+	if w.ActiveSeq() != 0 || w.NextSeq() != 0 {
+		t.Errorf("empty ActiveSeq, NextSeq = %d, %d; want 0, 0", w.ActiveSeq(), w.NextSeq())
+	}
+	// Rotating or collecting an empty log creates and deletes nothing.
+	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.End(); got != 1001 {
-		t.Errorf("End = %d, want 1001", got)
+	if err := w.DropSealedBefore(5); err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentNames(t, dir); len(got) != 0 {
+		t.Fatalf("empty log left files %v", got)
+	}
+	// The first append creates segment 0.
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 1000, Values: []float64{1}})
+	if got := segmentNames(t, dir); !reflect.DeepEqual(got, []string{"wal-0000000000000000-0000000000000000.log"}) {
+		t.Errorf("segments after first append = %v", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestTornTailTruncated cuts bytes off the final record at every possible
 // length and verifies recovery keeps exactly the intact prefix.
 func TestTornTailTruncated(t *testing.T) {
+	recs := []KeyedRecord{
+		{Key: "k", Start: 0, Values: []float64{0, 0.5}},
+		{Key: "k", Start: 2, Values: []float64{1, 1.5}},
+		{Key: "k", Start: 4, Values: []float64{2, 2.5}},
+	}
 	build := func(dir string) (string, int64) {
 		w, err := Open(Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int64(0); i < 3; i++ {
-			if err := w.Append(2*i, []float64{float64(i), float64(i) + 0.5}); err != nil {
-				t.Fatal(err)
-			}
+		for _, r := range recs {
+			appendOne(t, w, r)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) != 1 {
-			t.Fatalf("want one segment, got %v (%v)", entries, err)
+		names := segmentNames(t, dir)
+		if len(names) != 1 {
+			t.Fatalf("want one segment, got %v", names)
 		}
-		path := filepath.Join(dir, entries[0].Name())
+		path := filepath.Join(dir, names[0])
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -119,12 +218,10 @@ func TestTornTailTruncated(t *testing.T) {
 		return path, fi.Size()
 	}
 
-	refDir := t.TempDir()
-	_, full := build(refDir)
-	recLen := int64(recHdrLen + 8 + 2*8)
+	recLen := int64(recHdrLen + recFixed + 1 + 2*8)
 	for cut := int64(1); cut <= recLen; cut++ {
 		dir := t.TempDir()
-		path, _ := build(dir)
+		path, full := build(dir)
 		if err := os.Truncate(path, full-cut); err != nil {
 			t.Fatal(err)
 		}
@@ -132,17 +229,12 @@ func TestTornTailTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
-		got := replayAll(t, w)
-		if len(got) != 2 {
-			t.Fatalf("cut %d: recovered %d records, want 2", cut, len(got))
-		}
-		if w.End() != 4 {
-			t.Errorf("cut %d: End = %d, want 4", cut, w.End())
+		if got := replayKeyedAll(t, w, 0); !reflect.DeepEqual(got, recs[:2]) {
+			t.Fatalf("cut %d: recovered %+v, want the first two records", cut, got)
 		}
 		// The torn bytes are gone from disk: appends go to a clean tail.
-		if err := w.Append(4, []float64{42}); err != nil {
-			t.Fatalf("cut %d: append after truncation: %v", cut, err)
-		}
+		repaired := KeyedRecord{Key: "k", Start: 4, Values: []float64{42}}
+		appendOne(t, w, repaired)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +242,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := replayAll(t, w2); len(got) != 3 || got[2].values[0] != 42 {
+		if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, append(recs[:2:2], repaired)) {
 			t.Errorf("cut %d: after repair replay = %+v", cut, got)
 		}
 	}
@@ -163,18 +255,17 @@ func TestCorruptPayloadTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(0, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(2, []float64{3}); err != nil {
-		t.Fatal(err)
-	}
+	first := KeyedRecord{Key: "a", Start: 0, Values: []float64{1, 2}}
+	appendOne(t, w, first)
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 2, Values: []float64{3}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := os.ReadDir(dir)
-	path := filepath.Join(dir, entries[0].Name())
-	data, _ := os.ReadFile(path)
+	path := filepath.Join(dir, segmentNames(t, dir)[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data[len(data)-3] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -183,11 +274,13 @@ func TestCorruptPayloadTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := replayAll(t, w2); len(got) != 1 || got[0].start != 0 {
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, []KeyedRecord{first}) {
 		t.Errorf("replay after corruption = %+v, want first record only", got)
 	}
 }
 
+// TestRotateAndTruncateBefore seals a segment per append and truncates
+// the log before covered sequence numbers with DropSealedBefore.
 func TestRotateAndTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir})
@@ -195,42 +288,35 @@ func TestRotateAndTruncateBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 4; i++ {
-		if err := w.Append(i, []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, w, KeyedRecord{Key: "a", Start: i, Values: []float64{float64(i)}})
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	count := func() int {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(entries)
+	if got := segmentNames(t, dir); len(got) != 5 { // 4 sealed + 1 active empty
+		t.Fatalf("segments after rotations = %d, want 5", len(got))
 	}
-	if got := count(); got != 5 { // 4 sealed + 1 active empty
-		t.Fatalf("segments after rotations = %d, want 5", got)
-	}
-	// A checkpoint at seen=2 covers the first two segments only.
-	if err := w.TruncateBefore(2); err != nil {
+	// A checkpoint covering sequence numbers below 2 frees two segments.
+	if err := w.DropSealedBefore(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := count(); got != 3 {
-		t.Errorf("segments after TruncateBefore(2) = %d, want 3", got)
+	if got := segmentNames(t, dir); len(got) != 3 {
+		t.Errorf("segments after DropSealedBefore(2) = %d, want 3", len(got))
 	}
-	if got := replayAll(t, w); len(got) != 2 || got[0].start != 2 {
+	if got := replayKeyedAll(t, w, 0); len(got) != 2 || got[0].Start != 2 || got[1].Start != 3 {
 		t.Errorf("replay after truncation = %+v", got)
 	}
-	// Everything covered: only the active segment stays.
-	if err := w.TruncateBefore(4); err != nil {
+	// Everything covered, the active segment too: only it stays.
+	if err := w.DropSealedBefore(w.NextSeq()); err != nil {
 		t.Fatal(err)
 	}
-	if got := count(); got != 1 {
-		t.Errorf("segments after TruncateBefore(4) = %d, want 1", got)
+	if got := segmentNames(t, dir); len(got) != 1 {
+		t.Errorf("segments after dropping all sealed = %d, want 1", len(got))
 	}
-	if err := w.Append(4, []float64{4}); err != nil {
-		t.Errorf("append after truncation: %v", err)
+	last := KeyedRecord{Key: "a", Start: 4, Values: []float64{4}}
+	appendOne(t, w, last)
+	if got := replayKeyedAll(t, w, 0); !reflect.DeepEqual(got, []KeyedRecord{last}) {
+		t.Errorf("replay after truncation and append = %+v", got)
 	}
 }
 
@@ -240,164 +326,141 @@ func TestSegmentRotationBySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pos int64
-	for i := 0; i < 10; i++ {
-		if err := w.Append(pos, []float64{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		pos += 3
+	var want []KeyedRecord
+	for i := int64(0); i < 10; i++ {
+		r := KeyedRecord{Key: "a", Start: 3 * i, Values: []float64{1, 2, 3}}
+		appendOne(t, w, r)
+		want = append(want, r)
 	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) < 2 {
-		t.Fatalf("expected size rotation to produce multiple segments, got %d", len(entries))
+	if got := segmentNames(t, dir); len(got) < 2 {
+		t.Fatalf("expected size rotation to produce multiple segments, got %d", len(got))
 	}
-	if got := replayAll(t, w); len(got) != 10 {
-		t.Errorf("replay across segments = %d records, want 10", len(got))
+	if got := replayKeyedAll(t, w, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay across segments = %+v, want the 10 records in order", got)
 	}
 }
 
 func TestReset(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(Options{Dir: dir})
+	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(0, []float64{1, 2, 3}); err != nil {
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 0, Values: []float64{1, 2, 3}})
+	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Reset(500); err != nil {
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 3, Values: []float64{4}})
+	next := w.NextSeq()
+	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if got := replayAll(t, w); len(got) != 0 {
+	// Every old segment is gone; the fresh one takes the next number.
+	want := []string{fmt.Sprintf("wal-%016x-0000000000000000.log", next)}
+	if got := segmentNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments after reset = %v, want %v", got, want)
+	}
+	if got := replayKeyedAll(t, w, 0); len(got) != 0 {
 		t.Errorf("replay after reset = %+v, want empty", got)
 	}
-	if err := w.Append(3, []float64{9}); err == nil {
-		t.Error("append at pre-reset position accepted")
+	fresh := KeyedRecord{Key: "b", Start: 0, Values: []float64{9}}
+	appendOne(t, w, fresh)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := w.Append(500, []float64{9}); err != nil {
-		t.Errorf("append at reset position: %v", err)
+	w2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, []KeyedRecord{fresh}) {
+		t.Errorf("replay after reset and reopen = %+v", got)
 	}
 }
 
-// TestFaultedAppendLeavesRecoverableLog injects a torn write and checks
-// the log recovers to the pre-fault state.
+// TestFaultedAppendLeavesRecoverableLog crashes a small workload —
+// appends, size rolls and an explicit rotation — at every mutating
+// filesystem operation in turn, then reopens the directory through a
+// clean filesystem: the log must replay every acknowledged record in
+// order, plus at most the one in flight, and accept appends again.
 func TestFaultedAppendLeavesRecoverableLog(t *testing.T) {
-	dir := t.TempDir()
-	inj := faults.NewInjector(faults.OS{}, -1)
-	w, err := Open(Options{Dir: dir, FS: inj, SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
+	recs := make([]KeyedRecord, 6)
+	for i := range recs {
+		recs[i] = KeyedRecord{Key: fmt.Sprintf("k%d", i%2), Start: int64(2 * (i / 2)), Values: []float64{float64(i), float64(i) + 0.5}}
 	}
-	if err := w.Append(0, []float64{1, 2}); err != nil {
-		t.Fatal(err)
+	// run appends until the first failure, as a crashed process would,
+	// and returns how many records were acknowledged.
+	run := func(dir string, fsys faults.FS) (acked int) {
+		w, err := Open(Options{Dir: dir, FS: fsys, SegmentBytes: 96, SyncEveryAppend: true})
+		if err != nil {
+			return 0
+		}
+		for i, r := range recs {
+			if err := w.AppendBatch([]KeyedRecord{r}); err != nil {
+				return i
+			}
+			if i == 2 && w.Rotate() != nil {
+				return i + 1
+			}
+		}
+		return len(recs)
 	}
-	ops := inj.Ops()
-	_ = w.Close()
 
-	// Re-run with the fault on the record write of the second append.
-	dir2 := t.TempDir()
-	inj2 := faults.NewInjector(faults.OS{}, ops+2) // +1 reopen-is-free, next write faults
-	w2, err := Open(Options{Dir: dir2, FS: inj2, SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
+	probe := faults.NewChaos(faults.OS{}, 1)
+	if acked := run(t.TempDir(), probe); acked != len(recs) {
+		t.Fatalf("probe run acked %d of %d", acked, len(recs))
 	}
-	if err := w2.Append(0, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Append(2, []float64{3, 4}); err == nil {
-		// Fault may land on the sync instead depending on op accounting;
-		// force one more append to trip it.
-		if err := w2.Append(4, []float64{5}); err == nil {
-			t.Fatal("injector never fired")
+	total := probe.Ops()
+	t.Logf("wal crash matrix: %d fault points", total)
+	for n := 1; n <= total; n++ {
+		dir := t.TempDir()
+		crash := faults.CrashAt(faults.OS{}, n)
+		acked := run(dir, crash)
+		if crash.Fired() == 0 {
+			t.Fatalf("op %d: fault never fired", n)
+		}
+		w, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("op %d: recovery: %v", n, err)
+		}
+		got := replayKeyedAll(t, w, 0)
+		if len(got) < acked || len(got) > acked+1 || (len(got) > 0 && !reflect.DeepEqual(got, recs[:len(got)])) {
+			t.Fatalf("op %d: recovered %+v, want the %d acknowledged records (+1 in flight at most)", n, got, acked)
+		}
+		appendOne(t, w, KeyedRecord{Key: "after", Values: []float64{1}})
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// "Restart": reopen through a clean filesystem.
-	w3, err := Open(Options{Dir: dir2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := replayAll(t, w3)
-	if len(got) == 0 || got[0].start != 0 || len(got[0].values) != 2 {
-		t.Fatalf("first record lost: %+v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].start != got[i-1].start+int64(len(got[i-1].values)) {
-			t.Errorf("recovered log not contiguous: %+v", got)
-		}
-	}
 }
 
-// flakyFS fails exactly one operation (a write or a sync) and then
-// recovers — the transient-error counterpart of faults.Injector, for
-// testing that the log self-repairs its torn tail and continues.
-type flakyFS struct {
-	faults.FS
-	failWrite bool
-	failSync  bool
-}
-
-type flakyFile struct {
-	faults.File
-	fs *flakyFS
-}
-
-func (f *flakyFS) OpenFile(name string, flag int, perm os.FileMode) (faults.File, error) {
-	inner, err := f.FS.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{File: inner, fs: f}, nil
-}
-
-func (f *flakyFile) Write(p []byte) (int, error) {
-	if f.fs.failWrite {
-		f.fs.failWrite = false
-		n, _ := f.File.Write(p[:len(p)/2])
-		return n, errors.New("flaky: torn write")
-	}
-	return f.File.Write(p)
-}
-
-func (f *flakyFile) Sync() error {
-	if f.fs.failSync {
-		f.fs.failSync = false
-		return errors.New("flaky: sync failed")
-	}
-	return f.File.Sync()
-}
-
-// TestTransientWriteErrorSelfRepairs: a torn write is rolled back and the
-// next append lands cleanly after the tear is truncated away.
+// TestTransientWriteErrorSelfRepairs: a torn write or a failed fsync is
+// rolled back, and the next append lands cleanly after the tear is
+// truncated away.
 func TestTransientWriteErrorSelfRepairs(t *testing.T) {
-	for _, mode := range []string{"write", "sync"} {
-		fsys := &flakyFS{FS: faults.OS{}}
-		w, err := Open(Options{Dir: t.TempDir(), FS: fsys, SyncEveryAppend: true})
+	for _, tc := range []struct {
+		name string
+		rule faults.Rule
+	}{
+		{"write", faults.Rule{Ops: faults.OpWrite, PathContains: "wal-", Prob: 1, Count: 1, Torn: true}},
+		{"sync", faults.Rule{Ops: faults.OpSync, PathContains: "wal-", Prob: 1, Count: 1}},
+	} {
+		chaos := faults.NewChaos(faults.OS{}, 1)
+		w, err := Open(Options{Dir: t.TempDir(), FS: chaos, SyncEveryAppend: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(0, []float64{1, 2}); err != nil {
-			t.Fatal(err)
+		first := KeyedRecord{Key: "a", Start: 0, Values: []float64{1, 2}}
+		appendOne(t, w, first)
+		chaos.SetRules(tc.rule)
+		if err := w.AppendBatch([]KeyedRecord{{Key: "a", Start: 2, Values: []float64{3, 4}}}); err == nil {
+			t.Fatalf("%s: flaky append succeeded", tc.name)
 		}
-		if mode == "write" {
-			fsys.failWrite = true
-		} else {
-			fsys.failSync = true
-		}
-		if err := w.Append(2, []float64{3, 4}); err == nil {
-			t.Fatalf("%s: flaky append succeeded", mode)
-		}
-		// The failed batch was not acknowledged; the log end must not have
-		// advanced, and a retry at the same position must succeed.
-		if got := w.End(); got != 2 {
-			t.Fatalf("%s: End after failed append = %d, want 2", mode, got)
-		}
-		if err := w.Append(2, []float64{5, 6}); err != nil {
-			t.Fatalf("%s: append after repair: %v", mode, err)
-		}
-		got := replayAll(t, w)
-		want := []rec{{0, []float64{1, 2}}, {2, []float64{5, 6}}}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: replay = %+v, want %+v", mode, got, want)
+		// The failed batch was not acknowledged; a retry at the same
+		// position must succeed, and replay must not see the failed one.
+		retry := KeyedRecord{Key: "a", Start: 2, Values: []float64{5, 6}}
+		appendOne(t, w, retry)
+		if got := replayKeyedAll(t, w, 0); !reflect.DeepEqual(got, []KeyedRecord{first, retry}) {
+			t.Errorf("%s: replay = %+v, want %+v", tc.name, got, []KeyedRecord{first, retry})
 		}
 	}
 }
@@ -412,86 +475,330 @@ func TestSizeBytesTracksGrowthAndTruncation(t *testing.T) {
 	if got := w.SizeBytes(); got != 0 {
 		t.Fatalf("empty log SizeBytes = %d", got)
 	}
-	var pos int64
 	var prev int64
-	for i := 0; i < 8; i++ {
-		if err := w.Append(pos, []float64{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		pos += 3
+	for i := int64(0); i < 8; i++ {
+		appendOne(t, w, KeyedRecord{Key: "a", Start: 3 * i, Values: []float64{1, 2, 3}})
 		got := w.SizeBytes()
 		if got <= prev {
 			t.Fatalf("append %d: SizeBytes %d did not grow past %d", i, got, prev)
 		}
 		prev = got
 	}
-	// Seal the tail and drop everything before the end: the log shrinks
-	// back to just the pinned empty segment.
+	// Seal the tail and drop every sealed segment: the log shrinks back
+	// to the empty active segment.
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.TruncateBefore(pos); err != nil {
+	if err := w.DropSealedBefore(w.ActiveSeq()); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.SizeBytes(); got >= prev {
-		t.Errorf("SizeBytes after truncation = %d, want < %d", got, prev)
+	if got := w.SizeBytes(); got != int64(headerLen) {
+		t.Errorf("SizeBytes after truncation = %d, want %d (of %d before)", got, headerLen, prev)
 	}
 }
 
 // A crash (or full disk) during segment creation can leave a file whose
 // header never finished — possibly sharing a sequence number with a real
-// segment created by a later retry. Open must sweep such garbage out and
-// replay only the real log; Reset must remove it even though it was
-// never tracked.
+// segment created by a later retry — and a directory can hold a segment
+// of another format. Open must sweep both out and replay only the real
+// log; Reset must remove such a file even though it was never tracked.
 func TestOpenSweepsTornHeaderOrphans(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(0, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	kept := KeyedRecord{Key: "a", Start: 0, Values: []float64{1, 2, 3}}
+	appendOne(t, w, kept)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Forge a torn creation: same sequence number as the real segment,
-	// different start, header cut off mid-magic.
+	// A torn creation: same sequence number as the real segment, a
+	// different start field, header cut off mid-magic.
 	orphan := filepath.Join(dir, fmt.Sprintf("wal-%016x-%016x.log", 0, uint64(7)))
 	if err := os.WriteFile(orphan, []byte(magic[:3]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A whole segment of a foreign format (the single-stream log's magic)
+	// after it.
+	foreign := filepath.Join(dir, fmt.Sprintf("wal-%016x-%016x.log", 1, 0))
+	if err := os.WriteFile(foreign, append([]byte("SWL1"), make([]byte, 8+recHdrLen+16)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	w2, err := Open(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("open with torn orphan: %v", err)
+		t.Fatalf("open with orphans: %v", err)
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("torn orphan not swept: %v", err)
+	for _, path := range []string{orphan, foreign} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("orphan %s not swept: %v", filepath.Base(path), err)
+		}
 	}
-	var got []float64
-	if err := w2.Replay(func(start int64, values []float64) error {
-		got = append(got, values...)
-		return nil
-	}); err != nil {
-		t.Fatalf("replay after sweep: %v", err)
-	}
-	if len(got) != 3 || w2.End() != 3 {
-		t.Fatalf("replayed %v end=%d, want 3 values end=3", got, w2.End())
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, []KeyedRecord{kept}) {
+		t.Fatalf("replay after sweep = %+v, want the real record", got)
 	}
 
 	// Reset must clear untracked leftovers too, or its fresh first
 	// segment can collide with one under O_EXCL.
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%016x-%016x.log", w2.nextSeq, uint64(9))), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%016x-0000000000000000.log", w2.NextSeq())), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Reset(9); err != nil {
+	if err := w2.Reset(); err != nil {
 		t.Fatalf("reset over untracked orphan: %v", err)
 	}
-	if err := w2.Append(9, []float64{4}); err != nil {
-		t.Fatalf("append after reset: %v", err)
-	}
+	appendOne(t, w2, KeyedRecord{Key: "a", Start: 0, Values: []float64{4}})
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestKeyedBadKeys(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch([]KeyedRecord{{Key: "", Values: []float64{1}}}); err == nil {
+		t.Error("empty key accepted")
+	}
+	long := strings.Repeat("k", MaxKeyLen+1)
+	if err := w.AppendBatch([]KeyedRecord{{Key: long, Values: []float64{1}}}); err == nil {
+		t.Error("oversized key accepted")
+	}
+}
+
+func TestKeyedCoveredSeqSkipsSealedSegments(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 0, Values: []float64{1}})
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	sealedSeq := w.ActiveSeq() // the new active segment's seq; sealed ones are below it
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 1, Values: []float64{2}})
+
+	got := replayKeyedAll(t, w, sealedSeq)
+	if len(got) != 1 || got[0].Start != 1 {
+		t.Fatalf("covered replay = %+v, want only the post-rotation record", got)
+	}
+	// DropSealedBefore removes the covered segment; full replay then sees
+	// only the survivor too.
+	if err := w.DropSealedBefore(sealedSeq); err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentNames(t, dir); len(got) != 1 {
+		t.Fatalf("%d segments after drop, want 1", len(got))
+	}
+	if got := replayKeyedAll(t, w, 0); len(got) != 1 || got[0].Start != 1 {
+		t.Fatalf("replay after drop = %+v, want only the post-rotation record", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestKeyedBatchPoisonOnSyncFailure(t *testing.T) {
+	// A failed group fsync must discard the WHOLE batch: recovery may not
+	// surface any record of it, even though the write itself succeeded.
+	dir := t.TempDir()
+	chaos := faults.NewChaos(faults.OS{}, 1)
+	w, err := Open(Options{Dir: dir, FS: chaos, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 0, Values: []float64{1}})
+	chaos.SetRules(faults.Rule{Ops: faults.OpSync, PathContains: "wal-", Prob: 1})
+	batch := []KeyedRecord{
+		{Key: "a", Start: 1, Values: []float64{2}},
+		{Key: "b", Start: 0, Values: []float64{3}},
+	}
+	if err := w.AppendBatch(batch); err == nil {
+		t.Fatal("append with failing fsync succeeded")
+	}
+	chaos.Clear()
+	// Next append repairs the tail and lands after the surviving record.
+	appendOne(t, w, KeyedRecord{Key: "c", Start: 0, Values: []float64{4}})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := replayKeyedAll(t, w2, 0)
+	keys := make([]string, len(got))
+	for i, r := range got {
+		keys[i] = r.Key
+	}
+	if !reflect.DeepEqual(keys, []string{"a", "c"}) {
+		t.Fatalf("recovered keys = %v, want [a c] (failed batch fully discarded)", keys)
+	}
+}
+
+func TestKeyedResetStartsFresh(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 0, Values: []float64{1}})
+	covered := w.NextSeq() // a restore records this before Reset
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	appendOne(t, w, KeyedRecord{Key: "b", Start: 0, Values: []float64{2}})
+	// The post-Reset segment's seq is >= covered, so a covered replay
+	// still sees the new record while skipping everything pre-reset.
+	got := replayKeyedAll(t, w, covered)
+	if len(got) != 1 || got[0].Key != "b" {
+		t.Fatalf("replay after reset = %+v, want only the post-reset record", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedRollKeepsBatch: the roll to a new segment runs after the
+// batch is written and synced, so its failure must not fail the batch;
+// the next append creates the segment instead.
+func TestFailedRollKeepsBatch(t *testing.T) {
+	dir := t.TempDir()
+	chaos := faults.NewChaos(faults.OS{}, 1)
+	w, err := Open(Options{Dir: dir, FS: chaos, SegmentBytes: 64, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first creation makes segment 0; the second, the roll, fails.
+	chaos.SetRules(faults.Rule{Ops: faults.OpCreate, PathContains: "wal-", Prob: 1, After: 1, Count: 1})
+	batch := []KeyedRecord{{Key: "a", Start: 0, Values: []float64{1, 2, 3, 4, 5, 6}}}
+	if err := w.AppendBatch(batch); err != nil {
+		t.Fatalf("durable batch failed by its roll: %v", err)
+	}
+	if chaos.Fired() != 1 {
+		t.Fatalf("roll fault fired %d times, want 1", chaos.Fired())
+	}
+	if got := replayKeyedAll(t, w, 0); !reflect.DeepEqual(got, batch) {
+		t.Fatalf("replay after failed roll = %+v, want the batch once", got)
+	}
+	next := KeyedRecord{Key: "a", Start: 6, Values: []float64{7}}
+	appendOne(t, w, next)
+	want := []string{"wal-0000000000000000-0000000000000000.log", "wal-0000000000000001-0000000000000000.log"}
+	if got := segmentNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments = %v, want %v", got, want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, append(batch, next)) {
+		t.Fatalf("replay after reopen = %+v", got)
+	}
+}
+
+// TestFailedCreateLeavesNoSegment: a segment creation that fails after
+// its exclusive create removes the file, so the retry, which reuses the
+// sequence number and so the name, does not collide with it.
+func TestFailedCreateLeavesNoSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rule faults.Rule
+	}{
+		{"header write", faults.Rule{Ops: faults.OpWrite, PathContains: "wal-", Prob: 1, Count: 1}},
+		// The first sync seals the old segment; the second is the header's.
+		{"header sync", faults.Rule{Ops: faults.OpSync, PathContains: "wal-", Prob: 1, After: 1, Count: 1}},
+		{"directory sync", faults.Rule{Ops: faults.OpSyncDir, Prob: 1, Count: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			chaos := faults.NewChaos(faults.OS{}, 1)
+			w, err := Open(Options{Dir: dir, FS: chaos, SyncEveryAppend: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []KeyedRecord{{Key: "a", Start: 0, Values: []float64{1}}}
+			appendOne(t, w, want[0])
+			chaos.SetRules(tc.rule)
+			if err := w.Rotate(); err == nil {
+				t.Fatal("rotate with a failing segment creation succeeded")
+			}
+			chaos.Clear()
+			for i := int64(1); i <= 3; i++ {
+				r := KeyedRecord{Key: "a", Start: i, Values: []float64{float64(i + 1)}}
+				appendOne(t, w, r)
+				want = append(want, r)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay = %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// FuzzScanSegment feeds the segment decoder arbitrary bytes, as a crash
+// can leave any prefix of a segment and a failing disk any bytes at all.
+// The scanner must not panic and must return a valid prefix no longer
+// than its input; scanning that prefix again must return the same
+// prefix and the same records.
+func FuzzScanSegment(f *testing.F) {
+	dir := f.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.AppendBatch([]KeyedRecord{
+		{Key: "a", Start: 0, Values: []float64{1, -2.5, 1e9}},
+		{Key: strings.Repeat("k", MaxKeyLen), Start: 5, Values: []float64{0.125}},
+		{Key: "a", Delete: true},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000000-0000000000000000.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	for _, cut := range []int{0, 3, headerLen, headerLen + 5, len(seg) / 2, len(seg) - 1} {
+		f.Add(seg[:cut])
+	}
+	for _, i := range []int{0, headerLen, headerLen + 4, headerLen + recHdrLen + 1, len(seg) - 1} {
+		flipped := bytes.Clone(seg)
+		flipped[i] ^= 0x40
+		f.Add(flipped)
+	}
+	// scan returns the valid prefix and the records re-encoded, which
+	// compares values bit for bit (NaNs included).
+	scan := func(data []byte) (int64, []byte) {
+		var enc []byte
+		valid, _ := scanSegment(data, func(r KeyedRecord) error {
+			enc = appendRecord(enc, r)
+			return nil
+		})
+		return valid, enc
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		valid, recs := scan(data)
+		if valid < 0 || valid > int64(len(data)) {
+			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
+		}
+		again, recsAgain := scan(data[:valid])
+		if again != valid || !bytes.Equal(recs, recsAgain) {
+			t.Fatalf("rescanning the valid prefix gave %d bytes and records %x, want %d and %x", again, recsAgain, valid, recs)
+		}
+	})
 }
