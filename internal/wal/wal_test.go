@@ -248,6 +248,50 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestKeyedTornTailTruncated tears the tail of a two-key segment and checks
+// that recovery keeps the other key's record and the log stays appendable
+// without a reopen.
+func TestKeyedTornTailTruncated(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendOne(t, w, KeyedRecord{Key: "a", Start: 0, Values: []float64{1, 2}})
+	appendOne(t, w, KeyedRecord{Key: "b", Start: 0, Values: []float64{3}})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names := segmentNames(t, dir)
+	if len(names) != 1 {
+		t.Fatalf("want one segment, got %v", names)
+	}
+	path := filepath.Join(dir, names[0])
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := replayKeyedAll(t, w2, 0)
+	if len(got) != 1 || got[0].Key != "a" {
+		t.Fatalf("after tear, replay = %+v, want just the first record", got)
+	}
+	appendOne(t, w2, KeyedRecord{Key: "c", Start: 0, Values: []float64{9}})
+	if got := replayKeyedAll(t, w2, 0); len(got) != 2 || got[1].Key != "c" {
+		t.Fatalf("replay after repair+append = %+v, want records a and c", got)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCorruptPayloadTruncated flips a payload byte in the tail record.
 func TestCorruptPayloadTruncated(t *testing.T) {
 	dir := t.TempDir()
