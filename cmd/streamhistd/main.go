@@ -43,14 +43,16 @@
 // Khanna summaries. -pprof additionally mounts net/http/pprof under
 // /debug/pprof/ (off by default: profiles expose more than metrics do).
 //
-// Accuracy SLOs: -audit attaches a shadow auditor to every stream. It
-// keeps an exact bounded-memory view of the recent window (a ring for
-// range sums, a reservoir for quantiles and selectivities) and every
-// -audit-interval points replays a query panel against both the
-// approximate summaries and the exact shadow, publishing the measured
-// relative error, eps-headroom and drift state as gauges, and tracking
-// the SLO "P[rel_err <= eps] >= -slo-target over the last -slo-window
-// panel queries". Breach episodes emit a trace instant and an anomaly
+// Accuracy SLOs: -audit attaches a shadow auditor to every stream. Each
+// stream's drain feeds it, beside the whole-stream summaries; it keeps a
+// seeded reservoir of the stream's values, and every -audit-interval
+// points (default 1024) replays a query panel against the approximate
+// summaries, with the stream's own window as range truth and the
+// reservoir as quantile and selectivity truth. It publishes the measured
+// relative error, eps-headroom and drift state as gauges, and tracks the
+// SLO "P[rel_err <= eps] >= 0.9 over the last 256 panel queries". The
+// panel, the reservoir and the objective are fixed; the interval is the
+// one setting. Breach episodes emit a trace instant and an anomaly
 // capture. Per-stream status is served at GET /v1/streams/{key}/slo
 // and fleet-wide at GET /debug/quality.
 //
@@ -130,13 +132,8 @@ func main() {
 		reqTmo    = flag.Duration("request-timeout", 30*time.Second, "per-request handling deadline (0: none)")
 		shutTmo   = flag.Duration("shutdown-timeout", 10*time.Second, "deadline for draining in-flight requests at shutdown")
 		metrics   = flag.Bool("metrics", true, "instrument all layers and serve GET /metrics in Prometheus text format")
-		audit     = flag.Bool("audit", false, "run a shadow accuracy auditor per stream: replay range/quantile/selectivity panels against an exact bounded-memory view and track the eps-contract SLO")
+		audit     = flag.Bool("audit", false, "run a shadow accuracy auditor per stream: replay range/quantile/selectivity panels against the exact window and a value reservoir, and track the eps-contract SLO")
 		auditIvl  = flag.Int("audit-interval", 0, "points between audit passes per stream (0: default 1024; implies -audit)")
-		auditShad = flag.Int("audit-shadow", 0, "exact shadow ring size for range-query ground truth (0: default 2048)")
-		auditRes  = flag.Int("audit-reservoir", 0, "reservoir sample size for quantile/selectivity ground truth (0: default 512)")
-		auditSeed = flag.Int64("audit-seed", 0, "base seed XORed into each stream key's hash to seed its audit panel rng (0 means 1, so 0 and 1 audit identically)")
-		sloTarget = flag.Float64("slo-target", 0, "accuracy SLO: required fraction of panel queries within eps over the rolling window (0: default 0.9; implies -audit)")
-		sloWindow = flag.Int("slo-window", 0, "rolling SLO window in panel-query outcomes (0: default 256)")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceBuf  = flag.Int("trace-buffer", 0, "flight-recorder ring capacity in events (0: tracing disabled)")
 		traceSlow = flag.Duration("trace-slow-threshold", 0, "rebuilds at least this slow snapshot the trace ring to disk (0: off)")
@@ -199,13 +196,8 @@ func main() {
 		BreakerThreshold:   *brThresh,
 		BreakerBackoff:     *brBackoff,
 		BreakerMaxBackoff:  *brMaxBack,
-		Audit:              *audit || *auditIvl > 0 || *sloTarget > 0,
+		Audit:              *audit || *auditIvl > 0,
 		AuditInterval:      *auditIvl,
-		AuditShadow:        *auditShad,
-		AuditReservoir:     *auditRes,
-		AuditSeed:          *auditSeed,
-		SLOTarget:          *sloTarget,
-		SLOWindow:          *sloWindow,
 		Metrics:            reg,
 		EnablePprof:        *pprof,
 		Trace:              tr,
@@ -228,7 +220,7 @@ func main() {
 		"eps", *eps, "delta", *delta, "shards", *shards,
 		"incremental", *incr,
 		"durability", durable, "tracing", tr != nil,
-		"audit", *audit || *auditIvl > 0 || *sloTarget > 0)
+		"audit", *audit || *auditIvl > 0)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -324,6 +324,10 @@ func (f *FixedWindow) ApproxError() float64 {
 // Window returns a copy of the current window contents, oldest first.
 func (f *FixedWindow) Window() []float64 { return f.sums.Values() }
 
+// Value returns the exact value at window position i (0 = oldest), for
+// i in [0, Len()).
+func (f *FixedWindow) Value(i int) float64 { return f.sums.Value(i) }
+
 // WindowStart returns the stream position of the oldest point in the
 // window.
 func (f *FixedWindow) WindowStart() int64 { return f.sums.WindowStart() }

@@ -219,8 +219,8 @@ func TestWindowAccessors(t *testing.T) {
 	win := f.Window()
 	want := []float64{3, 4, 5, 6}
 	for i := range want {
-		if win[i] != want[i] {
-			t.Fatalf("Window = %v", win)
+		if win[i] != want[i] || f.Value(i) != want[i] {
+			t.Fatalf("Window = %v, Value(%d) = %v", win, i, f.Value(i))
 		}
 	}
 	if f.Buckets() != 2 || f.Epsilon() != 0.5 {

@@ -244,6 +244,9 @@ func (c *Chaos) OpenFile(name string, flag int, perm os.FileMode) (File, error) 
 // ReadFile passes through.
 func (c *Chaos) ReadFile(name string) ([]byte, error) { return c.inner.ReadFile(name) }
 
+// ReadPrefix passes through.
+func (c *Chaos) ReadPrefix(name string, n int) ([]byte, error) { return c.inner.ReadPrefix(name, n) }
+
 // ReadDir passes through.
 func (c *Chaos) ReadDir(name string) ([]fs.DirEntry, error) { return c.inner.ReadDir(name) }
 

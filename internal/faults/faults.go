@@ -13,6 +13,7 @@ package faults
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 )
@@ -33,6 +34,9 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// ReadFile reads the whole file.
 	ReadFile(name string) ([]byte, error)
+	// ReadPrefix reads at most n bytes from the start of the file; a
+	// shorter file yields all of it.
+	ReadPrefix(name string, n int) ([]byte, error)
 	// ReadDir lists a directory.
 	ReadDir(name string) ([]fs.DirEntry, error)
 	// Rename atomically replaces newname with oldname.
@@ -59,6 +63,21 @@ func (OS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 
 // ReadFile reads via os.ReadFile.
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+// ReadPrefix opens name and reads at most n bytes from its start.
+func (OS) ReadPrefix(name string, n int) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	m, rerr := io.ReadFull(f, buf)
+	cerr := f.Close()
+	if rerr != nil && !errors.Is(rerr, io.EOF) && !errors.Is(rerr, io.ErrUnexpectedEOF) {
+		return nil, rerr
+	}
+	return buf[:m], cerr
+}
 
 // ReadDir lists via os.ReadDir.
 func (OS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }

@@ -3,15 +3,18 @@
 // approximate summaries serve actually stay inside the ε contract the
 // paper proves for them.
 //
-// The design is a sampling shadow audit. Beside each audited stream the
-// auditor keeps an exact, bounded-memory view of the stream — a ring of
-// the most recent window points (the positional shadow) and a seeded
-// uniform reservoir of whole-stream values (the value shadow). Every
-// Interval ingested points it replays a panel of queries against both
-// the approximate summaries and the exact shadow:
+// The auditor is a whole-stream summary like the GK quantiles and the
+// equi-depth histogram: the stream's drain feeds it every value in WAL
+// order, on live ingest and on recovery replay alike. It keeps one exact
+// view of its own, a seeded uniform reservoir of whole-stream values
+// (the value shadow). Range truth needs no copy: the ε contract covers
+// the fixed window, and the window already holds its points exactly (the
+// sliding SUM/SQSUM store keeps the raw values), so range probes span the
+// whole window and read their exact sums from it through the Target.
+// Every Interval observed points the auditor replays a panel of queries:
 //
 //   - range sums over window positions (fixed-window histogram vs the
-//     exact sum over the shadowed suffix),
+//     exact sum of the window's own values),
 //   - quantiles (GK summary vs the sorted reservoir),
 //   - selectivities (streaming equi-depth histogram vs the reservoir's
 //     exact fraction).
@@ -21,15 +24,17 @@
 // cover-repair staleness ratio and the drift-detector state, and feeds
 // every query outcome into a rolling SLO:
 //
-//	P[rel_err <= ε] >= target over the last Window query outcomes,
+//	P[rel_err <= ε] >= 0.9 over the last 256 query outcomes,
 //
 // with error-budget burn-rate accounting ((1 - compliance)/(1 - target)).
 // An SLO transition into breach emits an EvSLOBreach trace instant and an
 // anomaly capture through the flight recorder's slow-rebuild machinery.
+// The panel, the reservoir size and the objective are constants; the
+// pass interval is the one setting.
 //
 // All draws — reservoir replacement and panel query positions — come
 // from a deterministic per-stream seed, so the same stream replayed
-// through the same configuration measures the same errors.
+// through the same interval measures the same errors.
 //
 // The package follows the obs/trace nil-is-disabled contract: every
 // method on a nil *Auditor is an allocation-free no-op, so the unaudited
@@ -56,87 +61,50 @@ const (
 // Classes lists the panel's query classes in report order.
 var Classes = [3]string{ClassRange, ClassQuantile, ClassSelectivity}
 
-// Config parameterizes an Auditor. The zero value of any field selects
-// its default; Config values are copied at NewAuditor, so one Config may
-// seed any number of streams.
-type Config struct {
-	// Interval is how many ingested points separate audit passes
-	// (default 1024). Smaller intervals measure more often and cost more:
-	// each pass materializes the window histogram.
-	Interval int
-	// Shadow is the positional ring's capacity — how many of the most
-	// recent window points the auditor holds exactly (default 2048).
-	// Range queries are drawn inside the shadowed suffix of the window.
-	Shadow int
-	// Reservoir is the whole-stream uniform sample size backing quantile
-	// and selectivity shadows (default 512).
-	Reservoir int
-	// Seed is the base RNG seed (default 1). Each stream derives its own
-	// seed from it plus the stream key, so per-stream audits are
-	// independent and reproducible.
-	Seed int64
-	// Ranges is the number of range-sum queries per pass (default 4).
-	Ranges int
-	// Phis are the quantile probes per pass (default 0.5, 0.9, 0.99).
-	Phis []float64
-	// Selectivities is the number of selectivity queries per pass
-	// (default 2).
-	Selectivities int
-	// SLOTarget is the objective's required compliance: the fraction of
-	// rolling-window query outcomes whose measured relative error must
-	// stay within ε (default 0.9).
-	SLOTarget float64
-	// SLOWindow is the rolling outcome window in queries (default 256).
-	SLOWindow int
-	// MinShadow is the smallest positional shadow an audit pass will
-	// query ranges against (default 64); below it the pass skips range
-	// queries rather than measure against too small an exact view.
-	MinShadow int
-}
+// DefaultInterval is the daemon's audit interval: points between passes.
+// Smaller intervals measure more often and cost more: each pass
+// materializes the window histogram.
+const DefaultInterval = 1024
 
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 1024
-	}
-	if c.Shadow <= 0 {
-		c.Shadow = 2048
-	}
-	if c.Reservoir <= 0 {
-		c.Reservoir = 512
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Ranges <= 0 {
-		c.Ranges = 4
-	}
-	if len(c.Phis) == 0 {
-		c.Phis = []float64{0.5, 0.9, 0.99}
-	}
-	if c.Selectivities <= 0 {
-		c.Selectivities = 2
-	}
-	if c.SLOTarget <= 0 || c.SLOTarget > 1 {
-		c.SLOTarget = 0.9
-	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 256
-	}
-	if c.MinShadow <= 0 {
-		c.MinShadow = 64
-	}
-	return c
-}
+// The panel, its reservoir and the objective are fixed.
+const (
+	// reservoirSize is the whole-stream uniform sample backing quantile
+	// and selectivity truth.
+	reservoirSize = 512
+	// baseSeed is XORed into each stream's seed.
+	baseSeed = 1
+	// rangeQueries and selectivityQueries are the probes of each class
+	// per pass.
+	rangeQueries       = 4
+	selectivityQueries = 2
+	// minWindow is the smallest window a pass draws range probes from;
+	// below it the pass skips the range class rather than measure
+	// single-bucket noise.
+	minWindow = 64
+	// sloTarget is the objective's required compliance, over the last
+	// sloWindow query outcomes.
+	sloTarget = 0.9
+	sloWindow = 256
+)
 
-// Target is the approximate side of an audit: the summaries of one
-// stream, queried under that stream's lock. Implementations adapt the
-// per-stream state without this package importing it.
+// phis are the quantile probes per pass.
+var phis = [...]float64{0.5, 0.9, 0.99}
+
+// Target is the approximate side of an audit, plus the exact window it
+// is checked against: the summaries of one stream, queried under that
+// stream's lock. Implementations adapt the per-stream state without this
+// package importing it.
 type Target interface {
 	// Epsilon is the stream's configured approximation parameter — the ε
 	// of the SLO objective.
 	Epsilon() float64
+	// Seen is the stream's position: every point it has ingested.
+	Seen() int64
 	// WindowLen is the number of points currently in the fixed window.
 	WindowLen() int
+	// Value is the exact value at window position i (0 = oldest): the
+	// range probes' truth.
+	Value(i int) float64
 	// RangeSum estimates the sum over window positions [lo, hi] from the
 	// maintained histogram.
 	RangeSum(lo, hi int) (float64, error)
@@ -152,7 +120,7 @@ type Target interface {
 	// DriftCheck runs one drift-detector observation against the current
 	// window histogram, re-anchoring on drift, and reports the distance,
 	// whether this check fired, and the detector's cumulative counts.
-	DriftCheck() (dist float64, drifted bool, alarms, checks int, err error)
+	DriftCheck() (DriftState, error)
 }
 
 // ClassResult is one query class's outcome within a single audit pass.
@@ -170,7 +138,6 @@ type ClassResult struct {
 type Report struct {
 	Seen      int64   `json:"seen"`
 	WindowLen int     `json:"window"`
-	ShadowLen int     `json:"shadow"`
 	Epsilon   float64 `json:"epsilon"`
 	// MaxRelErr is the pass-wide maximum measured relative error across
 	// all classes; Headroom is MaxRelErr / ε.
@@ -183,7 +150,7 @@ type Report struct {
 	Drift     DriftState             `json:"drift"`
 }
 
-// DriftState is the drift detector's state at audit time.
+// DriftState is the drift detector's state after one check.
 type DriftState struct {
 	Distance float64 `json:"distance"`
 	Drifted  bool    `json:"drifted"`
@@ -196,23 +163,16 @@ type DriftState struct {
 // unaudited streams carry unconditional audit calls at the cost of a
 // pointer test.
 type Auditor struct {
-	cfg Config
-	rng *rand.Rand
+	interval int
+	rng      *rand.Rand
 
-	// Positional shadow: a ring of the most recent points, aligned to
-	// the global stream position end (the ring holds positions
-	// [end-ringLen, end)). A non-contiguous batch (recovery replay the
-	// auditor did not see, a restored snapshot) resets the ring; the
-	// shadow regrows from live traffic.
-	ring    []float64
-	ringAt  int   // next write slot
-	ringLen int   // valid entries
-	end     int64 // global stream position after the last observed point
-
-	// Value shadow: seeded uniform reservoir over the whole stream
-	// (Vitter's Algorithm R, inlined so Insert stays allocation-free).
-	sample []float64
-	resCap int
+	// Value shadow: seeded uniform reservoir over every observed value
+	// (Vitter's Algorithm R, inlined so ObserveBatch stays
+	// allocation-free). observed counts those values; it is the
+	// algorithm's index, and after a restart it counts the replayed and
+	// live values the sample was drawn from, not the stream's position.
+	sample   []float64
+	observed int64
 
 	sinceAudit int
 	slo        *SLO
@@ -229,59 +189,34 @@ type Auditor struct {
 	hasLast  bool
 }
 
-// NewAuditor builds an auditor from cfg, deriving all randomness from
-// seed (callers mix the stream key into it for per-stream independence).
-func NewAuditor(cfg Config, seed int64) *Auditor {
-	cfg = cfg.withDefaults()
+// NewAuditor builds an auditor that runs a pass every interval observed
+// points (interval must be positive), deriving all randomness from seed
+// (callers mix the stream key into it for per-stream independence).
+func NewAuditor(interval int, seed int64) *Auditor {
 	return &Auditor{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(seed ^ cfg.Seed)),
-		ring:   make([]float64, cfg.Shadow),
-		sample: make([]float64, 0, cfg.Reservoir),
-		resCap: cfg.Reservoir,
-		slo:    NewSLO(cfg.SLOTarget, cfg.SLOWindow),
+		interval: interval,
+		rng:      rand.New(rand.NewSource(seed ^ baseSeed)),
+		sample:   make([]float64, 0, reservoirSize),
+		slo:      NewSLO(sloTarget, sloWindow),
 	}
 }
 
-// Config returns the auditor's resolved configuration (zero on nil).
-func (a *Auditor) Config() Config {
-	if a == nil {
-		return Config{}
-	}
-	return a.cfg
-}
-
-// ObserveBatch feeds one applied ingest batch into the shadows. start is
-// the stream's global position before the batch; a gap against the last
-// observed position (points applied outside the audited path — recovery
-// replay, a restore) resets the positional ring so it never misrepresents
-// the window. Allocation-free; no-op on a nil auditor.
+// ObserveBatch feeds values, in stream order, into the value shadow and
+// the interval count. Allocation-free; no-op on a nil auditor.
 //
 //streamhist:hotpath
-func (a *Auditor) ObserveBatch(vs []float64, start int64) {
+func (a *Auditor) ObserveBatch(vs []float64) {
 	if a == nil || len(vs) == 0 {
 		return
 	}
-	if start != a.end {
-		a.ringAt, a.ringLen = 0, 0
-		a.end = start
-	}
 	for _, v := range vs {
-		a.ring[a.ringAt] = v
-		a.ringAt++
-		if a.ringAt == len(a.ring) {
-			a.ringAt = 0
-		}
-		if a.ringLen < len(a.ring) {
-			a.ringLen++
-		}
-		// Reservoir step: position end (0-based) is the (end+1)-th value.
-		if len(a.sample) < a.resCap {
+		// Reservoir step: v is the (observed+1)-th value.
+		if len(a.sample) < reservoirSize {
 			a.sample = append(a.sample, v)
-		} else if j := a.rng.Int63n(a.end + 1); j < int64(a.resCap) {
+		} else if j := a.rng.Int63n(a.observed + 1); j < reservoirSize {
 			a.sample[j] = v
 		}
-		a.end++
+		a.observed++
 	}
 	a.sinceAudit += len(vs)
 }
@@ -291,18 +226,7 @@ func (a *Auditor) ObserveBatch(vs []float64, start int64) {
 //
 //streamhist:hotpath
 func (a *Auditor) Due() bool {
-	return a != nil && a.sinceAudit >= a.cfg.Interval
-}
-
-// ringVal returns the shadow value at global position p; valid only for
-// p in [end-ringLen, end).
-func (a *Auditor) ringVal(p int64) float64 {
-	off := int(a.end - p) // in [1, ringLen]
-	i := a.ringAt - off
-	if i < 0 {
-		i += len(a.ring)
-	}
-	return a.ring[i]
+	return a != nil && a.sinceAudit >= a.interval
 }
 
 // relErr is the panel's error measure: |est-exact| relative to the
@@ -320,7 +244,7 @@ func relErr(est, exact float64) float64 {
 // Run executes one audit pass against t, records every query outcome in
 // the SLO, publishes metrics and the EvAudit instant, and returns the
 // pass report. Callers hold the stream's lock for the duration (the
-// panel reads the live summaries). Breach *transition* handling (trace
+// panel reads the live summaries and the window). Breach *transition* handling (trace
 // instant, capture) is the caller's, via SLO.Breaching before/after —
 // see the shard engine's audit hook. No-op (zero Report) on nil.
 func (a *Auditor) Run(t Target, m *Metrics, tr *trace.Recorder, shard uint8) Report {
@@ -331,9 +255,8 @@ func (a *Auditor) Run(t Target, m *Metrics, tr *trace.Recorder, shard uint8) Rep
 	a.sinceAudit = 0
 	eps := t.Epsilon()
 	rep := Report{
-		Seen:      a.end,
+		Seen:      t.Seen(),
 		WindowLen: t.WindowLen(),
-		ShadowLen: a.ringLen,
 		Epsilon:   eps,
 		Classes:   make(map[string]ClassResult, 3),
 		Staleness: t.Staleness(),
@@ -362,8 +285,8 @@ func (a *Auditor) Run(t Target, m *Metrics, tr *trace.Recorder, shard uint8) Rep
 		rep.Headroom = rep.MaxRelErr / eps
 	}
 
-	if dist, drifted, alarms, checks, derr := t.DriftCheck(); derr == nil {
-		rep.Drift = DriftState{Distance: dist, Drifted: drifted, Alarms: alarms, Checks: checks}
+	if d, err := t.DriftCheck(); err == nil {
+		rep.Drift = d
 	}
 
 	rep.Breaches = a.passBreaches
@@ -394,26 +317,14 @@ func (a *Auditor) record(class string, err, eps float64, m *Metrics) {
 
 func (a *Auditor) auditRanges(t Target, eps float64, out *ClassResult, m *Metrics) {
 	wl := t.WindowLen()
-	shadow := a.ringLen
-	if shadow > wl {
-		// The window is the authority on live extent (a restore may have
-		// shrunk it); never query past it.
-		shadow = wl
-	}
-	if shadow < a.cfg.MinShadow {
+	if wl < minWindow {
 		return
 	}
-	// Window position wl-1 is global position end-1; the shadowed suffix
-	// is window positions [wl-shadow, wl-1].
-	base := wl - shadow
-	for q := 0; q < a.cfg.Ranges; q++ {
-		// Ranges at least a quarter of the shadow: the contract covers
+	for q := 0; q < rangeQueries; q++ {
+		// Ranges at least a quarter of the window: the contract covers
 		// aggregate answers, and tiny ranges measure single-bucket noise.
-		length := shadow/4 + int(a.rng.Int63n(int64(shadow-shadow/4)))
-		if length < 1 {
-			length = 1
-		}
-		lo := base + int(a.rng.Int63n(int64(shadow-length+1)))
+		length := wl/4 + int(a.rng.Int63n(int64(wl-wl/4)))
+		lo := int(a.rng.Int63n(int64(wl - length + 1)))
 		hi := lo + length - 1
 		est, err := t.RangeSum(lo, hi)
 		if err != nil {
@@ -421,7 +332,7 @@ func (a *Auditor) auditRanges(t Target, eps float64, out *ClassResult, m *Metric
 		}
 		exact := 0.0
 		for p := lo; p <= hi; p++ {
-			exact += a.ringVal(a.end - int64(wl-p))
+			exact += t.Value(p)
 		}
 		e := relErr(est, exact)
 		out.Queries++
@@ -439,7 +350,7 @@ func (a *Auditor) auditQuantiles(t Target, eps float64, out *ClassResult, m *Met
 	}
 	sorted := append([]float64(nil), a.sample...)
 	insertionSort(sorted)
-	for _, phi := range a.cfg.Phis {
+	for _, phi := range phis {
 		est, err := t.Quantile(phi)
 		if err != nil {
 			continue
@@ -472,7 +383,7 @@ func (a *Auditor) auditSelectivities(t Target, eps float64, out *ClassResult, m 
 	if hi0 <= lo0 {
 		return
 	}
-	for q := 0; q < a.cfg.Selectivities; q++ {
+	for q := 0; q < selectivityQueries; q++ {
 		// A random sub-range of the observed value domain, at least a
 		// fifth of it wide so the exact fraction is meaningfully nonzero.
 		span := hi0 - lo0
@@ -598,10 +509,6 @@ type Metrics struct {
 	driftDist *obs.Gauge
 	maxErr    *obs.Gauge
 	headroom  *obs.Gauge
-
-	// DriftReanchors counts detector re-anchors; shared with the HTTP
-	// drift endpoint through the registry's name-dedup index.
-	DriftReanchors *obs.Counter
 }
 
 // NewMetrics registers the quality series on reg (nil reg disables).
@@ -617,8 +524,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		driftDist:   reg.Gauge("streamhist_quality_drift_distance", "Drift-detector normalized L2 distance at the most recent audit."),
 		maxErr:      reg.Gauge("streamhist_quality_max_rel_err", "Maximum measured relative error of the most recent audit pass."),
 		headroom:    reg.Gauge("streamhist_quality_eps_headroom", "Measured max relative error over epsilon at the most recent audit pass (>1 means the contract is breached)."),
-
-		DriftReanchors: reg.Counter("streamhist_drift_reanchors_total", "Drift-detector alarms that re-anchored the reference histogram."),
 	}
 	return m
 }

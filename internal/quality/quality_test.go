@@ -11,15 +11,18 @@ import (
 )
 
 // fakeTarget serves exact answers from a slice with a configurable
-// injected error, so tests control the measured error precisely.
+// injected error, so tests control the measured error precisely. The
+// slice is its window too.
 type fakeTarget struct {
 	vals []float64
 	eps  float64
 	skew float64 // multiplicative error injected into every answer
 }
 
-func (f *fakeTarget) Epsilon() float64 { return f.eps }
-func (f *fakeTarget) WindowLen() int   { return len(f.vals) }
+func (f *fakeTarget) Epsilon() float64    { return f.eps }
+func (f *fakeTarget) Seen() int64         { return int64(len(f.vals)) }
+func (f *fakeTarget) WindowLen() int      { return len(f.vals) }
+func (f *fakeTarget) Value(i int) float64 { return f.vals[i] }
 
 func (f *fakeTarget) RangeSum(lo, hi int) (float64, error) {
 	s := 0.0
@@ -47,12 +50,8 @@ func (f *fakeTarget) Selectivity(lo, hi float64) (float64, error) {
 
 func (f *fakeTarget) Staleness() float64 { return 0.25 }
 
-func (f *fakeTarget) DriftCheck() (float64, bool, int, int, error) {
-	return 0.01, false, 0, 1, nil
-}
-
-func feed(a *Auditor, vals []float64) {
-	a.ObserveBatch(vals, 0)
+func (f *fakeTarget) DriftCheck() (DriftState, error) {
+	return DriftState{Distance: 0.01, Checks: 1}, nil
 }
 
 func series(seed int64, n int) []float64 {
@@ -69,8 +68,8 @@ func series(seed int64, n int) []float64 {
 func TestAuditDeterminism(t *testing.T) {
 	vals := series(7, 4096)
 	run := func() Report {
-		a := NewAuditor(Config{Interval: 1024, Shadow: 512, Reservoir: 128}, 42)
-		feed(a, vals)
+		a := NewAuditor(1024, 42)
+		a.ObserveBatch(vals)
 		return a.Run(&fakeTarget{vals: vals, eps: 0.05, skew: 0.01}, nil, nil, 0)
 	}
 	r1, r2 := run(), run()
@@ -89,8 +88,8 @@ func TestAuditDeterminism(t *testing.T) {
 
 	// A different seed must draw a different panel (range positions), so
 	// at least the range class should measure differently on skewed data.
-	a3 := NewAuditor(Config{Interval: 1024, Shadow: 512, Reservoir: 128}, 43)
-	feed(a3, vals)
+	a3 := NewAuditor(1024, 43)
+	a3.ObserveBatch(vals)
 	r3 := a3.Run(&fakeTarget{vals: vals, eps: 0.05, skew: 0.01}, nil, nil, 0)
 	if r3.Classes[ClassRange] == r1.Classes[ClassRange] &&
 		r3.Classes[ClassSelectivity] == r1.Classes[ClassSelectivity] {
@@ -103,8 +102,8 @@ func TestAuditDeterminism(t *testing.T) {
 func TestAuditMeasuresInjectedError(t *testing.T) {
 	vals := series(11, 4096)
 	const skew = 0.02
-	a := NewAuditor(Config{Shadow: 1024, Reservoir: 256}, 1)
-	feed(a, vals)
+	a := NewAuditor(DefaultInterval, 1)
+	a.ObserveBatch(vals)
 	rep := a.Run(&fakeTarget{vals: vals, eps: 0.05, skew: skew}, nil, nil, 0)
 
 	rc := rep.Classes[ClassRange]
@@ -128,28 +127,29 @@ func TestAuditMeasuresInjectedError(t *testing.T) {
 	}
 }
 
-// TestObserveBatchRealigns: a positional gap (recovery replay the
-// auditor did not see) must reset the ring rather than misattribute
-// values to positions.
-func TestObserveBatchRealigns(t *testing.T) {
-	a := NewAuditor(Config{Shadow: 8}, 1)
-	a.ObserveBatch([]float64{1, 2, 3}, 0)
-	if a.end != 3 || a.ringLen != 3 {
-		t.Fatalf("end=%d ringLen=%d after contiguous batch", a.end, a.ringLen)
+// TestRangeTruthIsTheWindow: range probes are checked against the
+// target's own window values, not against anything the auditor observed,
+// so an auditor that has seen nothing (a stream restored from a snapshot,
+// or recovered from a checkpoint with no log tail) still measures ranges
+// exactly, and a report's position is the stream's, not the auditor's.
+func TestRangeTruthIsTheWindow(t *testing.T) {
+	vals := series(13, 512)
+	a := NewAuditor(DefaultInterval, 1)
+	rep := a.Run(&fakeTarget{vals: vals, eps: 0.05}, nil, nil, 0)
+	rc := rep.Classes[ClassRange]
+	if rc.Queries != rangeQueries || rc.MaxRelErr > 1e-12 {
+		t.Fatalf("range class %+v against the window it reads, want %d exact probes", rc, rangeQueries)
 	}
-	// Gap: positions 3..9 applied elsewhere.
-	a.ObserveBatch([]float64{10, 11}, 10)
-	if a.end != 12 {
-		t.Fatalf("end=%d, want 12 after gap realign", a.end)
+	if rep.Seen != 512 || rep.WindowLen != 512 {
+		t.Fatalf("report at seen=%d window=%d, want the target's 512 and 512", rep.Seen, rep.WindowLen)
 	}
-	if a.ringLen != 2 {
-		t.Fatalf("ringLen=%d, want ring reset to the new batch only", a.ringLen)
+	if q := rep.Classes[ClassQuantile].Queries; q != 0 {
+		t.Fatalf("%d quantile probes against an empty reservoir", q)
 	}
-	if got := a.ringVal(11); got != 11 {
-		t.Fatalf("ringVal(11)=%g, want 11", got)
-	}
-	if got := a.ringVal(10); got != 10 {
-		t.Fatalf("ringVal(10)=%g, want 10", got)
+	// Below minWindow the range class is skipped.
+	rep = a.Run(&fakeTarget{vals: vals[:minWindow-1], eps: 0.05}, nil, nil, 0)
+	if q := rep.Classes[ClassRange].Queries; q != 0 {
+		t.Fatalf("%d range probes on a %d-point window", q, minWindow-1)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestNilAuditorZeroCost(t *testing.T) {
 	var a *Auditor
 	vals := []float64{1, 2, 3, 4}
 	allocs := testing.AllocsPerRun(1000, func() {
-		a.ObserveBatch(vals, 0)
+		a.ObserveBatch(vals)
 		if a.Due() {
 			t.Fatal("nil auditor due")
 		}
@@ -172,13 +172,11 @@ func TestNilAuditorZeroCost(t *testing.T) {
 // TestObserveBatchSteadyStateAllocs: once the reservoir is full, feeding
 // the shadows must be allocation-free.
 func TestObserveBatchSteadyStateAllocs(t *testing.T) {
-	a := NewAuditor(Config{Shadow: 128, Reservoir: 64, Interval: 1 << 30}, 1)
-	feed(a, series(3, 256)) // fill reservoir and ring
+	a := NewAuditor(1<<30, 1)
+	a.ObserveBatch(series(3, 2*reservoirSize)) // fill the reservoir
 	vals := []float64{5, 6, 7, 8}
-	var pos int64 = 256
 	allocs := testing.AllocsPerRun(1000, func() {
-		a.ObserveBatch(vals, pos)
-		pos += 4
+		a.ObserveBatch(vals)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ObserveBatch allocates %v per op, want 0", allocs)
@@ -186,12 +184,12 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 }
 
 func TestDueInterval(t *testing.T) {
-	a := NewAuditor(Config{Interval: 10, Shadow: 16}, 1)
-	a.ObserveBatch(series(1, 9), 0)
+	a := NewAuditor(10, 1)
+	a.ObserveBatch(series(1, 9))
 	if a.Due() {
 		t.Fatal("due before interval")
 	}
-	a.ObserveBatch([]float64{1}, 9)
+	a.ObserveBatch([]float64{1})
 	if !a.Due() {
 		t.Fatal("not due at interval")
 	}
@@ -279,8 +277,8 @@ func TestMetricsPublish(t *testing.T) {
 	}
 
 	vals := series(5, 2048)
-	a := NewAuditor(Config{Shadow: 512, Reservoir: 128}, 9)
-	feed(a, vals)
+	a := NewAuditor(DefaultInterval, 9)
+	a.ObserveBatch(vals)
 	rep := a.Run(&fakeTarget{vals: vals, eps: 0.05, skew: 0.2}, m, tr, 3)
 	if rep.Breaches == 0 {
 		t.Fatal("0.2 skew against eps 0.05 should breach panel queries")
@@ -299,7 +297,6 @@ func TestMetricsPublish(t *testing.T) {
 		"streamhist_quality_eps_headroom",
 		"streamhist_quality_rel_err",
 		`class="range"`,
-		"streamhist_drift_reanchors_total",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, buf.String())
@@ -328,8 +325,8 @@ func TestMetricsPublish(t *testing.T) {
 // panic — disabled observability is the default wiring.
 func TestNilMetricsAndTrace(t *testing.T) {
 	vals := series(5, 1024)
-	a := NewAuditor(Config{Shadow: 256, Reservoir: 64}, 9)
-	feed(a, vals)
+	a := NewAuditor(DefaultInterval, 9)
+	a.ObserveBatch(vals)
 	rep := a.Run(&fakeTarget{vals: vals, eps: 0.05}, nil, nil, 0)
 	if rep.Queries == 0 {
 		t.Fatal("no queries with nil observability")

@@ -21,7 +21,6 @@ import (
 type RunConfig struct {
 	EvalEvery     int // points between trajectory checkpoints (default 1024)
 	AuditInterval int // auditor pass interval (default 256)
-	AuditShadow   int // exact shadow ring size (default 1024)
 
 	// DiagDir, when non-empty, attaches a metrics registry and a trace
 	// ring to each scenario's daemon and, if the scenario breaches its
@@ -31,22 +30,12 @@ type RunConfig struct {
 	DiagDir string
 }
 
-// The accuracy SLO every scenario's daemon runs: the required in-contract
-// query fraction and the rolling window of query outcomes it is over.
-const (
-	sloTarget = 0.9
-	sloWindow = 256
-)
-
 func (c RunConfig) withDefaults() RunConfig {
 	if c.EvalEvery == 0 {
 		c.EvalEvery = 1024
 	}
 	if c.AuditInterval == 0 {
 		c.AuditInterval = 256
-	}
-	if c.AuditShadow == 0 {
-		c.AuditShadow = 1024
 	}
 	return c
 }
@@ -111,9 +100,6 @@ func Run(sc Scenario, cfg RunConfig) (Result, error) {
 		Incremental:   sc.Incremental,
 		Audit:         true,
 		AuditInterval: cfg.AuditInterval,
-		AuditShadow:   cfg.AuditShadow,
-		SLOTarget:     sloTarget,
-		SLOWindow:     sloWindow,
 		Logger:        quiet,
 	}
 	if cfg.DiagDir != "" {

@@ -93,7 +93,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Points = 2048
-	cfg := RunConfig{EvalEvery: 512, AuditInterval: 128, AuditShadow: 512}
+	cfg := RunConfig{EvalEvery: 512, AuditInterval: 128}
 	a, err := Run(sc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestRunGateTrips(t *testing.T) {
 	sc.Points = 2048
 	sc.MaxErrBudget = 1e-9 // unreachable: any measured error breaches
 	diag := t.TempDir()
-	res, err := Run(sc, RunConfig{EvalEvery: 512, AuditInterval: 128, AuditShadow: 512, DiagDir: diag})
+	res, err := Run(sc, RunConfig{EvalEvery: 512, AuditInterval: 128, DiagDir: diag})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestIncrementalScenarioShowsStaleness(t *testing.T) {
 		t.Fatal("incremental-diurnal is not configured incremental")
 	}
 	sc.Points = 3072
-	res, err := Run(sc, RunConfig{EvalEvery: 1024, AuditInterval: 128, AuditShadow: 512})
+	res, err := Run(sc, RunConfig{EvalEvery: 1024, AuditInterval: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

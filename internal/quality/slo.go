@@ -18,8 +18,9 @@ package quality
 // Breaching pair around a batch of Records to emit trace events and
 // captures exactly once per episode.
 //
-// SLO is not self-locking: the owning auditor runs under its stream's
-// lock (and its shard's write lock) in the shard loop.
+// SLO is not self-locking: its auditor is fed, run and read under its
+// stream's lock only (the ingest drain feeds and runs it; status reads
+// take the same lock).
 type SLO struct {
 	target float64
 	// outcomes is a ring of the last window results (true = within ε).

@@ -13,7 +13,6 @@
 package resilience
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -341,27 +340,4 @@ func (r Retry) Delay(attempt int) time.Duration {
 		out = maxd
 	}
 	return out
-}
-
-// Do runs fn until it succeeds or attempts are exhausted, sleeping
-// Delay(k) before attempt k via sleep (which returns false to abort,
-// e.g. when a stop channel closed). It returns nil on success, the last
-// error when attempts ran out, and the last error seen when aborted.
-func (r Retry) Do(attempts int, sleep func(time.Duration) bool, fn func() error) error {
-	if attempts <= 0 {
-		attempts = 1
-	}
-	var last error
-	for k := 0; k < attempts; k++ {
-		if d := r.Delay(k); d > 0 && !sleep(d) {
-			if last == nil {
-				last = fmt.Errorf("resilience: retry aborted")
-			}
-			return last
-		}
-		if last = fn(); last == nil {
-			return nil
-		}
-	}
-	return last
 }

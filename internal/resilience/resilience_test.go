@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,40 +263,5 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 				t.Errorf("rand=%v Delay(%d) = %v out of bounds", rv, k, d)
 			}
 		}
-	}
-}
-
-func TestRetryDoStopsOnSuccess(t *testing.T) {
-	calls := 0
-	err := Retry{Jitter: -1, Base: time.Millisecond}.Do(5,
-		func(time.Duration) bool { return true },
-		func() error {
-			calls++
-			if calls < 3 {
-				return errors.New("nope")
-			}
-			return nil
-		})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-}
-
-func TestRetryDoExhaustsAndAborts(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	err := Retry{Jitter: -1, Base: time.Millisecond}.Do(3,
-		func(time.Duration) bool { return true },
-		func() error { calls++; return fmt.Errorf("attempt %d: %w", calls, boom) })
-	if !errors.Is(err, boom) || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want wrapped boom after 3", err, calls)
-	}
-	// Abort: sleep returns false before the second attempt.
-	calls = 0
-	err = Retry{Jitter: -1, Base: time.Millisecond}.Do(3,
-		func(time.Duration) bool { return false },
-		func() error { calls++; return boom }) //nolint
-	if !errors.Is(err, boom) || calls != 1 {
-		t.Fatalf("aborted: err=%v calls=%d", err, calls)
 	}
 }

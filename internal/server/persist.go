@@ -43,35 +43,25 @@ type Options struct {
 	// with it, so a factory that cannot build a stream fails Open.
 	Factory shard.Factory
 	// Incremental enables incremental cover repair on every stream the
-	// default factory creates: shard loops ingest lazily and flush at
-	// query time, so the amortized repair path replaces the full rebuild
-	// those flushes pay. Ignored when Factory is set (configure the
-	// maintainer there instead).
+	// default factory creates. Such a stream maintains eagerly: the shard
+	// loop's apply runs one PushBatch, one amortized repair pass, per
+	// ingest request, so queries find the cover fresh. Exact streams
+	// (the default) push lazily and defer maintenance to the next query's
+	// flush. Ignored when Factory is set (configure the maintainer there
+	// instead).
 	Incremental bool
 
 	// Audit enables the per-stream shadow auditor and accuracy SLO engine
-	// (internal/quality): each stream keeps an exact bounded-memory shadow
-	// of recent points, periodically replays a range/quantile/selectivity
-	// panel against the approximate summaries, and tracks
-	// P[rel_err <= eps] >= SLOTarget over a rolling window. Serves
-	// GET /v1/streams/{key}/slo and GET /debug/quality.
+	// (internal/quality): each stream's drain feeds an auditor that keeps
+	// a seeded reservoir of the stream's values and every AuditInterval
+	// points replays a range/quantile/selectivity panel against the
+	// approximate summaries, with the stream's window as range truth, and
+	// tracks P[rel_err <= eps] >= 0.9 over the last 256 panel queries.
+	// Serves GET /v1/streams/{key}/slo and GET /debug/quality.
 	Audit bool
 	// AuditInterval is the number of ingested points between audit passes
-	// per stream; 0 means 1024.
+	// per stream; 0 means quality.DefaultInterval (1024).
 	AuditInterval int
-	// AuditShadow is the exact positional shadow per audited stream, in
-	// points; 0 means 2048. AuditReservoir is the whole-stream uniform
-	// sample behind quantile/selectivity shadows; 0 means 512.
-	AuditShadow    int
-	AuditReservoir int
-	// AuditSeed is the base seed audit randomness derives from (mixed with
-	// each stream key); 0 means 1. Fixed seed + same stream = identical
-	// measured errors.
-	AuditSeed int64
-	// SLOTarget is the accuracy objective's required compliance; 0 means
-	// 0.9. SLOWindow is its rolling window in panel queries; 0 means 256.
-	SLOTarget float64
-	SLOWindow int
 
 	// MaxBody caps an ingest or restore request body; 0 means 32 MiB.
 	MaxBody int64
@@ -214,15 +204,11 @@ func Open(opts Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	var audit *quality.Config
+	auditInterval := 0
 	if opts.Audit {
-		audit = &quality.Config{
-			Interval:  opts.AuditInterval,
-			Shadow:    opts.AuditShadow,
-			Reservoir: opts.AuditReservoir,
-			Seed:      opts.AuditSeed,
-			SLOTarget: opts.SLOTarget,
-			SLOWindow: opts.SLOWindow,
+		auditInterval = opts.AuditInterval
+		if auditInterval <= 0 {
+			auditInterval = quality.DefaultInterval
 		}
 	}
 	eng, err := shard.NewEngine(shard.Config{
@@ -230,7 +216,7 @@ func Open(opts Options) (*Server, error) {
 		MaxKeys:            opts.MaxKeys,
 		KeyInflight:        opts.KeyInflight,
 		Factory:            factory,
-		Audit:              audit,
+		AuditInterval:      auditInterval,
 		DataDir:            opts.DataDir,
 		FS:                 opts.FS,
 		SyncEveryAppend:    opts.SyncEveryAppend,
@@ -256,10 +242,6 @@ func Open(opts Options) (*Server, error) {
 		_ = eng.Close()
 		return nil, err
 	}
-	// Same metric name the shard auditors use; the registry's dedup index
-	// makes HTTP-driven and audit-driven re-anchors share one counter.
-	s.driftReanchors = opts.Metrics.Counter("streamhist_drift_reanchors_total",
-		"Drift-detector alarms that re-anchored the reference histogram.")
 	s.registerGaugeFuncs(opts.Metrics)
 	s.routes()
 	s.state.Store(stateReady)

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"streamhist/internal/shard"
-	"streamhist/internal/trace"
 )
 
 // handleSLO serves GET /v1/streams/{key}/slo: the stream's accuracy SLO
@@ -73,13 +72,4 @@ func (s *Server) handleDebugQuality(w http.ResponseWriter, r *http.Request) {
 		"count":     len(streams),
 		"breaching": breaching,
 	})
-}
-
-// emitDrift records one drift re-anchor: the obs counter shared with the
-// shard auditors (same metric name, deduped by the registry) and an
-// EvDrift trace instant attributed to the stream's shard.
-func (s *Server) emitDrift(key string, dist float64, alarms int) {
-	s.driftReanchors.Inc()
-	s.tr.Instant(trace.EvDrift, uint8(s.eng.ShardFor(key)), 0, 0,
-		int64(dist*1e6), int64(alarms))
 }

@@ -17,7 +17,7 @@ import (
 func auditedServer(t *testing.T) *Server {
 	t.Helper()
 	s, err := Open(Options{Window: 512, Buckets: 8, Eps: 0.1, Delta: 0.1,
-		Audit: true, AuditInterval: 64, SLOTarget: 0.9})
+		Audit: true, AuditInterval: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,62 +264,84 @@ func TestReadyzShardDetail(t *testing.T) {
 	}
 }
 
-// TestDriftReanchorObservable: a drift re-anchor through the HTTP
-// endpoint increments streamhist_drift_reanchors_total and emits an
-// EvDrift instant.
+// TestDriftReanchorObservable: a drift re-anchor increments
+// streamhist_drift_reanchors_total by exactly one and emits one EvDrift
+// instant, whichever path ran the check: an audit pass or the HTTP drift
+// endpoint.
 func TestDriftReanchorObservable(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr, err := trace.New(256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One audit pass per full window.
 	s, err := Open(Options{
 		Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2,
+		Audit: true, AuditInterval: 64,
 		Metrics: reg, Trace: tr, Logger: quietLogger,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	// Fill the window completely so its span stops moving, then anchor.
-	var low strings.Builder
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&low, "%d\n", 100+i%3)
+	reanchors := reg.Counter("streamhist_drift_reanchors_total", "")
+	fill := func(level, n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "%d\n", level+i%3)
+		}
+		return b.String()
 	}
-	do(t, s, http.MethodPost, "/v1/streams/default/ingest", low.String())
-	if rec := do(t, s, http.MethodGet, "/v1/streams/default/drift", ""); rec.Code != http.StatusOK {
-		t.Fatalf("anchor drift call: %d %s", rec.Code, rec.Body.String())
+	drift := func() string {
+		t.Helper()
+		rec := do(t, s, http.MethodGet, "/v1/streams/default/drift", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("drift call: %d %s", rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
 	}
-
-	// Replace the window's contents with a very different distribution.
-	var high strings.Builder
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&high, "%d\n", 900+i%3)
-	}
-	do(t, s, http.MethodPost, "/v1/streams/default/ingest", high.String())
-	rec := do(t, s, http.MethodGet, "/v1/streams/default/drift", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("drift call: %d %s", rec.Code, rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), `"drifted":true`) {
-		t.Fatalf("distribution shift not detected: %s", rec.Body.String())
-	}
-
-	mrec := do(t, s, http.MethodGet, "/metrics", "")
-	if !strings.Contains(mrec.Body.String(), "streamhist_drift_reanchors_total 1") {
-		t.Errorf("drift re-anchor counter missing or wrong:\n%s", mrec.Body.String())
-	}
-	var saw bool
-	for _, ev := range tr.Snapshot() {
-		if ev.Type == trace.EvDrift {
-			saw = true
-			if ev.A <= 0 {
-				t.Errorf("EvDrift distance payload %d, want > 0", ev.A)
+	driftEvents := func() (n int) {
+		for _, ev := range tr.Snapshot() {
+			if ev.Type == trace.EvDrift {
+				n++
+				if ev.A <= 0 {
+					t.Errorf("EvDrift distance payload %d, want > 0", ev.A)
+				}
 			}
 		}
+		return n
 	}
-	if !saw {
-		t.Error("no EvDrift instant recorded")
+
+	// A full window of low values: the pass anchors the detector, and the
+	// endpoint sees the same window, so neither path drifts.
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", fill(100, 64))
+	if body := drift(); !strings.Contains(body, `"drifted":false`) {
+		t.Fatalf("unchanged window drifted: %s", body)
+	}
+	if got := reanchors.Value(); got != 0 {
+		t.Fatalf("%d re-anchors before any drift", got)
+	}
+
+	// A full window of high values: the audit pass drifts.
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", fill(900, 64))
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/slo", "")
+	if !strings.Contains(rec.Body.String(), `"drifted":true`) {
+		t.Fatalf("audit pass did not report the shift: %s", rec.Body.String())
+	}
+	if got, ev := reanchors.Value(), driftEvents(); got != 1 || ev != 1 {
+		t.Fatalf("after the audit's re-anchor: counter %d, %d EvDrift instants, want 1 and 1", got, ev)
+	}
+
+	// Low values again, one short of a pass: the endpoint drifts.
+	do(t, s, http.MethodPost, "/v1/streams/default/ingest", fill(100, 63))
+	if body := drift(); !strings.Contains(body, `"drifted":true`) {
+		t.Fatalf("distribution shift not detected: %s", body)
+	}
+	if got, ev := reanchors.Value(), driftEvents(); got != 2 || ev != 2 {
+		t.Fatalf("after the endpoint's re-anchor: counter %d, %d EvDrift instants, want 2 and 2", got, ev)
+	}
+	mrec := do(t, s, http.MethodGet, "/metrics", "")
+	if !strings.Contains(mrec.Body.String(), "streamhist_drift_reanchors_total 2") {
+		t.Errorf("drift re-anchor counter missing or wrong:\n%s", mrec.Body.String())
 	}
 }

@@ -74,6 +74,7 @@ import (
 	"streamhist/internal/core"
 	"streamhist/internal/faults"
 	"streamhist/internal/obs"
+	"streamhist/internal/quality"
 	"streamhist/internal/shard"
 	"streamhist/internal/stream"
 	"streamhist/internal/trace"
@@ -108,18 +109,13 @@ type Server struct {
 	state    atomic.Int32
 
 	// Observability (nil without Options.Metrics; nil tr is the disabled
-	// flight recorder). The engine owns the checkpoint and resilience
-	// series; panics is the one the HTTP layer increments itself, and
-	// shares the engine's handle by name.
-	om     *httpMetrics
-	panics *obs.Counter
-	// driftReanchors counts drift-detector re-anchors fired through the
-	// HTTP drift endpoint (the shard auditors share the same series by
-	// name). Nil without Options.Metrics.
-	driftReanchors *obs.Counter
-	tr             *trace.Recorder
-	logger         *slog.Logger
-	logDebug       bool // logger admits Debug records; precomputed for the request path
+	// flight recorder). The engine owns the checkpoint, resilience and
+	// drift series; panics is the one the HTTP layer owns itself.
+	om       *httpMetrics
+	panics   *obs.Counter
+	tr       *trace.Recorder
+	logger   *slog.Logger
+	logDebug bool // logger admits Debug records; precomputed for the request path
 
 	opts      Options
 	fs        faults.FS
@@ -671,21 +667,12 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request, key string)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	var (
-		dist           float64
-		drifted        bool
-		alarms, checks int
-		derr           error
-	)
+	var d quality.DriftState
 	verr := s.eng.View(key, func(st *shard.State) error {
 		s.setTraceParent(r, st.FW)
-		res, err := st.FW.Histogram()
-		if err != nil {
-			return err
-		}
-		dist, drifted, derr = st.Det.Observe(res.Histogram)
-		alarms, checks = st.Det.Alarms(), st.Det.Checks()
-		return nil
+		var err error
+		d, err = st.DriftCheck()
+		return err
 	})
 	if s.writeEngineError(w, key, verr) {
 		return
@@ -694,20 +681,16 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request, key string)
 		writeError(w, http.StatusConflict, errConflict, "%v", verr)
 		return
 	}
-	if derr != nil {
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", derr)
-		return
-	}
-	if drifted {
+	if d.Drifted {
 		// The detector just re-anchored its reference; surface the event
 		// (counter + trace instant) instead of firing invisibly.
-		s.emitDrift(key, dist, alarms)
+		s.eng.RecordDrift(key, d)
 	}
 	writeJSON(w, map[string]any{
-		"distance": dist,
-		"drifted":  drifted,
-		"alarms":   alarms,
-		"checks":   checks,
+		"distance": d.Distance,
+		"drifted":  d.Drifted,
+		"alarms":   d.Alarms,
+		"checks":   d.Checks,
 	})
 }
 

@@ -12,24 +12,24 @@ import (
 // mixes the stream key, so each stream's audit panel is independent yet
 // reproducible across restarts (FNV-1a of the key is stable).
 func (sh *shard) wireAudit(key string, st *State) {
-	cfg := sh.eng.cfg.Audit
-	if cfg == nil {
+	if sh.eng.cfg.AuditInterval <= 0 {
 		return
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
-	st.Aud = quality.NewAuditor(*cfg, int64(h.Sum64()))
+	st.Aud = quality.NewAuditor(sh.eng.cfg.AuditInterval, int64(h.Sum64()))
 }
 
-// auditTarget adapts one stream's summaries to the quality.Target
-// interface. It is only ever used from the loop's apply, under the
-// stream's lock, for the duration of one audit pass, after apply has
-// drained the stream's queued values so the auxiliaries it reads are
-// caught up with the window.
+// auditTarget adapts one stream's summaries and window to the
+// quality.Target interface. It is only ever used from Ingest's drain,
+// under the stream's lock, for the duration of one audit pass, after the
+// drain has caught the auxiliaries up with the window.
 type auditTarget struct{ st *State }
 
-func (t auditTarget) Epsilon() float64 { return t.st.FW.Epsilon() }
-func (t auditTarget) WindowLen() int   { return t.st.FW.Len() }
+func (t auditTarget) Epsilon() float64    { return t.st.FW.Epsilon() }
+func (t auditTarget) Seen() int64         { return t.st.FW.Seen() }
+func (t auditTarget) WindowLen() int      { return t.st.FW.Len() }
+func (t auditTarget) Value(i int) float64 { return t.st.FW.Value(i) }
 
 func (t auditTarget) RangeSum(lo, hi int) (float64, error) {
 	return t.st.FW.EstimateRangeSum(lo, hi)
@@ -55,33 +55,20 @@ func (t auditTarget) Staleness() float64 {
 	return 0
 }
 
-// DriftCheck runs one detector observation against the current window
-// histogram, as the HTTP drift endpoint does.
-func (t auditTarget) DriftCheck() (dist float64, drifted bool, alarms, checks int, err error) {
-	res, err := t.st.FW.Histogram()
-	if err != nil {
-		return 0, false, 0, 0, err
-	}
-	dist, drifted, err = t.st.Det.Observe(res.Histogram)
-	return dist, drifted, t.st.Det.Alarms(), t.st.Det.Checks(), err
-}
+func (t auditTarget) DriftCheck() (quality.DriftState, error) { return t.st.DriftCheck() }
 
 // runAudit runs one due audit pass for key's stream and handles the
 // pass's side effects: drift re-anchor accounting and SLO breach
 // transitions (trace instant + anomaly capture, once per episode). Call
-// from apply, with sh.mu held for writing and st.mu held, after st's
-// queued values are drained.
-//
-//lint:ignore mutex-discipline runs under process()'s sh.mu
+// from Ingest's drain, with st.mu held and st's queued values drained.
 func (sh *shard) runAudit(key string, st *State) {
+	sh.eng.failAt("ingest.audit")
 	slo := st.Aud.SLO()
 	wasBreaching := slo.Breaching()
 	rep := st.Aud.Run(auditTarget{st: st}, sh.eng.qm, sh.tracer(), uint8(sh.id))
 
 	if rep.Drift.Drifted {
-		sh.eng.qm.DriftReanchors.Inc()
-		sh.tracer().Instant(trace.EvDrift, uint8(sh.id), 0, 0,
-			int64(rep.Drift.Distance*1e6), int64(rep.Drift.Alarms))
+		sh.eng.RecordDrift(key, rep.Drift)
 	}
 
 	if !wasBreaching && slo.Breaching() {
@@ -121,7 +108,17 @@ func (e *Engine) AuditStatus(key string) (st quality.Status, ok bool, err error)
 }
 
 // AuditEnabled reports whether the engine runs shadow audits.
-func (e *Engine) AuditEnabled() bool { return e.cfg.Audit != nil }
+func (e *Engine) AuditEnabled() bool { return e.cfg.AuditInterval > 0 }
+
+// RecordDrift accounts for one drift re-anchor of key's stream that
+// State.DriftCheck reported: it counts it and emits its EvDrift instant,
+// attributed to the stream's shard. Both paths that check, an audit pass
+// and the /drift endpoint, account through it.
+func (e *Engine) RecordDrift(key string, d quality.DriftState) {
+	e.driftReanchors.Inc()
+	e.cfg.Trace.Instant(trace.EvDrift, uint8(e.ShardFor(key)), 0, 0,
+		int64(d.Distance*1e6), int64(d.Alarms))
+}
 
 // StreamQuality is one stream's audit status in a QualitySnapshot.
 type StreamQuality struct {
@@ -131,23 +128,27 @@ type StreamQuality struct {
 }
 
 // QualitySnapshot collects every audited stream's status, sorted by key.
-// Each shard is snapshotted under its read lock (no cross-shard
-// barrier), which suffices because only the loop's apply, holding the
-// write lock, mutates an auditor. The intended consumer is the
-// /debug/quality endpoint.
+// Each shard's audited streams are listed under its read lock (no
+// cross-shard barrier); each auditor is then read under its stream's
+// lock, after the shard lock is released, so a stream busy in a drain or
+// an audit pass delays this snapshot but never the shard. The intended
+// consumer is the /debug/quality endpoint.
 func (e *Engine) QualitySnapshot() []StreamQuality {
 	var out []StreamQuality
+	var states []*State
 	for _, sh := range e.shards {
-		func() {
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-			for key, st := range sh.streams {
-				if st.Aud == nil {
-					continue
-				}
-				out = append(out, StreamQuality{Stream: key, Shard: sh.id, Status: st.Aud.Status()})
+		sh.mu.RLock()
+		for key, st := range sh.streams {
+			// Aud is set before a state is installed and never changes.
+			if st.Aud != nil {
+				out = append(out, StreamQuality{Stream: key, Shard: sh.id})
+				states = append(states, st)
 			}
-		}()
+		}
+		sh.mu.RUnlock()
+	}
+	for i, st := range states {
+		out[i].Status = st.auditStatus()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Stream < out[j].Stream })
 	return out

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -27,12 +28,20 @@ func auditSeries(seed int64, n int) [][]float64 {
 	return batches
 }
 
+// auditFactory builds windows wide enough for the audit's range probes,
+// which need at least 64 points.
+func auditFactory(string) (*State, error) {
+	fw, err := core.New(128, 4, 0.1)
+	if err != nil {
+		return nil, err
+	}
+	return NewState(fw)
+}
+
 // TestEngineAuditRuns: an audited engine runs passes as points land, and
 // AuditStatus reports them; an unaudited engine reports ok=false.
 func TestEngineAuditRuns(t *testing.T) {
-	e := testEngine(t, Config{Shards: 2, Audit: &quality.Config{
-		Interval: 64, Shadow: 256, Reservoir: 64, MinShadow: 16,
-	}})
+	e := testEngine(t, Config{Shards: 2, AuditInterval: 64, Factory: auditFactory})
 	for _, b := range auditSeries(1, 512) {
 		if _, _, err := e.Ingest("tenant-a", 0, b); err != nil {
 			t.Fatal(err)
@@ -45,8 +54,8 @@ func TestEngineAuditRuns(t *testing.T) {
 	if st.Audits == 0 || st.Queries == 0 {
 		t.Fatalf("no audit passes after 512 points at interval 64: %+v", st)
 	}
-	if st.LastAudit == nil || st.LastAudit.Queries == 0 {
-		t.Fatalf("last audit report empty: %+v", st.LastAudit)
+	if st.LastAudit == nil || st.LastAudit.Classes[quality.ClassRange].Queries == 0 {
+		t.Fatalf("last audit report has no range probes: %+v", st.LastAudit)
 	}
 	if !e.AuditEnabled() {
 		t.Fatal("AuditEnabled false on an audited engine")
@@ -78,9 +87,7 @@ func TestEngineAuditRuns(t *testing.T) {
 // per-stream seed is derived from the key, not process state.
 func TestEngineAuditDeterministicAcrossEngines(t *testing.T) {
 	run := func() quality.Status {
-		e := testEngine(t, Config{Shards: 2, Audit: &quality.Config{
-			Interval: 64, Shadow: 256, Reservoir: 64, MinShadow: 16,
-		}})
+		e := testEngine(t, Config{Shards: 2, AuditInterval: 64, Factory: auditFactory})
 		for _, b := range auditSeries(3, 512) {
 			if _, _, err := e.Ingest("tenant-d", 0, b); err != nil {
 				t.Fatal(err)
@@ -132,10 +139,7 @@ func TestSLOBreachCapture(t *testing.T) {
 			}
 			return NewState(fw)
 		},
-		Audit: &quality.Config{
-			Interval: 64, Shadow: 256, Reservoir: 64, MinShadow: 16,
-			SLOTarget: 0.99, SLOWindow: 32,
-		},
+		AuditInterval: 64,
 	})
 	for _, b := range auditSeries(5, 1024) {
 		if _, _, err := e.Ingest("strict", 0, b); err != nil {
@@ -197,7 +201,7 @@ func TestSLOBreachCapture(t *testing.T) {
 		if c.Stats.Stream != "strict" {
 			t.Fatalf("capture stream %q, want strict", c.Stats.Stream)
 		}
-		if c.Stats.SLOTarget != 0.99 || c.Stats.SLOCompliance >= 0.99 {
+		if c.Stats.SLOTarget != 0.9 || c.Stats.SLOCompliance >= 0.9 {
 			t.Fatalf("capture SLO context %+v inconsistent with a breach", c.Stats)
 		}
 		if c.Stats.MeasuredRelErr <= 1e-6 {
@@ -209,17 +213,16 @@ func TestSLOBreachCapture(t *testing.T) {
 	}
 }
 
-// TestAuditSurvivesRecovery: recovery replays the WAL outside the shard
-// loop, so the auditor's positional ring must realign on the first live
-// batch instead of misattributing positions.
+// TestAuditSurvivesRecovery: after a clean restart (a final checkpoint,
+// no log tail) the auditor resumes on live traffic. Its range probes read
+// the recovered window, so the first pass after the restart measures
+// ranges, and its report carries the stream's position, not the count of
+// points the new auditor has seen.
 func TestAuditSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Shards: 2, DataDir: dir, SyncEveryAppend: true,
-		Factory: testFactory(t),
-		Audit: &quality.Config{
-			Interval: 32, Shadow: 128, Reservoir: 32, MinShadow: 8,
-		},
+		Factory: auditFactory, AuditInterval: 32,
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -239,23 +242,88 @@ func TestAuditSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	// Live traffic after recovery: the auditor starts at ring position 0
-	// while the stream is at 128; the first batch must realign, and audits
-	// must resume.
-	for _, b := range auditSeries(10, 128) {
+	for i, b := range auditSeries(10, 128) {
 		if _, _, err := e2.Ingest("t", 0, b); err != nil {
 			t.Fatal(err)
+		}
+		if i != 3 {
+			continue
+		}
+		st, _, err := e2.AuditStatus("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Audits != 1 || st.LastAudit.Classes[quality.ClassRange].Queries == 0 {
+			t.Fatalf("first pass after recovery: %+v, want one pass with range probes", st.LastAudit)
 		}
 	}
 	st, ok, err := e2.AuditStatus("t")
 	if err != nil || !ok {
 		t.Fatalf("AuditStatus after recovery: ok=%v err=%v", ok, err)
 	}
-	if st.Audits == 0 {
-		t.Fatal("no audit passes after recovery")
+	if st.Audits != 4 {
+		t.Fatalf("%d audit passes over 128 live points at interval 32, want 4", st.Audits)
 	}
 	if st.LastAudit.Seen != 256 {
 		t.Fatalf("auditor position %d after recovery+live, want 256", st.LastAudit.Seen)
+	}
+}
+
+// TestAuditReplaysWALTail: recovery replays the log tail through the same
+// drain a live ingest runs, so the auditor observes the replayed values
+// too. A stream recovered from a tail (no checkpoint) and then fed live
+// audits exactly as one that never restarted: same passes, same reservoir
+// and so the same measured errors.
+func TestAuditReplaysWALTail(t *testing.T) {
+	// No pass falls inside the replayed 64 points: replay only observes.
+	const interval = 96
+	batches := auditSeries(11, 192)
+	replayed, live := batches[:8], batches[8:]
+
+	ref := testEngine(t, Config{Shards: 2, Factory: auditFactory, AuditInterval: interval})
+	for _, b := range batches {
+		if _, _, err := ref.Ingest("t", 0, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _, err := ref.AuditStatus("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := Config{
+		Shards: 2, DataDir: t.TempDir(), SyncEveryAppend: true,
+		Factory: auditFactory, AuditInterval: interval,
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range replayed {
+		if _, _, err := e.Ingest("t", 0, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Abort() // no final checkpoint: every point is in the log tail
+	e2, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	for _, b := range live {
+		if _, _, err := e2.Ingest("t", 0, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := e2.AuditStatus("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Audits != 2 || want.LastAudit.Seen != 192 {
+		t.Fatalf("reference stream: %d passes, last at %d, want 2 and 192", want.Audits, want.LastAudit.Seen)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered stream audits differently:\n got  %+v\n want %+v", got, want)
 	}
 }
 
@@ -291,8 +359,9 @@ func TestShardStatuses(t *testing.T) {
 // per-point cost of the stream it audits: n=1024, B=12, eps=0.1 at the
 // default growth factor, 64-point batches, a pass every 256 points. The
 // audit's own work — ObserveBatch on every batch and, once per interval,
-// the panel replay (Run) against the stream's summaries — is timed
-// directly, not as the difference of an audited and an unaudited run.
+// the panel replay (Run) against the stream's summaries and window — is
+// timed directly, not as the difference of an audited and an unaudited
+// run.
 // The base is an unaudited engine's ingest plus the histogram query a
 // serving daemon answers once per interval. That query runs just before
 // the panel, so the lazy rebuild it forces is billed to the base and not
@@ -312,7 +381,7 @@ func TestAuditOverheadBudget(t *testing.T) {
 		}
 		return NewState(fw)
 	}})
-	aud := quality.NewAuditor(quality.Config{Interval: interval, Shadow: 1024}, 1)
+	aud := quality.NewAuditor(interval, 1)
 	rng := rand.New(rand.NewSource(42))
 	batch := make([]float64, batchLen)
 	var minBase, minAudit time.Duration
@@ -323,7 +392,7 @@ func TestAuditOverheadBudget(t *testing.T) {
 				batch[j] = 100 + 800*rng.Float64()
 			}
 			start := time.Now()
-			seen, _, err := e.Ingest("s", 0, batch)
+			_, _, err := e.Ingest("s", 0, batch)
 			base += time.Since(start)
 			if err != nil {
 				t.Fatal(err)
@@ -338,7 +407,7 @@ func TestAuditOverheadBudget(t *testing.T) {
 					}
 				}
 				start := time.Now()
-				aud.ObserveBatch(batch, seen-batchLen)
+				aud.ObserveBatch(batch)
 				if aud.Due() {
 					aud.Run(auditTarget{st: st}, nil, nil, 0)
 				}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"streamhist/internal/core"
-	"streamhist/internal/quality"
 	"streamhist/internal/stream"
 )
 
@@ -161,8 +160,7 @@ func TestViewPanicQuarantines(t *testing.T) {
 // decodes; after a crash, the streams that were only written and read
 // must recover every acknowledged point.
 func TestStreamLocksStress(t *testing.T) {
-	cfg := Config{Shards: 1, DataDir: t.TempDir(), Factory: testFactory(t),
-		Audit: &quality.Config{Interval: 16, Shadow: 64, Reservoir: 32, MinShadow: 8}}
+	cfg := Config{Shards: 1, DataDir: t.TempDir(), Factory: testFactory(t), AuditInterval: 16}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +392,105 @@ func TestDrainRunsOffTheLoop(t *testing.T) {
 	defer st.mu.Unlock()
 	if n, gk, seen := st.Agg.N(), st.GK.N(), st.FW.Seen(); int64(n) != seen || int64(gk) != seen || st.Stats.N != seen {
 		t.Fatalf("after a's ack: agglom n=%d, gk n=%d, stats n=%d, want all %d", n, gk, st.Stats.N, seen)
+	}
+}
+
+// TestAuditRunsOffTheLoop: a due audit pass runs in its ingest's drain,
+// under its stream's lock and not the shard's. With stream a's pass
+// parked at the "ingest.audit" failpoint, an ingest to and a read of b on
+// the same shard return. QualitySnapshot waits for a's lock to read a's
+// auditor, but only after it has let go of the shard's lock, so b's
+// ingest and read still return while the snapshot waits. After the
+// release a's acknowledgment and the snapshot both arrive, with a's pass
+// in the snapshot.
+func TestAuditRunsOffTheLoop(t *testing.T) {
+	e := testEngine(t, Config{Shards: 1, AuditInterval: 8})
+	for _, key := range []string{"a", "b"} {
+		if _, _, err := e.Ingest(key, 0, []float64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	// Runs before the engine's Close, so a failed check still lets the
+	// parked ingest, and the snapshot behind it, finish.
+	t.Cleanup(unpark)
+	var armed atomic.Bool
+	armed.Store(true)
+	e.SetFailpoint(func(point string) {
+		if point == "ingest.audit" && armed.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	})
+	aDone := make(chan error, 1)
+	go func() {
+		_, _, err := e.Ingest("a", 0, []float64{5, 6, 7, 8}) // a's 8th point: a pass is due
+		aDone <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(2 * time.Second):
+		t.Fatal(`Ingest("a") never reached the ingest.audit failpoint`)
+	}
+
+	otherStream := func(want int64) {
+		within(t, `Ingest("b")`, func() {
+			if seen, _, err := e.Ingest("b", 0, []float64{5}); err != nil || seen != want {
+				t.Errorf(`Ingest("b"): seen=%d err=%v, want seen=%d`, seen, err, want)
+			}
+		})
+		within(t, `View("b")`, func() {
+			if got := e.Seen("b"); got != want {
+				t.Errorf("b seen = %d, want %d", got, want)
+			}
+		})
+	}
+	otherStream(5)
+
+	snapDone := make(chan []StreamQuality, 1)
+	go func() { snapDone <- e.QualitySnapshot() }()
+	select {
+	case snap := <-snapDone:
+		t.Fatalf("QualitySnapshot returned %+v while a's pass held a's lock", snap)
+	case <-time.After(50 * time.Millisecond):
+	}
+	otherStream(6)
+	select {
+	case err := <-aDone:
+		t.Fatalf(`Ingest("a") returned (err=%v) while its audit pass was parked`, err)
+	default:
+	}
+
+	unpark()
+	for _, wait := range []func() bool{
+		func() bool {
+			select {
+			case err := <-aDone:
+				if err != nil {
+					t.Fatalf(`Ingest("a"): %v`, err)
+				}
+				return true
+			case <-time.After(2 * time.Second):
+				return false
+			}
+		},
+		func() bool {
+			select {
+			case snap := <-snapDone:
+				if len(snap) != 2 || snap[0].Stream != "a" || snap[0].Status.Audits != 1 || snap[1].Status.Audits != 0 {
+					t.Fatalf("QualitySnapshot = %+v, want a with its one pass and b with none", snap)
+				}
+				return true
+			case <-time.After(2 * time.Second):
+				return false
+			}
+		},
+	} {
+		if !wait() {
+			t.Fatal("the audit pass's ingest or the snapshot did not return after the release")
+		}
 	}
 }
 

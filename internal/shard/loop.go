@@ -84,8 +84,7 @@ func (sh *shard) drainShutdown() {
 type plan struct {
 	req   *request
 	st    *State
-	start int64 // per-key position before this request's values
-	fresh bool  // st was created for this batch and is not installed yet
+	fresh bool // st was created for this batch and is not installed yet
 }
 
 // process runs one batch: plan (resolve states and WAL records), persist
@@ -166,7 +165,7 @@ func (sh *shard) process(batch []*request) {
 			st = created
 			newStates[req.key] = st
 		}
-		plans = append(plans, plan{req: req, st: st, start: start, fresh: !ok})
+		plans = append(plans, plan{req: req, st: st, fresh: !ok})
 		startAt[req.key] = start + int64(len(req.values))
 		recs = append(recs, wal.KeyedRecord{Key: req.key, Start: start, Values: req.values, Parent: req.parent})
 	}
@@ -227,12 +226,13 @@ func (sh *shard) process(batch []*request) {
 	}
 }
 
-// apply pushes one planned request's values into its stream's window,
-// queues a copy of them for the stream's auxiliaries and runs a due
-// audit, all under the stream's lock, and returns the stream's position
-// after the request. The queued values are drained by the next holder of
-// the stream's lock: normally the request's own Ingest, after the reply.
-// Call from process, with sh.mu held for writing.
+// apply pushes one planned request's values into its stream's window and
+// queues a copy of them for the stream's auxiliaries and auditor, under
+// the stream's lock, and returns the stream's position after the
+// request. The queued values are drained by the next holder of the
+// stream's lock: normally the request's own Ingest, after the reply,
+// which also runs a due audit pass. Call from process, with sh.mu held
+// for writing.
 func (sh *shard) apply(p plan) int64 {
 	st := p.st
 	st.mu.Lock()
@@ -251,16 +251,6 @@ func (sh *shard) apply(p plan) int64 {
 		}
 	}
 	st.pending = append(st.pending, p.req.values...)
-	if st.Aud != nil {
-		// Shadow audit: feed the exact ring/reservoir, and when an
-		// interval's worth of points has landed, bring the auxiliaries
-		// up to the window and replay the panel against them.
-		st.Aud.ObserveBatch(p.req.values, p.start)
-		if st.Aud.Due() {
-			st.drain(sh.eng.aggEndpoints)
-			sh.runAudit(p.req.key, st)
-		}
-	}
 	return st.FW.Seen()
 }
 

@@ -2,10 +2,8 @@ package shard
 
 import "streamhist/internal/obs"
 
-// The engine's durability and resilience metrics reuse the server's
-// series names and help strings verbatim: the registry's dedup index
-// keys on (name, labels), so engine and HTTP layer share one set of
-// handles and dashboards built for the single-stream daemon keep
+// The engine's durability and resilience metrics keep the single-stream
+// daemon's series names and help strings, so dashboards built for it keep
 // reading. All shards aggregate into the unlabeled series; the per-shard
 // view is the bounded shard="<i>"-labeled gauges (never per-key).
 
@@ -45,7 +43,6 @@ type resilienceMetrics struct {
 	probeFailures   *obs.Counter  // recovery probes that failed
 	reanchors       *obs.Counter  // successful re-anchors (fresh checkpoint + WAL reset)
 	watchdog        *obs.Counter  // checkpoint-watchdog escalations to degraded mode
-	panics          *obs.Counter  // handler panics contained by the recovery middleware
 	quarantines     *obs.Counter  // panics that struck while the state lock was held
 }
 
@@ -64,7 +61,6 @@ func newResilienceMetrics(reg *obs.Registry) resilienceMetrics {
 		probeFailures:   reg.Counter("streamhist_recovery_probe_failures_total", "Durability recovery probes that failed."),
 		reanchors:       reg.Counter("streamhist_reanchors_total", "Successful recoveries: fresh checkpoint taken and WAL re-anchored."),
 		watchdog:        reg.Counter("streamhist_checkpoint_watchdog_escalations_total", "Checkpoint-watchdog escalations into degraded mode."),
-		panics:          reg.Counter("streamhist_handler_panics_total", "Handler panics contained by the recovery middleware."),
 		quarantines:     reg.Counter("streamhist_quarantines_total", "Panics that struck while the state lock was held, quarantining the state."),
 	}
 }

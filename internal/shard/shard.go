@@ -12,10 +12,11 @@
 // window's position orders the WAL and its snapshot is what checkpoints
 // cover, so only the window push belongs to the loop. The auxiliaries
 // (agglomerative histogram, GK quantiles, equi-depth value histogram,
-// running stats) absorb the queued values off the loop, under the
-// stream's lock alone: Ingest drains them after the loop's reply and
-// before it returns, so ingests to different streams of one shard run
-// those updates in parallel. The acknowledged-durability contract is
+// running stats, shadow auditor) absorb the queued values off the loop,
+// under the stream's lock alone: Ingest drains them after the loop's
+// reply and before it returns, and runs a due audit pass there, so
+// ingests to different streams of one shard run those updates in
+// parallel. The acknowledged-durability contract is
 // unchanged from the single-stream daemon: a non-degraded
 // acknowledgment means the batch is durable to the configured fsync
 // policy, and that every summary of the stream includes it.
@@ -29,10 +30,11 @@
 // it for reading. Each stream's State has its own mutex over its
 // summaries, held by the loop while it pushes one request into the
 // stream's window, by Ingest while it drains the stream's queued values
-// and by View (which drains them too) around its callback, so reads,
-// fresh query flushes and auxiliary updates of different streams on one
-// shard run in parallel and a reader sees whole requests of its stream
-// only.
+// and audits, by View (which drains them too) around its callback and by
+// QualitySnapshot while it reads the stream's auditor, so reads, fresh
+// query flushes, audits and auxiliary updates of different streams on
+// one shard run in parallel and a reader sees whole requests of its
+// stream only.
 //
 // Durability is striped: shard i owns DataDir/shard-<i> with its own
 // WAL of keyed records (see internal/wal) and its own checkpoint
@@ -123,10 +125,11 @@ type Config struct {
 	BreakerBackoff    time.Duration
 	BreakerMaxBackoff time.Duration
 
-	// Audit enables the per-stream shadow auditor and accuracy SLO engine
-	// with the given configuration; nil disables auditing entirely (the
-	// ingest path then pays one nil test per batch).
-	Audit *quality.Config
+	// AuditInterval enables the per-stream shadow auditor and accuracy
+	// SLO engine, with a pass every AuditInterval ingested points per
+	// stream; 0 disables auditing entirely (the drain then pays one nil
+	// test per batch).
+	AuditInterval int
 
 	// Metrics receives instrumentation from every shard; per-shard series
 	// are labeled shard="<i>" (bounded cardinality — never per-key).
@@ -139,8 +142,9 @@ type Config struct {
 	// sections ("ingest.apply" in the loop, under the shard's write lock
 	// and the stream's lock, as each request is pushed into its window;
 	// "ingest.drain" in Ingest, under the stream's lock only, before the
-	// auxiliaries absorb the batch; "restore.apply" under the shard's
-	// write lock); nil in production.
+	// auxiliaries and the auditor absorb the batch; "ingest.audit" in
+	// Ingest, under the stream's lock only, as a due audit pass starts;
+	// "restore.apply" under the shard's write lock); nil in production.
 	Failpoint func(point string)
 }
 
@@ -184,9 +188,12 @@ type Engine struct {
 	keyCount atomic.Int64 // live streams across all shards
 	cm       ckptMetrics
 	rm       resilienceMetrics
-	// qm is the audit instrumentation; nil when Config.Audit is nil
+	// qm is the audit instrumentation; nil when auditing is off
 	// (quality.Metrics methods are nil-safe).
 	qm *quality.Metrics
+	// driftReanchors counts drift-detector re-anchors, whether an audit
+	// pass or a /drift request ran the check (see RecordDrift).
+	driftReanchors *obs.Counter
 	// aggEndpoints is the daemon-wide total of stored agglomerative
 	// endpoints; each State carries its share (countEndpoints).
 	aggEndpoints *obs.Gauge
@@ -251,8 +258,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		rm:  newResilienceMetrics(cfg.Metrics),
 		aggEndpoints: cfg.Metrics.Gauge("streamhist_agglom_endpoints",
 			"Stored interval endpoints across every stream's agglomerative summary (the daemon-wide working set)."),
+		driftReanchors: cfg.Metrics.Counter("streamhist_drift_reanchors_total",
+			"Drift-detector alarms that re-anchored the reference histogram."),
 	}
-	if cfg.Audit != nil {
+	if cfg.AuditInterval > 0 {
 		e.qm = quality.NewMetrics(cfg.Metrics)
 	}
 	if cfg.Failpoint != nil {
@@ -376,10 +385,11 @@ func (e *Engine) SetFailpoint(fn func(point string)) {
 // (memory-only). The parent span, when tracing, receives the WAL append
 // and fsync events.
 //
-// The auxiliaries absorb the batch here, on the caller's goroutine,
-// under the stream's lock only: ingests to different streams of one
-// shard run their agglomerative updates in parallel, and the shard's
-// write lock covers only the WAL append and the window push.
+// The auxiliaries and the auditor absorb the batch here, on the
+// caller's goroutine, under the stream's lock only, and a due audit pass
+// runs here too: ingests to different streams of one shard run their
+// agglomerative updates and audits in parallel, and the shard's write
+// lock covers only the WAL append and the window push.
 func (e *Engine) Ingest(key string, parent trace.SpanID, values []float64) (seen int64, degraded bool, err error) {
 	sh := e.shardFor(key)
 	if sh.quarantined.Load() {
@@ -395,19 +405,19 @@ func (e *Engine) Ingest(key string, parent trace.SpanID, values []float64) (seen
 	if resp.err != nil {
 		return 0, false, resp.err
 	}
-	if err := sh.drain(resp.st); err != nil {
+	if err := sh.drain(key, resp.st); err != nil {
 		return 0, false, err
 	}
 	return resp.seen, resp.degraded, nil
 }
 
-// drain catches st's auxiliaries up with its window off the shard loop:
-// it holds st's lock and not the shard's. The pending values it feeds
-// include this caller's batch and any earlier one not yet drained. A
-// panic while feeding them quarantines the shard, and the ingest fails
-// with ErrQuarantined, as it does when its window push panics in the
-// loop.
-func (sh *shard) drain(st *State) (err error) {
+// drain catches key's auxiliaries and auditor up with its window off the
+// shard loop, then runs the audit pass if one is due: it holds st's lock
+// and not the shard's. The pending values it feeds include this caller's
+// batch and any earlier one not yet drained. A panic while feeding them
+// or auditing quarantines the shard, and the ingest fails with
+// ErrQuarantined, as it does when its window push panics in the loop.
+func (sh *shard) drain(key string, st *State) (err error) {
 	defer func() {
 		// Only a *LockedPanic can arrive: guardUnlock wraps whatever
 		// panicked under the lock, after quarantining and logging it.
@@ -419,6 +429,9 @@ func (sh *shard) drain(st *State) (err error) {
 	defer st.guardUnlock(sh)
 	sh.eng.failAt("ingest.drain")
 	st.drain(sh.eng.aggEndpoints)
+	if st.Aud.Due() {
+		sh.runAudit(key, st)
+	}
 	return nil
 }
 
@@ -484,8 +497,9 @@ func (sh *shard) releaseKey(key string) {
 // View runs fn on key's state under that stream's own lock; the shard
 // lock is held for reading only while the stream is looked up. Values the
 // loop has pushed into the window but no one has drained yet are drained
-// into the auxiliaries first, so fn sees whole ingest requests of the
-// stream in every summary. Reads of other streams on the shard run
+// into the auxiliaries and the auditor first, so fn sees whole ingest
+// requests of the stream in every summary; a due audit pass waits for
+// the stream's next ingest. Reads of other streams on the shard run
 // alongside it; only a batch that writes this stream waits for fn (and
 // holds up the shard's lookups meanwhile). fn may mutate the state's
 // caches (a query flush does), must not call back into the engine, and
@@ -536,13 +550,8 @@ func (e *Engine) Ensure(key string) error {
 //
 //lint:ignore mutex-discipline helper runs under the caller's sh.mu; it touches no guarded fields
 func (sh *shard) createState(key string) (*State, error) {
-	if max := sh.eng.cfg.MaxKeys; max > 0 {
-		if n := sh.eng.keyCount.Add(1); n > int64(max) {
-			sh.eng.keyCount.Add(-1)
-			return nil, ErrQuotaKeys
-		}
-	} else {
-		sh.eng.keyCount.Add(1)
+	if err := sh.reserveKeySlot(); err != nil {
+		return nil, err
 	}
 	st, err := sh.eng.cfg.Factory(key)
 	if err != nil {
@@ -581,8 +590,20 @@ func (sh *shard) dropState(key string) {
 	sh.streamsGauge.Set(float64(len(sh.streams)))
 }
 
-// releaseKeySlot undoes createState's quota reservation when the
-// created state is abandoned (its batch failed before installation).
+// reserveKeySlot counts one more live stream against Config.MaxKeys, or
+// counts nothing and fails with ErrQuotaKeys when the engine is at the
+// cap.
+func (sh *shard) reserveKeySlot() error {
+	n := sh.eng.keyCount.Add(1)
+	if max := sh.eng.cfg.MaxKeys; max > 0 && n > int64(max) {
+		sh.eng.keyCount.Add(-1)
+		return ErrQuotaKeys
+	}
+	return nil
+}
+
+// releaseKeySlot undoes reserveKeySlot when the created state is
+// abandoned (its batch failed before installation).
 func (sh *shard) releaseKeySlot() { sh.eng.keyCount.Add(-1) }
 
 // Keys returns every live stream key, sorted, as of a moment between
@@ -642,13 +663,8 @@ func (e *Engine) Restore(key string, blob []byte) (seen int64, length int, err e
 	sh.mu.Lock()
 	defer sh.guardUnlock()
 	if _, ok := sh.streams[key]; !ok {
-		if max := e.cfg.MaxKeys; max > 0 {
-			if n := e.keyCount.Add(1); n > int64(max) {
-				e.keyCount.Add(-1)
-				return 0, 0, ErrQuotaKeys
-			}
-		} else {
-			e.keyCount.Add(1)
+		if err := sh.reserveKeySlot(); err != nil {
+			return 0, 0, err
 		}
 	}
 	e.failAt("restore.apply")

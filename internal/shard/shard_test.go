@@ -237,6 +237,28 @@ func TestEngineKeyQuota(t *testing.T) {
 	if n := e.KeyCount(); n != 2 {
 		t.Errorf("KeyCount = %d, want 2", n)
 	}
+	// Restore is held to the same cap: a new key is refused, an existing
+	// one is replaced in place.
+	var blob []byte
+	if err := e.View("a", func(st *State) error {
+		var err error
+		blob, err = st.FW.MarshalBinary()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Restore("d", blob); !errors.Is(err, ErrQuotaKeys) {
+		t.Fatalf("over-quota restore: err = %v, want ErrQuotaKeys", err)
+	}
+	if _, _, err := e.Restore("a", blob); err != nil {
+		t.Fatalf("restore of an existing key at the cap: %v", err)
+	}
+	if n := e.KeyCount(); n != 2 {
+		t.Errorf("KeyCount after restores = %d, want 2", n)
+	}
+	if got := e.Keys(); !reflect.DeepEqual(got, []string{"a", "c"}) {
+		t.Errorf("Keys = %v, want [a c]", got)
+	}
 }
 
 func TestEngineDurableRecovery(t *testing.T) {

@@ -38,9 +38,9 @@ import (
 // The auxiliaries may trail the window: the loop queues each request's
 // values in pending, and whoever next holds mu drains them in arrival
 // order (the request's own Ingest before it returns, a View before its
-// callback, the loop before a due audit). So a View callback and an
-// audit always see them caught up; the window push and checkpoint
-// encoding read only the window and do not drain.
+// callback). So a View callback and an audit pass, which Ingest runs
+// after its drain, always see them caught up; the window push and
+// checkpoint encoding read only the window and do not drain.
 type State struct {
 	mu sync.Mutex
 
@@ -51,9 +51,9 @@ type State struct {
 	Det   *drift.Detector
 	Stats stream.Counter
 	// Aud is the stream's shadow auditor; nil unless the engine was
-	// configured with Config.Audit. Only the loop's apply mutates it,
-	// under both the shard's write lock and mu, so a reader may hold
-	// either.
+	// configured with Config.AuditInterval. Like the auxiliaries it is fed
+	// by drain, and Ingest runs its passes, all under mu; readers hold mu
+	// too.
 	Aud *quality.Auditor
 
 	// pending holds values already in FW but not yet in the auxiliaries,
@@ -117,13 +117,14 @@ func restoreWindow(st *State, blob []byte) (*State, error) {
 	return NewState(st.FW)
 }
 
-// drain feeds the pending values into the whole-stream auxiliaries in
-// arrival order, then moves g by the change in Agg's stored endpoints.
-// It is the only way values reach the auxiliaries: the live paths and
-// WAL replay both queue values in pending and drain them here. Call with
-// st.mu held.
+// drain feeds the pending values into the whole-stream auxiliaries and
+// the auditor in arrival order, then moves g by the change in Agg's
+// stored endpoints. It is the only way values reach them: the live paths
+// and WAL replay both queue values in pending and drain them here. It
+// never runs an audit pass; Ingest does, after its drain. Call with st.mu
+// held.
 //
-//lint:ignore mutex-discipline every caller holds st.mu (Engine.Ingest, Engine.View, the loop's apply) or owns st alone (WAL replay)
+//lint:ignore mutex-discipline every caller holds st.mu (Engine.Ingest, Engine.View) or owns st alone (WAL replay)
 func (st *State) drain(g *obs.Gauge) {
 	if len(st.pending) == 0 {
 		return
@@ -134,6 +135,7 @@ func (st *State) drain(g *obs.Gauge) {
 		st.Sed.Push(v)
 		st.Stats.Push(v)
 	}
+	st.Aud.ObserveBatch(st.pending)
 	// Reuse the buffer for the next batch, unless a batch longer than
 	// the window grew it: one outsized ingest (the daemon accepts 32 MiB
 	// bodies by default) must not pin its copy to the stream for good.
@@ -182,6 +184,28 @@ func (st *State) guardUnlock(sh *shard) {
 		panic(sh.quarantine(p))
 	}
 	st.mu.Unlock()
+}
+
+// DriftCheck runs one drift-detector observation against the window's
+// current histogram, re-anchoring the detector's reference on drift, and
+// reports the distance, whether this check fired and the detector's
+// cumulative counts. The /drift endpoint and the audit pass both check
+// through it; a caller whose check drifted accounts for the re-anchor
+// with Engine.RecordDrift. Call with st.mu held (inside View).
+func (st *State) DriftCheck() (quality.DriftState, error) {
+	res, err := st.FW.Histogram()
+	if err != nil {
+		return quality.DriftState{}, err
+	}
+	dist, drifted, err := st.Det.Observe(res.Histogram)
+	return quality.DriftState{Distance: dist, Drifted: drifted, Alarms: st.Det.Alarms(), Checks: st.Det.Checks()}, err
+}
+
+// auditStatus reads the auditor's status under the stream's lock.
+func (st *State) auditStatus() quality.Status {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.Aud.Status()
 }
 
 // marshalWindow snapshots the fixed window under the stream's lock, so a

@@ -182,14 +182,14 @@ func Open(opts Options) (*WAL, error) {
 	// by a crash or full disk mid-create. It may even share a sequence
 	// number with a real segment (creation failures don't consume
 	// sequence numbers), which would scramble replay order if it were
-	// kept.
+	// kept. Only the header is read here: replay reads each record once.
 	kept := segs[:0]
 	for _, seg := range segs {
-		data, err := fsys.ReadFile(filepath.Join(opts.Dir, seg.name))
+		head, err := fsys.ReadPrefix(filepath.Join(opts.Dir, seg.name), headerLen)
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		if len(data) >= headerLen && string(data[:len(magic)]) == magic {
+		if len(head) == headerLen && string(head[:len(magic)]) == magic {
 			kept = append(kept, seg)
 			continue
 		}

@@ -597,6 +597,93 @@ func TestOpenSweepsTornHeaderOrphans(t *testing.T) {
 	}
 }
 
+// countingFS counts the bytes each read returns, per file name.
+type countingFS struct {
+	faults.OS
+	read map[string]int
+}
+
+func (c *countingFS) ReadFile(name string) ([]byte, error) {
+	b, err := c.OS.ReadFile(name)
+	c.read[filepath.Base(name)] += len(b)
+	return b, err
+}
+
+func (c *countingFS) ReadPrefix(name string, n int) ([]byte, error) {
+	b, err := c.OS.ReadPrefix(name, n)
+	c.read[filepath.Base(name)] += len(b)
+	return b, err
+}
+
+// TestOpenReadsSealedHeadersOnly: over a three-segment log, Open reads
+// only the header of each sealed segment and scans the active one once,
+// so replay is the only full read of a sealed segment. A segment whose
+// header never finished writing is still swept.
+func TestOpenReadsSealedHeadersOnly(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []KeyedRecord
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			if err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := KeyedRecord{Key: "a", Start: int64(4 * i), Values: []float64{1, 2, 3, 4}}
+		appendOne(t, w, r)
+		want = append(want, r)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segmentNames(t, dir)
+	if len(segs) != 3 {
+		t.Fatalf("segments %v, want 3", segs)
+	}
+	sizes := map[string]int{}
+	for _, name := range segs {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[name] = int(fi.Size())
+	}
+	orphan := fmt.Sprintf("wal-%016x-%016x.log", 1, uint64(7))
+	if err := os.WriteFile(filepath.Join(dir, orphan), []byte(magic[:3]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := &countingFS{read: map[string]int{}}
+	w2, err := Open(Options{Dir: dir, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range segs {
+		want := headerLen
+		if i == len(segs)-1 {
+			want += sizes[name] // openLast's scan of the active segment
+		}
+		if got := fsys.read[name]; got != want {
+			t.Errorf("Open read %d bytes of %s (%d bytes on disk), want %d", got, name, sizes[name], want)
+		}
+	}
+	if got := fsys.read[orphan]; got != 3 {
+		t.Errorf("Open read %d bytes of the torn orphan, want its 3", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, orphan)); !os.IsNotExist(err) {
+		t.Fatalf("bad-header segment not swept: %v", err)
+	}
+	if got := replayKeyedAll(t, w2, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay = %+v, want %+v", got, want)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestKeyedBadKeys(t *testing.T) {
 	w, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {

@@ -1,10 +1,6 @@
 package streamhist
 
-import (
-	"time"
-
-	"streamhist/internal/trace"
-)
+import "streamhist/internal/trace"
 
 // Tracer is the library's flight recorder: a fixed-capacity, preallocated
 // ring buffer of typed span events (push, rebuild, per-level CreateList
@@ -28,13 +24,3 @@ func NewTracer(capacity int) (*Tracer, error) { return trace.New(capacity) }
 // processes: at roughly a dozen events per traced rebuild it retains the
 // last few hundred pushes.
 const TracerDefaultCapacity = trace.DefaultCapacity
-
-// SlowCaptureOption configures slow-rebuild anomaly capture on a Tracer:
-// any rebuild at or above Threshold snapshots the ring plus the rebuild
-// engine's counters to a JSON file in Dir, keeping at most Keep files.
-// See Tracer.SetSlowCapture.
-type SlowCaptureOption struct {
-	Dir       string
-	Threshold time.Duration
-	Keep      int
-}
