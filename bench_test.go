@@ -130,9 +130,11 @@ var agglomSink float64
 
 // BenchmarkAgglomVsWavelet covers the section 5.2 agglomerative-vs-wavelet
 // experiment: one-pass summary construction throughput for both methods.
-// The agglomerative per-point cost grows with stream age, so each
-// agglom-push op builds a fresh summary over a fixed seeded stream of
-// the named age and reports the mean cost per point.
+// The agglomerative per-point cost depends on stream age: each point
+// scans a level's stored endpoints, which grow with it, though the scan's
+// floor exit (DESIGN.md §13) stops before most of them on older streams.
+// So each agglom-push op builds a fresh summary over a fixed seeded
+// stream of the named age and reports the mean cost per point.
 func BenchmarkAgglomVsWavelet(b *testing.B) {
 	const buckets = 16
 	for _, age := range []int{4096, 16384} {

@@ -3,9 +3,11 @@ package agglom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamhist/internal/datagen"
+	"streamhist/internal/obs"
 	"streamhist/internal/vopt"
 )
 
@@ -226,6 +228,46 @@ func TestAccessors(t *testing.T) {
 	s.PushBatch([]float64{1, 2, 3})
 	if s.N() != 3 {
 		t.Errorf("N after batch = %d", s.N())
+	}
+}
+
+// TestPushBatchCountsLikePush: PushBatch adds its counters once per call,
+// and the totals equal those of pushing the same points one at a time.
+func TestPushBatchCountsLikePush(t *testing.T) {
+	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 18, Quantize: true}), 1000)
+	counters := []string{
+		"streamhist_agglom_points_total",
+		"streamhist_agglom_intervals_opened_total",
+		"streamhist_agglom_interval_extensions_total",
+	}
+	var answers [2]float64
+	var totals [2][]int64
+	for i, batched := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		s, _ := New(8, 0.1)
+		s.SetRegistry(reg)
+		if batched {
+			for lo := 0; lo < len(data); lo += 256 {
+				s.PushBatch(data[lo:min(lo+256, len(data))])
+			}
+		} else {
+			for _, v := range data {
+				s.Push(v)
+			}
+		}
+		answers[i] = s.ApproxError()
+		for _, name := range counters {
+			totals[i] = append(totals[i], reg.Counter(name, "").Value())
+		}
+	}
+	if answers[0] != answers[1] {
+		t.Errorf("ApproxError %v pushed per point, %v in batches", answers[0], answers[1])
+	}
+	if !slices.Equal(totals[0], totals[1]) {
+		t.Errorf("counters %v pushed per point, %v in batches (%v)", totals[0], totals[1], counters)
+	}
+	if want := int64(len(data)); totals[1][0] != want || totals[1][1]+totals[1][2] != 7*want {
+		t.Errorf("counters %v, want %d points and %d queue updates", totals[1], want, 7*want)
 	}
 }
 

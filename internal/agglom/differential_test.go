@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -13,7 +14,10 @@ import (
 
 // diffStreams are the seeded streams the differential test replays: the
 // daemon's diurnal utilization load, quantized and raw, plus a random
-// walk, a step signal and i.i.d. Zipf draws.
+// walk, a step signal and i.i.d. Zipf draws. Two more hold the scan's
+// floor exit to its edges: values near 1e9, whose SSE is far below the
+// floor test's margin, and a stream whose squares overflow to +Inf in
+// its last sixth, which leaves the errors non-finite from there on.
 func diffStreams(t testing.TB, n int) map[string][]float64 {
 	t.Helper()
 	walk, err := datagen.NewRandomWalk(31, 500, 10, 0, 1000, true)
@@ -28,7 +32,21 @@ func diffStreams(t testing.TB, n int) map[string][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(36))
+	offset := make([]float64, n)
+	overflow := make([]float64, n)
+	level := 500.0
+	for i := range offset {
+		offset[i] = 1e9 + float64(i%50) + rng.NormFloat64()
+		level += 10 * rng.NormFloat64()
+		overflow[i] = level
+		if i >= n-n/6 && rng.Intn(4) == 0 {
+			overflow[i] = float64(1-2*rng.Intn(2)) * 1e160
+		}
+	}
 	return map[string][]float64{
+		"large-offset":          offset,
+		"overflow":              overflow,
 		"utilization-quantized": datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 34, Quantize: true}), n),
 		"utilization-raw":       datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 35}), n),
 		"walk":                  datagen.Series(walk, n),

@@ -1,6 +1,9 @@
 package agglom
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // requireInvariantPanic runs f against deliberately corrupted state: under
 // -tags streamhist_invariants the assertion layer must panic, and without
@@ -46,8 +49,8 @@ func corruptibleSummary(t *testing.T) (*Summary, *queue, int) {
 
 // startEnd returns pointers to interval i's stored start and end, which
 // are distinct entries for a multi-position interval.
-func startEnd(q *queue, i int) (start, end *endpoint) {
-	return &q.eps[q.starts[i]], &q.eps[q.starts[i]+1]
+func startEnd(q *queue, i int) (start, end *entry) {
+	return &q.entries[q.starts[i]], &q.entries[q.starts[i]+1]
 }
 
 func TestSummaryInvariantCorruption(t *testing.T) {
@@ -72,6 +75,28 @@ func TestSummaryInvariantCorruption(t *testing.T) {
 		s, q, i := corruptibleSummary(t)
 		start, end := startEnd(q, i)
 		end.herr = (1+s.delta)*start.herr + start.herr + 1
+		s.checkInvariants()
+	})
+	requireInvariantPanic(t, "negative floor", func() {
+		s, q, i := corruptibleSummary(t)
+		_, end := startEnd(q, i)
+		end.floor = -1
+		s.checkInvariants()
+	})
+	requireInvariantPanic(t, "non-finite floor", func() {
+		s, q, i := corruptibleSummary(t)
+		start, _ := startEnd(q, i)
+		start.floor = float32(math.Inf(1))
+		s.checkInvariants()
+	})
+	requireInvariantPanic(t, "epoch mark past the entries", func() {
+		s, q, _ := corruptibleSummary(t)
+		q.epochs = append(q.epochs, epochMark{idx: int32(len(q.entries)), epoch: 1})
+		s.checkInvariants()
+	})
+	requireInvariantPanic(t, "epoch marks not strictly increasing", func() {
+		s, q, _ := corruptibleSummary(t)
+		q.epochs = append(q.epochs, epochMark{idx: 1, epoch: 1}, epochMark{idx: 2, epoch: 1})
 		s.checkInvariants()
 	})
 	requireInvariantPanic(t, "stored sqsum decreases", func() {

@@ -63,7 +63,9 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("agglom: snapshot bucket budget %d exceeds input size", b)
 	}
 	eps := r.Float64()
-	n := r.Int()
+	// n and the positions are read at full width: a stream can outgrow
+	// 2^31 points, and the queues keep positions past 2^32 in epochs.
+	n := int(r.Int64())
 	runningSum := r.Float64()
 	runningSq := r.Float64()
 	if runningSq < 0 {
@@ -73,6 +75,9 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	numQueues := r.Int()
 	if r.Err() != nil {
 		return fmt.Errorf("agglom: %w", r.Err())
+	}
+	if n < 0 {
+		return fmt.Errorf("agglom: snapshot point count %d negative", n)
 	}
 	restored, err := New(b, eps)
 	if err != nil {
@@ -93,14 +98,14 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		if qLen < 0 || qLen > n || qLen > r.Remaining()/intervalBytes {
 			return fmt.Errorf("agglom: queue %d has implausible length %d", qi, qLen)
 		}
-		q := queue{eps: make([]endpoint, 0, 2*qLen), starts: make([]int32, 0, qLen)}
+		q := queue{entries: make([]entry, 0, 2*qLen), starts: make([]int32, 0, qLen)}
 		prevEnd := -1
 		prevSq := -1.0
 		for i := 0; i < qLen; i++ {
 			var pair [2]endpoint
 			for j := range pair {
 				pair[j] = endpoint{
-					pos:  r.Int(),
+					pos:  int(r.Int64()),
 					sum:  r.Float64(),
 					sq:   r.Float64(),
 					herr: r.Float64(),
@@ -131,9 +136,11 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 			if start.sq < prevSq || end.sq < start.sq {
 				return fmt.Errorf("agglom: queue %d interval %d has decreasing SQSUM", qi, i)
 			}
-			q.open(start)
+			// A snapshot carries no floors; restored entries get the
+			// floor 0, which bounds nothing.
+			q.add(start.pos, entry{sum: start.sum, sq: start.sq, herr: start.herr}, true)
 			if end.pos != start.pos {
-				q.extend(end)
+				q.add(end.pos, entry{sum: end.sum, sq: end.sq, herr: end.herr}, false)
 			}
 			prevSq = end.sq
 			prevEnd = end.pos

@@ -129,8 +129,10 @@ func (st *State) drain(g *obs.Gauge) {
 	if len(st.pending) == 0 {
 		return
 	}
+	// One PushBatch per drain adds agglom's counters, which every stream
+	// of the registry shares, once per batch instead of once per point.
+	st.Agg.PushBatch(st.pending)
 	for _, v := range st.pending {
-		st.Agg.Push(v)
 		st.GK.Insert(v)
 		st.Sed.Push(v)
 		st.Stats.Push(v)
