@@ -43,11 +43,12 @@
 // Khanna summaries. -pprof additionally mounts net/http/pprof under
 // /debug/pprof/ (off by default: profiles expose more than metrics do).
 //
-// Accuracy SLOs: -audit attaches a shadow auditor to every stream. Each
-// stream's drain feeds it, beside the whole-stream summaries; it keeps a
-// seeded reservoir of the stream's values, and every -audit-interval
-// points (default 1024) replays a query panel against the approximate
-// summaries, with the stream's own window as range truth and the
+// Accuracy SLOs: -audit-interval N > 0 attaches a shadow auditor to every
+// stream (0, the default, audits nothing). Each stream's drain feeds it,
+// beside the whole-stream summaries; it keeps a seeded reservoir of the
+// stream's values, and every N points (1024 is a good start) replays a
+// query panel against the approximate summaries, with the stream's own
+// window as range truth and the
 // reservoir as quantile and selectivity truth. It publishes the measured
 // relative error, eps-headroom and drift state as gauges, and tracks the
 // SLO "P[rel_err <= eps] >= 0.9 over the last 256 panel queries". The
@@ -132,8 +133,7 @@ func main() {
 		reqTmo    = flag.Duration("request-timeout", 30*time.Second, "per-request handling deadline (0: none)")
 		shutTmo   = flag.Duration("shutdown-timeout", 10*time.Second, "deadline for draining in-flight requests at shutdown")
 		metrics   = flag.Bool("metrics", true, "instrument all layers and serve GET /metrics in Prometheus text format")
-		audit     = flag.Bool("audit", false, "run a shadow accuracy auditor per stream: replay range/quantile/selectivity panels against the exact window and a value reservoir, and track the eps-contract SLO")
-		auditIvl  = flag.Int("audit-interval", 0, "points between audit passes per stream (0: default 1024; implies -audit)")
+		auditIvl  = flag.Int("audit-interval", 0, "run a shadow accuracy auditor per stream, with a pass every N points (try 1024): replay range/quantile/selectivity panels against the exact window and a value reservoir, and track the eps-contract SLO (0: off)")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceBuf  = flag.Int("trace-buffer", 0, "flight-recorder ring capacity in events (0: tracing disabled)")
 		traceSlow = flag.Duration("trace-slow-threshold", 0, "rebuilds at least this slow snapshot the trace ring to disk (0: off)")
@@ -196,7 +196,6 @@ func main() {
 		BreakerThreshold:   *brThresh,
 		BreakerBackoff:     *brBackoff,
 		BreakerMaxBackoff:  *brMaxBack,
-		Audit:              *audit || *auditIvl > 0,
 		AuditInterval:      *auditIvl,
 		Metrics:            reg,
 		EnablePprof:        *pprof,
@@ -220,7 +219,7 @@ func main() {
 		"eps", *eps, "delta", *delta, "shards", *shards,
 		"incremental", *incr,
 		"durability", durable, "tracing", tr != nil,
-		"audit", *audit || *auditIvl > 0)
+		"audit", *auditIvl > 0)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

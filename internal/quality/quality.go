@@ -61,8 +61,8 @@ const (
 // Classes lists the panel's query classes in report order.
 var Classes = [3]string{ClassRange, ClassQuantile, ClassSelectivity}
 
-// DefaultInterval is the daemon's audit interval: points between passes.
-// Smaller intervals measure more often and cost more: each pass
+// DefaultInterval is the suggested audit interval: points between
+// passes. Smaller intervals measure more often and cost more: each pass
 // materializes the window histogram.
 const DefaultInterval = 1024
 

@@ -98,7 +98,6 @@ func Run(sc Scenario, cfg RunConfig) (Result, error) {
 		Eps:           sc.Eps,
 		Delta:         sc.Eps,
 		Incremental:   sc.Incremental,
-		Audit:         true,
 		AuditInterval: cfg.AuditInterval,
 		Logger:        quiet,
 	}

@@ -35,7 +35,7 @@ const (
 	// Options.MaxKeys.
 	errQuotaExceeded = "quota_exceeded"
 	// errAuditDisabled: the request asked for accuracy-SLO state but the
-	// server runs without shadow auditing (Options.Audit).
+	// server runs without shadow auditing (Options.AuditInterval is 0).
 	errAuditDisabled = "audit_disabled"
 )
 

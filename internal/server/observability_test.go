@@ -11,6 +11,7 @@ import (
 
 	"streamhist/internal/faults"
 	"streamhist/internal/obs"
+	"streamhist/internal/quality"
 )
 
 // errorEnvelope mirrors the unified error body every non-2xx response
@@ -260,8 +261,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		DataDir:     t.TempDir(),
 		Metrics:     reg,
 		Incremental: true,
-		Audit:       true,
 		Logger:      quietLogger,
+		// The daemon's suggested interval: no pass is due in this test.
+		AuditInterval: quality.DefaultInterval,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"streamhist/internal/core"
 	"streamhist/internal/faults"
 	"streamhist/internal/obs"
-	"streamhist/internal/quality"
 	"streamhist/internal/shard"
 	"streamhist/internal/trace"
 )
@@ -43,24 +42,21 @@ type Options struct {
 	// with it, so a factory that cannot build a stream fails Open.
 	Factory shard.Factory
 	// Incremental enables incremental cover repair on every stream the
-	// default factory creates. Such a stream maintains eagerly: the shard
-	// loop's apply runs one PushBatch, one amortized repair pass, per
-	// ingest request, so queries find the cover fresh. Exact streams
-	// (the default) push lazily and defer maintenance to the next query's
-	// flush. Ignored when Factory is set (configure the maintainer there
-	// instead).
+	// default factory creates. Such a stream maintains eagerly: each
+	// ingest runs one amortized repair pass after its drain, under the
+	// stream's lock, so queries find the cover fresh. Exact streams (the
+	// default) defer maintenance to the next query's flush. Ignored when
+	// Factory is set (configure the maintainer there instead).
 	Incremental bool
 
-	// Audit enables the per-stream shadow auditor and accuracy SLO engine
-	// (internal/quality): each stream's drain feeds an auditor that keeps
-	// a seeded reservoir of the stream's values and every AuditInterval
-	// points replays a range/quantile/selectivity panel against the
-	// approximate summaries, with the stream's window as range truth, and
-	// tracks P[rel_err <= eps] >= 0.9 over the last 256 panel queries.
-	// Serves GET /v1/streams/{key}/slo and GET /debug/quality.
-	Audit bool
-	// AuditInterval is the number of ingested points between audit passes
-	// per stream; 0 means quality.DefaultInterval (1024).
+	// AuditInterval > 0 enables the per-stream shadow auditor and
+	// accuracy SLO engine (internal/quality): each stream's drain feeds an
+	// auditor that keeps a seeded reservoir of the stream's values and
+	// every AuditInterval points replays a range/quantile/selectivity
+	// panel against the approximate summaries, with the stream's window as
+	// range truth, and tracks P[rel_err <= eps] >= 0.9 over the last 256
+	// panel queries. Serves GET /v1/streams/{key}/slo and GET
+	// /debug/quality. 0 disables auditing.
 	AuditInterval int
 
 	// MaxBody caps an ingest or restore request body; 0 means 32 MiB.
@@ -204,19 +200,12 @@ func Open(opts Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	auditInterval := 0
-	if opts.Audit {
-		auditInterval = opts.AuditInterval
-		if auditInterval <= 0 {
-			auditInterval = quality.DefaultInterval
-		}
-	}
 	eng, err := shard.NewEngine(shard.Config{
 		Shards:             opts.Shards,
 		MaxKeys:            opts.MaxKeys,
 		KeyInflight:        opts.KeyInflight,
 		Factory:            factory,
-		AuditInterval:      auditInterval,
+		AuditInterval:      opts.AuditInterval,
 		DataDir:            opts.DataDir,
 		FS:                 opts.FS,
 		SyncEveryAppend:    opts.SyncEveryAppend,

@@ -17,7 +17,7 @@ import (
 func auditedServer(t *testing.T) *Server {
 	t.Helper()
 	s, err := Open(Options{Window: 512, Buckets: 8, Eps: 0.1, Delta: 0.1,
-		Audit: true, AuditInterval: 64})
+		AuditInterval: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 }
 
-// TestSLOEndpointDisabled: without Options.Audit the endpoint answers 404
+// TestSLOEndpointDisabled: without Options.AuditInterval the endpoint answers 404
 // with its own machine code, distinguishable from unknown_stream.
 func TestSLOEndpointDisabled(t *testing.T) {
 	s := newTestServer(t)
@@ -277,8 +277,8 @@ func TestDriftReanchorObservable(t *testing.T) {
 	// One audit pass per full window.
 	s, err := Open(Options{
 		Window: 64, Buckets: 4, Eps: 0.2, Delta: 0.2,
-		Audit: true, AuditInterval: 64,
-		Metrics: reg, Trace: tr, Logger: quietLogger,
+		AuditInterval: 64,
+		Metrics:       reg, Trace: tr, Logger: quietLogger,
 	})
 	if err != nil {
 		t.Fatal(err)

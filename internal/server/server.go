@@ -17,7 +17,7 @@
 //	GET  /v1/streams/K/snapshot     binary fixed-window snapshot (operator download)
 //	POST /v1/streams/K/restore      replace K's window from a snapshot download
 //	GET  /v1/streams/K/drift        distribution-change check against a reference
-//	GET  /v1/streams/K/slo          accuracy SLO state (with Options.Audit)
+//	GET  /v1/streams/K/slo          accuracy SLO state (with Options.AuditInterval)
 //	GET  /v1/streams?after=&limit=  page through live stream keys
 //	DELETE /v1/streams/K            drop K's stream (durably, via a WAL tombstone)
 //	GET  /healthz                   liveness (always 200 while the process runs)

@@ -31,10 +31,30 @@ func within(t *testing.T, what string, fn func()) {
 	}
 }
 
+// loggedAt waits up to 2 s for the shard loop to have logged key's
+// stream up to position want.
+func loggedAt(t *testing.T, e *Engine, key string, want int64) {
+	t.Helper()
+	sh := e.shardFor(key)
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		sh.mu.RLock()
+		got := sh.streams[key].logged
+		sh.mu.RUnlock()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s logged at %d after 2s, want %d", key, got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestViewLocksOneStream: a reader parked inside View("a") holds a's
 // lock only. A read of, a write to, a listing of and the health of
-// another stream on the same shard all go through, while a second reader
-// of a waits for the first to finish.
+// another stream on the same shard all go through, even once the loop
+// has acknowledged an ingest to a, while a second reader of a and that
+// ingest's drain wait for the first reader to finish.
 func TestViewLocksOneStream(t *testing.T) {
 	e := testEngine(t, Config{Shards: 1})
 	for _, key := range []string{"a", "b"} {
@@ -62,8 +82,17 @@ func TestViewLocksOneStream(t *testing.T) {
 		t.Fatal(`View("a") never ran its callback`)
 	}
 
-	// Nothing writes to a before these checks: an ingest to a would park
-	// the loop on a's lock while it holds the shard's write lock.
+	// The loop logs and queues an ingest to a without a's lock; only the
+	// ingest's drain waits for the reader.
+	aDone := make(chan error, 1)
+	go func() {
+		seen, _, err := e.Ingest("a", 0, []float64{4})
+		if err == nil && seen != 4 {
+			err = fmt.Errorf("seen=%d, want 4", seen)
+		}
+		aDone <- err
+	}()
+	loggedAt(t, e, "a", 4)
 	within(t, `View("b")`, func() {
 		if err := e.View("b", func(st *State) error {
 			if st.FW.Seen() != 3 {
@@ -105,15 +134,183 @@ func TestViewLocksOneStream(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	unpark()
-	for _, done := range []chan error{first, second} {
+	for _, done := range []chan error{first, second, aDone} {
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatal(`a View("a") did not return after the release`)
+			t.Fatal(`a View("a") or Ingest("a") did not return after the release`)
 		}
+	}
+}
+
+// TestBusyStreamDoesNotStallShard: while a's lock is held, by an ingest's
+// drain parked at the ingest.drain failpoint or by a parked View("a")
+// callback, a second ingest, a delete and a restore of a each leave the
+// shard serving: an ingest to and a read of b on the same shard return,
+// because the loop, Delete and Restore reach a only through its queue
+// lock. After the release every acknowledgment of a arrives and a's
+// summaries agree with its position.
+func TestBusyStreamDoesNotStallShard(t *testing.T) {
+	for _, hold := range []string{"drain", "view"} {
+		for _, op := range []string{"ingest", "delete", "restore"} {
+			t.Run(hold+"/"+op, func(t *testing.T) { busyStreamCase(t, hold, op) })
+		}
+	}
+}
+
+func busyStreamCase(t *testing.T, hold, op string) {
+	e := testEngine(t, Config{Shards: 1})
+	for _, key := range []string{"a", "b", "c"} {
+		if _, _, err := e.Ingest(key, 0, []float64{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap []byte // a's window at position 3, for the restore
+	if err := e.View("a", func(st *State) (err error) {
+		snap, err = st.FW.MarshalBinary()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	inLoop, resume := make(chan struct{}), make(chan struct{})
+	var releaseOnce, resumeOnce sync.Once
+	// Runs before the engine's Close, so a failed check still lets
+	// everything parked on a's lock finish.
+	t.Cleanup(func() {
+		resumeOnce.Do(func() { close(resume) })
+		releaseOnce.Do(func() { close(release) })
+	})
+	var holdArmed, loopArmed atomic.Bool
+	e.SetFailpoint(func(point string) {
+		switch {
+		case point == "ingest.drain" && holdArmed.CompareAndSwap(true, false):
+			close(held)
+			<-release
+		case point == "ingest.apply" && loopArmed.CompareAndSwap(true, false):
+			close(inLoop)
+			<-resume
+		}
+	})
+	type ack struct {
+		seen, want int64
+		err        error
+	}
+	acks := make(chan ack, 2)
+	ingestA := func(vs []float64, want int64) {
+		seen, _, err := e.Ingest("a", 0, vs)
+		acks <- ack{seen, want, err}
+	}
+	waitFor := func(what string, ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s did not happen within 2s", what)
+		}
+	}
+
+	pos := int64(3) // a's position once everything acknowledged is drained
+	switch hold {
+	case "drain":
+		holdArmed.Store(true)
+		go ingestA([]float64{4, 5, 6}, 6)
+		pos = 6
+	case "view":
+		go func() {
+			_ = e.View("a", func(*State) error {
+				close(held)
+				<-release
+				return nil
+			})
+		}()
+	}
+	waitFor("a's lock being taken", held)
+
+	switch op {
+	case "ingest":
+		// Park the loop on c's ingest, queue the second ingest of a
+		// behind it, then let the loop go: a's request reaches the loop
+		// before b's does.
+		loopArmed.Store(true)
+		go func() { _, _, _ = e.Ingest("c", 0, []float64{4}) }()
+		waitFor("the loop parking on c's ingest", inLoop)
+		pos += 3
+		go ingestA([]float64{7, 8, 9}, pos)
+		sh := e.shardFor("a")
+		for deadline := time.Now().Add(2 * time.Second); len(sh.mailbox) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the second ingest of a never reached the mailbox")
+			}
+		}
+		resumeOnce.Do(func() { close(resume) })
+	case "delete":
+		within(t, "delete of a", func() {
+			if err := e.Delete("a", 0); err != nil {
+				t.Errorf("delete of a: %v", err)
+			}
+		})
+	case "restore":
+		within(t, "restore of a", func() {
+			if seen, _, err := e.Restore("a", snap); err != nil || seen != 3 {
+				t.Errorf("restore of a: seen=%d err=%v, want seen=3", seen, err)
+			}
+		})
+		pos = 3
+	}
+	within(t, `Ingest("b")`, func() {
+		if seen, _, err := e.Ingest("b", 0, []float64{4}); err != nil || seen != 4 {
+			t.Errorf(`Ingest("b"): seen=%d err=%v, want seen=4`, seen, err)
+		}
+	})
+	within(t, `View("b")`, func() {
+		if err := e.View("b", func(st *State) error {
+			if st.FW.Seen() != 4 || st.Agg.N() != 4 {
+				t.Errorf("b seen = %d, agglom n = %d, want 4 and 4", st.FW.Seen(), st.Agg.N())
+			}
+			return nil
+		}); err != nil {
+			t.Errorf(`View("b"): %v`, err)
+		}
+	})
+
+	releaseOnce.Do(func() { close(release) })
+	want := 0
+	if hold == "drain" {
+		want++
+	}
+	if op == "ingest" {
+		want++
+	}
+	for i := 0; i < want; i++ {
+		select {
+		case a := <-acks:
+			if a.err != nil || a.seen != a.want {
+				t.Errorf(`Ingest("a"): seen=%d err=%v, want seen=%d`, a.seen, a.err, a.want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal(`an Ingest("a") did not return after the release`)
+		}
+	}
+	err := e.View("a", func(st *State) error {
+		aux := pos
+		if op == "restore" {
+			aux = 0 // the restored stream's auxiliaries restart empty
+		}
+		if st.FW.Seen() != pos || int64(st.Agg.N()) != aux || int64(st.GK.N()) != aux || st.Stats.N != aux {
+			t.Errorf("a: seen=%d agglom n=%d gk n=%d stats n=%d, want seen %d and %d in each auxiliary",
+				st.FW.Seen(), st.Agg.N(), st.GK.N(), st.Stats.N, pos, aux)
+		}
+		return nil
+	})
+	if op == "delete" {
+		if !errors.Is(err, ErrUnknownStream) {
+			t.Fatalf(`View("a") after its delete: err = %v, want ErrUnknownStream`, err)
+		}
+	} else if err != nil {
+		t.Fatal(err)
 	}
 }
 

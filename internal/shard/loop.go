@@ -27,7 +27,7 @@ type response struct {
 	seen     int64
 	degraded bool
 	err      error
-	st       *State // the stream the request was pushed into; Ingest drains it
+	st       *State // the stream the request was queued on; Ingest drains it
 }
 
 // reply delivers the response once; later calls are no-ops.
@@ -40,8 +40,8 @@ func (r *request) reply(resp response) {
 }
 
 // loop is the shard's single writer: it drains the mailbox in batches,
-// write-ahead-logs each batch with one group fsync, pushes it into the
-// streams' windows, and replies per request.
+// write-ahead-logs each batch with one group fsync, queues each request's
+// values on its stream, and replies per request.
 func (sh *shard) loop() {
 	defer close(sh.loopDone)
 	for {
@@ -88,16 +88,16 @@ type plan struct {
 }
 
 // process runs one batch: plan (resolve states and WAL records), persist
-// (one group commit for the whole batch), apply (push each request into
-// its stream's window, queue its values for the auxiliaries, and reply).
-// The shard's write lock is held across all three, so lookups wait for
-// the batch and the stream map never shows a half-planned create or
-// delete; each request's apply also holds its stream's lock (see apply),
-// so a reader of a stream sees whole requests only. The auxiliaries are
-// not fed here: each reply carries the request's state, and Ingest
-// drains it after the write lock is gone. A panic inside quarantines the
-// shard via the lock guards and the recovery here fails the batch's
-// outstanding replies instead of leaving clients blocked forever.
+// (one group commit for the whole batch), apply (queue each request's
+// values on its stream, or drop a deleted stream, and reply). The
+// shard's write lock is held across all three, so lookups wait for the
+// batch and the stream map never shows a half-planned create or delete.
+// No stream's lock is taken: each reply carries the request's state, and
+// Ingest drains it after the write lock is gone, so a stream busy in a
+// drain or a reader's callback holds up only its own requests. A panic
+// inside quarantines the shard via the lock guard and the recovery here
+// fails the batch's outstanding replies instead of leaving clients
+// blocked forever.
 func (sh *shard) process(batch []*request) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -152,7 +152,7 @@ func (sh *shard) process(batch []*request) {
 		start, have := startAt[req.key]
 		if !have {
 			if ok {
-				start = st.FW.Seen()
+				start = st.logged
 			}
 			// New keys start at 0.
 		}
@@ -202,7 +202,8 @@ func (sh *shard) process(batch []*request) {
 		}
 	}
 
-	// Phase C: apply and reply.
+	// Phase C: apply and reply. A request's values join its stream's queue
+	// in WAL order; the stream's next drain pushes them into its window.
 	for _, p := range plans {
 		if p.req.del {
 			sh.dropState(p.req.key)
@@ -215,7 +216,8 @@ func (sh *shard) process(batch []*request) {
 				sh.installState(p.req.key, p.st)
 			}
 		}
-		seen := sh.apply(p)
+		sh.eng.failAt("ingest.apply")
+		seen := p.st.enqueue(p.req.values)
 		sh.applied += int64(len(p.req.values))
 		sh.dirtyGen++
 		if degradedAck {
@@ -224,34 +226,6 @@ func (sh *shard) process(batch []*request) {
 		}
 		p.req.reply(response{seen: seen, degraded: degradedAck, st: p.st})
 	}
-}
-
-// apply pushes one planned request's values into its stream's window and
-// queues a copy of them for the stream's auxiliaries and auditor, under
-// the stream's lock, and returns the stream's position after the
-// request. The queued values are drained by the next holder of the
-// stream's lock: normally the request's own Ingest, after the reply,
-// which also runs a due audit pass. Call from process, with sh.mu held
-// for writing.
-func (sh *shard) apply(p plan) int64 {
-	st := p.st
-	st.mu.Lock()
-	defer st.guardUnlock(sh)
-	sh.eng.failAt("ingest.apply")
-	if st.FW.IncrementalRebuild() {
-		// Incremental cover repair makes per-batch maintenance
-		// amortized sub-millisecond, so maintain eagerly — one repair
-		// pass per drained request — and keep read latency flat.
-		// Exact engines stay lazy: maintenance defers to the next
-		// query's flush rather than paying a full rebuild per ingest.
-		st.FW.PushBatch(p.req.values)
-	} else {
-		for _, v := range p.req.values {
-			st.FW.PushLazy(v)
-		}
-	}
-	st.pending = append(st.pending, p.req.values...)
-	return st.FW.Seen()
 }
 
 // failBatch replies err to every still-unreplied planned request and

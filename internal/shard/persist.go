@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,8 +92,8 @@ func (e *Engine) checkMeta() error {
 
 // recover rebuilds this shard's streams from its stripe: open the
 // WAL, load the newest checkpoint container, then replay the uncovered
-// log tail into every stream's summaries (the window push, then the same
-// drain a live ingest runs). Fixed windows restore exactly;
+// log tail into every stream's summaries through the same queue and
+// drain a live ingest uses. Fixed windows restore exactly;
 // the whole-stream auxiliaries rebuild from the replayed tail only, as
 // in the single-stream daemon. Shards recover concurrently — each one
 // touches only its own stripe and its own fields. The engine sums the
@@ -159,7 +160,7 @@ func (sh *shard) loadStreams() error {
 	err = sh.w.ReplayKeyed(coveredSeq, func(r wal.KeyedRecord) error {
 		if r.Delete {
 			if st, ok := sh.streams[r.Key]; ok {
-				st.uncountEndpoints(sh.eng.aggEndpoints)
+				st.discard(sh.eng.aggEndpoints)
 			}
 			delete(sh.streams, r.Key)
 			return nil
@@ -173,21 +174,17 @@ func (sh *shard) loadStreams() error {
 			}
 			sh.streams[r.Key] = st
 		}
-		for i, v := range r.Values {
-			switch p := r.Start + int64(i); {
-			case p < st.FW.Seen():
-				// Covered by the checkpoint.
-			case p == st.FW.Seen():
-				st.FW.PushLazy(v)
-				st.pending = append(st.pending, v)
-				replayed++
-			default:
-				return fmt.Errorf("gap: stream %q record for position %d but state ends at %d", r.Key, p, st.FW.Seen())
-			}
+		// A checkpoint may already hold a prefix of the record, or all of it.
+		held := st.logged - r.Start
+		if held < 0 {
+			return fmt.Errorf("gap: stream %q record for position %d but state ends at %d", r.Key, r.Start, st.logged)
 		}
-		// The auxiliaries absorb the record the way a live ingest's
-		// drain feeds them.
-		st.drain(sh.eng.aggEndpoints)
+		if held < int64(len(r.Values)) {
+			replayed += int64(len(r.Values)) - held
+			// The record reaches the stream the way a live ingest does.
+			st.enqueue(r.Values[held:])
+			st.drain(sh.eng.aggEndpoints)
+		}
 		return nil
 	})
 	if err != nil {
@@ -224,25 +221,49 @@ func (sh *shard) recoveredState(key string) (*State, error) {
 	return st, nil
 }
 
-// encodeContainerLocked serializes the shard's streams. Call with sh.mu
-// held for writing; each stream's window is encoded under its own lock.
-//
-//lint:ignore mutex-discipline callers (checkpoint, Restore, probeAndReanchor) hold sh.mu
-func encodeContainerLocked(sh *shard, covered uint64) ([]byte, error) {
-	return encodeContainer(covered, sh.streams)
-}
-
 // saveContainer persists blob as the shard's newest checkpoint, named by
-// the shard's cumulative applied-point count. Call with sh.mu held (the
-// container must match the applied count it is filed under).
-//
-//lint:ignore mutex-discipline callers (Restore, probeAndReanchor) hold sh.mu
-func (sh *shard) saveContainer(blob []byte) error {
-	if err := checkpoint.Save(sh.tracer(), uint8(sh.id), sh.eng.cfg.FS, sh.dir, sh.applied, blob); err != nil {
+// applied, the shard's cumulative applied-point count the container
+// holds, and counts it.
+func (sh *shard) saveContainer(applied int64, blob []byte) error {
+	if err := checkpoint.Save(sh.tracer(), uint8(sh.id), sh.eng.cfg.FS, sh.dir, applied, blob); err != nil {
 		return err
 	}
 	sh.cm().total.Inc()
 	sh.cm().bytes.Set(float64(len(blob)))
+	return nil
+}
+
+// reanchor restarts the shard's durable history: it saves the shard's
+// streams, with st in place of key's stream when st is not nil, as a
+// checkpoint container that covers the whole log, installs st once that
+// container is durable, and resets the log, so replay starts from the
+// container. A failed save changes nothing. Call with ckptMu held and
+// sh.mu held for writing, so no batch lands between the save and the
+// reset.
+//
+//lint:ignore mutex-discipline callers (Restore, probeAndReanchor) hold sh.mu
+func (sh *shard) reanchor(key string, st *State) error {
+	streams := sh.streams
+	if st != nil {
+		streams = maps.Clone(sh.streams)
+		streams[key] = st
+	}
+	// Everything in the log, active segment included, predates the
+	// container; record NextSeq so replay skips it all.
+	blob, err := encodeContainer(sh.w.NextSeq(), streams, sh.eng.aggEndpoints)
+	if err != nil {
+		return err
+	}
+	if err := sh.saveContainer(sh.applied, blob); err != nil {
+		return err
+	}
+	if st != nil {
+		sh.installState(key, st)
+	}
+	if err := sh.w.Reset(); err != nil {
+		return fmt.Errorf("wal reset: %w", err)
+	}
+	sh.ckptGen = sh.dirtyGen
 	return nil
 }
 
@@ -271,7 +292,7 @@ func (sh *shard) checkpoint() error {
 		// The active segment may gain records after this point; replay
 		// must not skip it, so the container covers sealed segments only.
 		covered = sh.w.ActiveSeq()
-		blob, err = encodeContainerLocked(sh, covered)
+		blob, err = encodeContainer(covered, sh.streams, sh.eng.aggEndpoints)
 		return blob, sh.applied, sh.dirtyGen, covered, true, err
 	}()
 	if err != nil {
@@ -281,7 +302,7 @@ func (sh *shard) checkpoint() error {
 	if !dirty {
 		return nil
 	}
-	if err := checkpoint.Save(sh.tracer(), uint8(sh.id), sh.eng.cfg.FS, sh.dir, seen, blob); err != nil {
+	if err := sh.saveContainer(seen, blob); err != nil {
 		sh.cm().failures.Inc()
 		return err
 	}
@@ -308,8 +329,6 @@ func (sh *shard) checkpoint() error {
 		sh.ckptGen = gen
 	}
 	sh.mu.Unlock()
-	sh.cm().total.Inc()
-	sh.cm().bytes.Set(float64(len(blob)))
 	sh.cm().duration.ObserveSince(start)
 	return nil
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -209,5 +210,86 @@ func TestFailedRollKeepsBatchAcknowledged(t *testing.T) {
 	}
 	if errs[0] != nil {
 		t.Fatalf("batch already in the log failed by its roll: %v", errs[0])
+	}
+}
+
+// TestFailedRestoreChangesNothing: on a durable engine Restore installs
+// the snapshot only once a checkpoint holding it is durable. With the
+// checkpoint's rename failing once, the restore fails and the stream
+// keeps its old window, so an ingest acknowledged afterwards is logged at
+// the old window's positions and recovers after a crash. Installed early,
+// a snapshot behind the stream lost that ingest to the old window on
+// recovery, and one ahead of it made recovery fail with a gap. A failed
+// restore of a new key creates nothing and frees its key slot.
+func TestFailedRestoreChangesNothing(t *testing.T) {
+	for _, tc := range []struct{ old, snap int }{{10, 3}, {2, 20}, {0, 5}} {
+		t.Run(fmt.Sprintf("old=%d/snapshot=%d", tc.old, tc.snap), func(t *testing.T) {
+			dir := t.TempDir()
+			chaos := faults.NewChaos(faults.OS{}, 1)
+			cfg := Config{Shards: 1, DataDir: dir, FS: chaos, SyncEveryAppend: true, Factory: testFactory(t)}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []float64
+			for i := 0; i < tc.old; i++ {
+				want = append(want, float64(i))
+			}
+			if tc.old > 0 {
+				if _, _, err := e.Ingest("a", 0, want); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src, err := testFactory(t)("src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.snap; i++ {
+				src.FW.PushLazy(float64(1000 + i))
+			}
+			snap, err := src.FW.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := e.KeyCount()
+
+			chaos.SetRules(faults.Rule{Ops: faults.OpRename, PathContains: "checkpoint-", Prob: 1, Count: 1})
+			if _, _, err := e.Restore("a", snap); err == nil {
+				t.Fatal("restore whose checkpoint save failed succeeded")
+			}
+			if chaos.Fired() != 1 {
+				t.Fatalf("checkpoint fault fired %d times, want 1", chaos.Fired())
+			}
+			if got := e.KeyCount(); got != keys {
+				t.Fatalf("key count %d after the failed restore, want %d", got, keys)
+			}
+			if tc.old == 0 {
+				if err := e.View("a", func(*State) error { return nil }); !errors.Is(err, ErrUnknownStream) {
+					t.Fatalf("failed restore of a new key left a stream behind: %v", err)
+				}
+			}
+			want = append(want, 100, 101)
+			if seen, _, err := e.Ingest("a", 0, []float64{100, 101}); err != nil || seen != int64(len(want)) {
+				t.Fatalf("ingest after the failed restore: seen=%d err=%v, want seen=%d", seen, err, len(want))
+			}
+			e.Abort()
+
+			cfg.FS = faults.OS{}
+			e2, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatalf("recovery after the failed restore: %v", err)
+			}
+			defer e2.Close()
+			var got []float64
+			if err := e2.View("a", func(st *State) error {
+				got = st.FW.Window()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered window %v, want the acknowledged %v", got, want)
+			}
+		})
 	}
 }

@@ -124,24 +124,13 @@ func (sh *shard) probeAndReanchor() error {
 	defer sh.ckptMu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// The log is about to restart; everything currently in it predates
-	// the container being saved, so replay must skip it all.
-	covered := sh.w.NextSeq()
-	blob, err := encodeContainerLocked(sh, covered)
-	if err != nil {
-		return fmt.Errorf("shard %d: reanchor marshal: %w", sh.id, err)
-	}
-	if err := sh.saveContainer(blob); err != nil {
+	if err := sh.reanchor("", nil); err != nil {
 		return fmt.Errorf("shard %d: reanchor: %w", sh.id, err)
-	}
-	if err := sh.w.Reset(); err != nil {
-		return fmt.Errorf("shard %d: reanchor wal reset: %w", sh.id, err)
 	}
 	sh.br.Success()
 	sh.degraded.Store(false)
 	sh.rm().reanchors.Inc()
-	sh.ckptGen = sh.dirtyGen
-	sh.logger().Info("reanchored after degraded mode", "shard", sh.id, "applied", sh.applied, "checkpointBytes", len(blob))
+	sh.logger().Info("reanchored after degraded mode", "shard", sh.id, "applied", sh.applied)
 	return nil
 }
 
@@ -242,7 +231,7 @@ func (sh *shard) restoreFromDisk() {
 	newStreams, newApplied := scratch.streams, scratch.applied
 	if err != nil {
 		for _, st := range newStreams {
-			st.uncountEndpoints(sh.eng.aggEndpoints)
+			st.discard(sh.eng.aggEndpoints)
 		}
 		sh.logger().Error("quarantine restore failed", "shard", sh.id, "err", err)
 		return
@@ -252,7 +241,7 @@ func (sh *shard) restoreFromDisk() {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		for _, st := range sh.streams {
-			st.uncountEndpoints(sh.eng.aggEndpoints)
+			st.discard(sh.eng.aggEndpoints)
 		}
 		sh.eng.keyCount.Add(int64(len(newStreams) - len(sh.streams)))
 		sh.streams = newStreams

@@ -5,36 +5,42 @@
 // supervisor, panic quarantine).
 //
 // Writes are message-passing: an ingest enqueues onto its shard's
-// bounded mailbox and the shard loop drains it — the loop
-// write-ahead-logs the whole drained batch with one group fsync, pushes
-// each request into its stream's window, queues a copy of its values for
-// the stream's whole-stream auxiliaries, and replies per request. The
-// window's position orders the WAL and its snapshot is what checkpoints
-// cover, so only the window push belongs to the loop. The auxiliaries
-// (agglomerative histogram, GK quantiles, equi-depth value histogram,
-// running stats, shadow auditor) absorb the queued values off the loop,
-// under the stream's lock alone: Ingest drains them after the loop's
+// bounded mailbox and the shard loop drains it. The loop keeps only order
+// and durability: it write-ahead-logs the whole drained batch with one
+// group fsync, naming each record's start position by its stream's
+// logged position, appends each request's values to its stream's queue,
+// and replies per request. It takes no stream's lock, so a stream busy in
+// a drain or a reader's callback never stalls the other streams of its
+// shard. Each stream's drain is the one path by which values reach it: it
+// pushes the queued values into the fixed window and then feeds the
+// whole-stream auxiliaries (agglomerative histogram, GK quantiles,
+// equi-depth value histogram, running stats, shadow auditor), in WAL
+// order, under the stream's lock alone. Ingest drains after the loop's
 // reply and before it returns, and runs a due audit pass there, so
 // ingests to different streams of one shard run those updates in
-// parallel. The acknowledged-durability contract is
-// unchanged from the single-stream daemon: a non-degraded
-// acknowledgment means the batch is durable to the configured fsync
-// policy, and that every summary of the stream includes it.
+// parallel. The acknowledged-durability contract is unchanged from the
+// single-stream daemon: a non-degraded acknowledgment means the batch is
+// durable to the configured fsync policy, and that every summary of the
+// stream includes it.
 //
 // Reads never touch the mailbox. Locks nest in one order: ckptMu, then
-// the shard lock, then a stream's lock; nothing takes the shard lock
-// while holding a stream's lock. The shard lock is a RWMutex over the
-// stream map and the shard's counters: the loop's batches, checkpoint
-// and re-anchor encoding, Restore, Ensure and the quarantine swap hold
-// it for writing; lookups, Keys, ShardStatuses and QualitySnapshot hold
-// it for reading. Each stream's State has its own mutex over its
-// summaries, held by the loop while it pushes one request into the
-// stream's window, by Ingest while it drains the stream's queued values
-// and audits, by View (which drains them too) around its callback and by
-// QualitySnapshot while it reads the stream's auditor, so reads, fresh
-// query flushes, audits and auxiliary updates of different streams on
-// one shard run in parallel and a reader sees whole requests of its
-// stream only.
+// the shard lock, then a stream's lock, then the stream's queue lock;
+// nothing takes the shard lock while holding a stream's lock. The shard
+// lock is a RWMutex over the stream map, the streams' logged positions
+// and the shard's counters: the loop's batches, checkpoint and re-anchor
+// encoding, Restore, Ensure and the quarantine swap hold it for writing;
+// lookups, Keys, ShardStatuses and QualitySnapshot hold it for reading.
+// Each stream's State has its own mutex over its summaries, held by
+// Ingest while it drains the stream and audits, by View (which drains
+// too) around its callback, by QualitySnapshot while it reads the
+// stream's auditor and by container encoding, which drains each stream
+// before it snapshots the window. Container encoding is the only holder
+// of a stream's lock that also holds the shard's. The queue lock is a
+// leaf, held only to append to the queue, swap it out or move the
+// endpoint gauge, so the loop, Restore and the quarantine swap can queue
+// on or discard a stream without waiting for its lock. Reads, fresh
+// query flushes, audits and drains of different streams on one shard run
+// in parallel, and a reader sees whole requests of its stream only.
 //
 // Durability is striped: shard i owns DataDir/shard-<i> with its own
 // WAL of keyed records (see internal/wal) and its own checkpoint
@@ -140,11 +146,12 @@ type Config struct {
 	Logger *slog.Logger
 	// Failpoint is a test seam invoked at named points inside critical
 	// sections ("ingest.apply" in the loop, under the shard's write lock
-	// and the stream's lock, as each request is pushed into its window;
+	// only, as each logged request is queued on its stream;
 	// "ingest.drain" in Ingest, under the stream's lock only, before the
-	// auxiliaries and the auditor absorb the batch; "ingest.audit" in
-	// Ingest, under the stream's lock only, as a due audit pass starts;
-	// "restore.apply" under the shard's write lock); nil in production.
+	// window, the auxiliaries and the auditor absorb the batch;
+	// "ingest.audit" in Ingest, under the stream's lock only, as a due
+	// audit pass starts; "restore.apply" under the shard's write lock);
+	// nil in production.
 	Failpoint func(point string)
 }
 
@@ -195,7 +202,7 @@ type Engine struct {
 	// pass or a /drift request ran the check (see RecordDrift).
 	driftReanchors *obs.Counter
 	// aggEndpoints is the daemon-wide total of stored agglomerative
-	// endpoints; each State carries its share (countEndpoints).
+	// endpoints; each State carries its share (State.drain moves it).
 	aggEndpoints *obs.Gauge
 	// failpoint is the test seam; read by shard loops, so swaps go
 	// through an atomic instead of a plain field.
@@ -379,17 +386,17 @@ func (e *Engine) SetFailpoint(fn func(point string)) {
 
 // Ingest appends values to key's stream, creating it on first use, and
 // blocks until the shard loop has made the batch durable (or degraded-
-// acknowledged it) and pushed it into the stream's window, and the
-// stream's auxiliaries have absorbed it too. It returns the stream's
-// position after the batch and whether the acknowledgment is degraded
-// (memory-only). The parent span, when tracing, receives the WAL append
-// and fsync events.
+// acknowledged it) and queued it on the stream, and the stream's drain
+// has pushed it into the window and every auxiliary. It returns the
+// stream's position after the batch and whether the acknowledgment is
+// degraded (memory-only). The parent span, when tracing, receives the
+// WAL append and fsync events.
 //
-// The auxiliaries and the auditor absorb the batch here, on the
-// caller's goroutine, under the stream's lock only, and a due audit pass
-// runs here too: ingests to different streams of one shard run their
-// agglomerative updates and audits in parallel, and the shard's write
-// lock covers only the WAL append and the window push.
+// The drain runs here, on the caller's goroutine, under the stream's
+// lock only, followed by one maintenance pass on an incremental window
+// and a due audit pass: ingests to different streams of one shard run
+// their updates and audits in parallel, and the shard's write lock
+// covers only the WAL append and the queue append.
 func (e *Engine) Ingest(key string, parent trace.SpanID, values []float64) (seen int64, degraded bool, err error) {
 	sh := e.shardFor(key)
 	if sh.quarantined.Load() {
@@ -411,12 +418,12 @@ func (e *Engine) Ingest(key string, parent trace.SpanID, values []float64) (seen
 	return resp.seen, resp.degraded, nil
 }
 
-// drain catches key's auxiliaries and auditor up with its window off the
-// shard loop, then runs the audit pass if one is due: it holds st's lock
-// and not the shard's. The pending values it feeds include this caller's
-// batch and any earlier one not yet drained. A panic while feeding them
-// or auditing quarantines the shard, and the ingest fails with
-// ErrQuarantined, as it does when its window push panics in the loop.
+// drain catches key's stream up with the log off the shard loop, runs
+// one maintenance pass if its window is incremental, then runs the audit
+// pass if one is due: it holds st's lock and not the shard's. The queued
+// values it feeds include this caller's batch and any earlier one not
+// yet drained. A panic while feeding them, maintaining or auditing
+// quarantines the shard, and the ingest fails with ErrQuarantined.
 func (sh *shard) drain(key string, st *State) (err error) {
 	defer func() {
 		// Only a *LockedPanic can arrive: guardUnlock wraps whatever
@@ -429,6 +436,14 @@ func (sh *shard) drain(key string, st *State) (err error) {
 	defer st.guardUnlock(sh)
 	sh.eng.failAt("ingest.drain")
 	st.drain(sh.eng.aggEndpoints)
+	if st.FW.IncrementalRebuild() {
+		// Incremental cover repair makes a maintenance pass amortized
+		// sub-millisecond, so maintain eagerly, one pass per ingest, and
+		// keep read latency flat. Exact windows stay lazy: maintenance
+		// defers to the next query's flush rather than paying a full
+		// rebuild per ingest.
+		st.FW.ApproxError()
+	}
 	if st.Aud.Due() {
 		sh.runAudit(key, st)
 	}
@@ -496,16 +511,15 @@ func (sh *shard) releaseKey(key string) {
 
 // View runs fn on key's state under that stream's own lock; the shard
 // lock is held for reading only while the stream is looked up. Values the
-// loop has pushed into the window but no one has drained yet are drained
-// into the auxiliaries and the auditor first, so fn sees whole ingest
+// loop has queued but no one has drained yet are drained first, into the
+// window, the auxiliaries and the auditor, so fn sees whole ingest
 // requests of the stream in every summary; a due audit pass waits for
-// the stream's next ingest. Reads of other streams on the shard run
-// alongside it; only a batch that writes this stream waits for fn (and
-// holds up the shard's lookups meanwhile). fn may mutate the state's
-// caches (a query flush does), must not call back into the engine, and
-// must not retain the state past its return. A panic inside fn releases
-// the stream lock, quarantines the shard (fn may have left the state
-// half mutated) and re-panics as *LockedPanic.
+// the stream's next ingest. Reads and writes of other streams on the
+// shard run alongside it. fn may mutate the state's caches (a query
+// flush does), must not call back into the engine, and must not retain
+// the state past its return. A panic inside fn releases the stream lock,
+// quarantines the shard (fn may have left the state half mutated) and
+// re-panics as *LockedPanic.
 func (e *Engine) View(key string, fn func(*State) error) error {
 	sh := e.shardFor(key)
 	st := sh.lookup(key)
@@ -564,18 +578,16 @@ func (sh *shard) createState(key string) (*State, error) {
 }
 
 // installState publishes a created state into the shard map, replacing
-// (and discarding) any state key already had. Call with sh.mu held.
+// (and discarding) any state key already had; the new state's endpoints
+// count from its first drain. Call with sh.mu held.
 //
 //lint:ignore mutex-discipline runs under the caller's sh.mu (create paths in the loop, Ensure, Restore)
 func (sh *shard) installState(key string, st *State) {
 	if old, ok := sh.streams[key]; ok {
-		old.uncountEndpoints(sh.eng.aggEndpoints)
+		old.discard(sh.eng.aggEndpoints)
 	}
 	sh.streams[key] = st
 	sh.streamsGauge.Set(float64(len(sh.streams)))
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.countEndpoints(sh.eng.aggEndpoints)
 }
 
 // dropState removes a state from the shard map. Call with sh.mu held.
@@ -583,7 +595,7 @@ func (sh *shard) installState(key string, st *State) {
 //lint:ignore mutex-discipline runs under the caller's sh.mu (delete path in the loop)
 func (sh *shard) dropState(key string) {
 	if st, ok := sh.streams[key]; ok {
-		st.uncountEndpoints(sh.eng.aggEndpoints)
+		st.discard(sh.eng.aggEndpoints)
 	}
 	delete(sh.streams, key)
 	sh.eng.keyCount.Add(-1)
@@ -637,9 +649,10 @@ func (e *Engine) Seen(key string) int64 {
 // decoded into the window the factory builds for key, so the stream
 // keeps the engine the factory chose; a blob that does not decode fails
 // with ErrBadSnapshot. The auxiliaries restart empty, derived from the
-// restored window's parameters. On a durable engine the replacement is
-// checkpointed and the stripe's WAL reset before Restore returns, so the
-// acknowledgment implies durability.
+// restored window's parameters. On a durable engine the new stream is
+// installed only once a checkpoint holding it is durable, and the
+// stripe's WAL is reset before Restore returns, so the acknowledgment
+// implies durability; a failed save changes nothing.
 func (e *Engine) Restore(key string, blob []byte) (seen int64, length int, err error) {
 	sh := e.shardFor(key)
 	if sh.quarantined.Load() {
@@ -654,39 +667,32 @@ func (e *Engine) Restore(key string, blob []byte) (seen int64, length int, err e
 	}
 	st.attach(e.cfg.Metrics, e.cfg.Trace)
 	sh.wireAudit(key, st)
+	seen, length = st.FW.Seen(), st.FW.Len()
 	// Lock order matches checkpointing: ckptMu then mu. The shard's write
-	// lock is held across the swap, the container save and the WAL reset,
+	// lock is held across the container save, the swap and the WAL reset,
 	// so no concurrent batch can land between the checkpoint and the reset
 	// and be destroyed unacknowledged.
 	sh.ckptMu.Lock()
 	defer sh.ckptMu.Unlock()
 	sh.mu.Lock()
 	defer sh.guardUnlock()
-	if _, ok := sh.streams[key]; !ok {
+	_, exists := sh.streams[key]
+	if !exists {
 		if err := sh.reserveKeySlot(); err != nil {
 			return 0, 0, err
 		}
 	}
 	e.failAt("restore.apply")
-	sh.installState(key, st)
-	sh.dirtyGen++
-	seen, length = st.FW.Seen(), st.FW.Len()
-	if sh.w != nil {
-		// Everything currently in the log — active segment included —
-		// predates the restored state; record NextSeq so replay skips it
-		// all, then restart the log.
-		covered := sh.w.NextSeq()
-		container, cerr := encodeContainerLocked(sh, covered)
-		if cerr != nil {
-			return 0, 0, fmt.Errorf("shard: checkpointing restored state: %w", cerr)
+	if sh.w == nil {
+		sh.installState(key, st)
+		return seen, length, nil
+	}
+	if err := sh.reanchor(key, st); err != nil {
+		if !exists && sh.streams[key] != st {
+			// The save failed and installed nothing: free the slot.
+			sh.releaseKeySlot()
 		}
-		if serr := sh.saveContainer(container); serr != nil {
-			return 0, 0, fmt.Errorf("shard: checkpointing restored state: %w", serr)
-		}
-		if rerr := sh.w.Reset(); rerr != nil {
-			return 0, 0, fmt.Errorf("shard: resetting wal: %w", rerr)
-		}
-		sh.ckptGen = sh.dirtyGen
+		return 0, 0, fmt.Errorf("shard: checkpointing restored state: %w", err)
 	}
 	return seen, length, nil
 }

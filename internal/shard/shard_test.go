@@ -87,7 +87,7 @@ func TestContainerRoundTrip(t *testing.T) {
 		}
 		streams[key] = st
 	}
-	blob, err := encodeContainer(42, streams)
+	blob, err := encodeContainer(42, streams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestContainerRoundTrip(t *testing.T) {
 		}
 	}
 	// Deterministic: same state, same bytes.
-	blob2, err := encodeContainer(42, streams)
+	blob2, err := encodeContainer(42, streams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +127,40 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 	if _, _, err := decodeContainer([]byte{99}); err == nil {
 		t.Error("bad version decoded without error")
+	}
+}
+
+// TestContainerDrainsQueuedValues: encoding a container drains each
+// stream first, so values the loop has logged and queued but nobody has
+// drained yet are in the stream's snapshot, and in its auxiliaries.
+func TestContainerDrainsQueuedValues(t *testing.T) {
+	st, err := testFactory(t)("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen := st.enqueue([]float64{1, 2, 3}); seen != 3 {
+		t.Fatalf("enqueue moved the logged position to %d, want 3", seen)
+	}
+	blob, err := encodeContainer(7, map[string]*State{"a": st}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, blobs, err := decodeContainer(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := core.New(32, 4, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.UnmarshalBinary(blobs["a"]); err != nil {
+		t.Fatal(err)
+	}
+	if got := fw.Window(); fw.Seen() != 3 || !reflect.DeepEqual(got, []float64{1, 2, 3}) {
+		t.Fatalf("decoded window seen=%d values %v, want the 3 queued values", fw.Seen(), got)
+	}
+	if st.Agg.N() != 3 || st.GK.N() != 3 || st.Stats.N != 3 {
+		t.Fatalf("after encoding: agglom n=%d gk n=%d stats n=%d, want 3 each", st.Agg.N(), st.GK.N(), st.Stats.N)
 	}
 }
 

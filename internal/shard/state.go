@@ -26,21 +26,19 @@ import (
 // single-stream daemon before it.
 //
 // Each State carries its own lock, mu, which serializes everything that
-// touches its summaries: the shard loop holds it while it pushes one
-// request into the window, Engine.Ingest while it drains the request
-// into the auxiliaries, Engine.View around its callback, and checkpoint
-// encoding around each window snapshot. Readers and drains of different
-// streams therefore never wait on each other. The window's position
-// (FW.Seen) moves only in the loop's apply, which also holds the shard's
-// write lock, so the loop's plan phase reads it under the write lock
-// alone.
+// touches its summaries: Engine.Ingest while it drains the stream and
+// audits it, Engine.View around its callback, and checkpoint encoding
+// around each window snapshot. Readers and drains of different streams
+// therefore never wait on each other.
 //
-// The auxiliaries may trail the window: the loop queues each request's
-// values in pending, and whoever next holds mu drains them in arrival
-// order (the request's own Ingest before it returns, a View before its
-// callback). So a View callback and an audit pass, which Ingest runs
-// after its drain, always see them caught up; the window push and
-// checkpoint encoding read only the window and do not drain.
+// The shard loop never takes mu. It owns the stream's logged position
+// and appends each acknowledged request's values to pending under qmu, a
+// leaf lock held only for the append. Whoever next holds mu drains the
+// queue in WAL order (drain): the request's own Ingest before it
+// returns, a View before its callback, checkpoint encoding before it
+// marshals the window. So every summary, the window included, may trail
+// the log until the next drain, and whoever holds mu sees whole requests
+// only.
 type State struct {
 	mu sync.Mutex
 
@@ -56,17 +54,26 @@ type State struct {
 	// too.
 	Aud *quality.Auditor
 
-	// pending holds values already in FW but not yet in the auxiliaries,
-	// in arrival order (WAL order). It is a copy: the ingest handler's
-	// slice is pooled scratch.
-	pending []float64 // guarded by mu
+	// logged is the stream's position in the log: FW.Seen() plus the
+	// values still queued in pending. The shard loop names each record's
+	// start position by it and moves it as it queues the record, all
+	// under the shard's write lock.
+	logged int64
+
+	// qmu is a leaf lock over the three fields below: it is held only to
+	// append to the queue, swap it out or move the endpoint gauge, and
+	// nothing else is locked while it is held.
+	qmu sync.Mutex
+	// pending holds logged values not yet in FW, in WAL order. It is a
+	// copy: the ingest handler's slice is pooled scratch.
+	pending []float64 // guarded by qmu
 	// aggCounted is Agg's share of the engine's endpoint gauge: its
-	// StoredEndpoints as of the last countEndpoints.
-	aggCounted int // guarded by mu
+	// StoredEndpoints as of the last drain.
+	aggCounted int // guarded by qmu
 	// discarded is set once the shard has let go of the state (deleted,
 	// replaced, or swapped out after a quarantine); a drain that reaches
 	// it later must leave the gauge alone.
-	discarded bool // guarded by mu
+	discarded bool // guarded by qmu
 }
 
 // Factory builds the State for a newly created stream key. The engine
@@ -102,74 +109,91 @@ func NewState(fw *core.FixedWindow) (*State, error) {
 }
 
 // restoreWindow decodes blob into st's window — the factory's, so the
-// stream keeps the engine the factory chose. When the snapshot keeps the
-// factory's bucket budget and epsilon, the auxiliaries st already holds
-// fit the restored window and st is returned; otherwise a fresh state is
-// built around the window, so the auxiliaries follow the snapshot.
+// stream keeps the engine the factory chose — and moves the logged
+// position to the snapshot's. When the snapshot keeps the factory's
+// bucket budget and epsilon, the auxiliaries st already holds fit the
+// restored window and st is returned; otherwise a fresh state is built
+// around the window, so the auxiliaries follow the snapshot.
 func restoreWindow(st *State, blob []byte) (*State, error) {
 	b, eps := st.FW.Buckets(), st.FW.Epsilon()
 	if err := st.FW.UnmarshalBinary(blob); err != nil {
 		return nil, err
 	}
-	if st.FW.Buckets() == b && math.Float64bits(st.FW.Epsilon()) == math.Float64bits(eps) {
-		return st, nil
+	if st.FW.Buckets() != b || math.Float64bits(st.FW.Epsilon()) != math.Float64bits(eps) {
+		var err error
+		if st, err = NewState(st.FW); err != nil {
+			return nil, err
+		}
 	}
-	return NewState(st.FW)
+	st.logged = st.FW.Seen()
+	return st, nil
 }
 
-// drain feeds the pending values into the whole-stream auxiliaries and
-// the auditor in arrival order, then moves g by the change in Agg's
-// stored endpoints. It is the only way values reach them: the live paths
-// and WAL replay both queue values in pending and drain them here. It
+// enqueue queues vs, the values of a record logged at the stream's
+// position, for the next drain and returns the position after them.
+// Call from the shard loop with the shard's write lock held, or from WAL
+// replay, which owns st alone.
+func (st *State) enqueue(vs []float64) int64 {
+	st.qmu.Lock()
+	st.pending = append(st.pending, vs...)
+	st.qmu.Unlock()
+	st.logged += int64(len(vs))
+	return st.logged
+}
+
+// drain takes the queued values, pushes them into the window, feeds them
+// to the whole-stream auxiliaries and the auditor in WAL order, and moves
+// g by the change in Agg's stored endpoints. It is the only way values
+// reach a stream: live ingests, View, WAL replay and container encoding
+// all drain here. The window push is lazy, so maintenance waits for the
+// next query's flush or, on an incremental window, for Ingest's pass. It
 // never runs an audit pass; Ingest does, after its drain. Call with st.mu
-// held.
-//
-//lint:ignore mutex-discipline every caller holds st.mu (Engine.Ingest, Engine.View) or owns st alone (WAL replay)
+// held, or with st owned alone (WAL replay).
 func (st *State) drain(g *obs.Gauge) {
-	if len(st.pending) == 0 {
+	st.qmu.Lock()
+	vs := st.pending
+	if len(vs) > 0 {
+		st.pending = nil
+	}
+	st.qmu.Unlock()
+	if len(vs) == 0 {
 		return
+	}
+	for _, v := range vs {
+		st.FW.PushLazy(v)
 	}
 	// One PushBatch per drain adds agglom's counters, which every stream
 	// of the registry shares, once per batch instead of once per point.
-	st.Agg.PushBatch(st.pending)
-	for _, v := range st.pending {
+	st.Agg.PushBatch(vs)
+	for _, v := range vs {
 		st.GK.Insert(v)
 		st.Sed.Push(v)
 		st.Stats.Push(v)
 	}
-	st.Aud.ObserveBatch(st.pending)
-	// Reuse the buffer for the next batch, unless a batch longer than
-	// the window grew it: one outsized ingest (the daemon accepts 32 MiB
-	// bodies by default) must not pin its copy to the stream for good.
-	if cap(st.pending) > st.FW.Capacity() {
-		st.pending = nil
-	} else {
-		st.pending = st.pending[:0]
+	st.Aud.ObserveBatch(vs)
+	n := st.Agg.StoredEndpoints()
+	st.qmu.Lock()
+	defer st.qmu.Unlock()
+	// Hand the buffer back for the loop's next append, unless the loop has
+	// started a new one meanwhile or a batch longer than the window grew
+	// it: one outsized ingest (the daemon accepts 32 MiB bodies by
+	// default) must not pin its copy to the stream for good.
+	if st.pending == nil && cap(vs) <= st.FW.Capacity() {
+		st.pending = vs[:0]
 	}
-	st.countEndpoints(g)
-}
-
-// countEndpoints moves g by the change in Agg's stored endpoints since
-// the last call, so g stays the sum over every live stream; a discarded
-// state no longer counts. Call with st.mu held.
-//
-//lint:ignore mutex-discipline callers hold st.mu (drain, installState)
-func (st *State) countEndpoints(g *obs.Gauge) {
-	if st.discarded {
-		return
-	}
-	if n := st.Agg.StoredEndpoints(); n != st.aggCounted {
+	if !st.discarded && n != st.aggCounted {
 		g.Add(float64(n - st.aggCounted))
 		st.aggCounted = n
 	}
 }
 
-// uncountEndpoints takes st's share out of g for good; the shard calls it
-// wherever it discards st, and a drain that reaches st afterwards (an
-// Ingest acknowledged just before the discard) leaves g alone.
-func (st *State) uncountEndpoints(g *obs.Gauge) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// discard takes st's share out of g for good; the shard calls it wherever
+// it lets go of st, and a drain that reaches st afterwards (an Ingest
+// acknowledged just before the discard) leaves g alone. It takes only
+// the leaf lock, so it never waits for a drain or a reader of st.
+func (st *State) discard(g *obs.Gauge) {
+	st.qmu.Lock()
+	defer st.qmu.Unlock()
 	g.Add(-float64(st.aggCounted))
 	st.aggCounted = 0
 	st.discarded = true
@@ -210,11 +234,12 @@ func (st *State) auditStatus() quality.Status {
 	return st.Aud.Status()
 }
 
-// marshalWindow snapshots the fixed window under the stream's lock, so a
-// reader's flush cannot interleave with the encoding.
-func (st *State) marshalWindow() ([]byte, error) {
+// marshalWindow drains st, so the snapshot holds every logged value, and
+// snapshots its window, all under the stream's lock.
+func (st *State) marshalWindow(g *obs.Gauge) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.drain(g)
 	return st.FW.MarshalBinary()
 }
 
@@ -240,9 +265,10 @@ func (st *State) attach(reg *obs.Registry, tr *trace.Recorder) {
 //	per key: uint32 keyLen | key | uint32 blobLen | fixed-window blob
 const containerVersion = 1
 
-// encodeContainer serializes every stream's fixed window. Keys are
-// sorted so identical state always produces identical bytes.
-func encodeContainer(coveredSeq uint64, streams map[string]*State) ([]byte, error) {
+// encodeContainer serializes every stream's fixed window, each drained
+// first (g takes the drains' endpoint changes). Keys are sorted so
+// identical state always produces identical bytes.
+func encodeContainer(coveredSeq uint64, streams map[string]*State, g *obs.Gauge) ([]byte, error) {
 	keys := make([]string, 0, len(streams))
 	for k := range streams {
 		keys = append(keys, k)
@@ -253,7 +279,7 @@ func encodeContainer(coveredSeq uint64, streams map[string]*State) ([]byte, erro
 	out = binary.LittleEndian.AppendUint64(out, coveredSeq)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(keys)))
 	for _, k := range keys {
-		blob, err := streams[k].marshalWindow()
+		blob, err := streams[k].marshalWindow(g)
 		if err != nil {
 			return nil, fmt.Errorf("shard: marshaling stream %q: %w", k, err)
 		}
