@@ -4,10 +4,7 @@
 //
 // Usage:
 //
-//	streamlint [-list] [-json] [packages]
-//
-// -json prints one JSON object per diagnostic per line (keys: file,
-// line, rule, msg) for CI annotation rendering.
+//	streamlint [-list] [packages]
 //
 // Packages are module-relative directory patterns: "./..." (or no
 // arguments) analyzes the whole module; "./internal/prefix" restricts the
@@ -30,7 +27,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "print the rules and exit")
-	asJSON := flag.Bool("json", false, "print diagnostics as JSON, one object per line")
 	flag.Parse()
 	if *list {
 		for _, r := range lint.AllRules() {
@@ -38,13 +34,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(flag.Args(), *asJSON); err != nil {
+	if err := run(flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "streamlint: %v\n", err)
 		os.Exit(2)
 	}
 }
 
-func run(patterns []string, asJSON bool) error {
+func run(patterns []string) error {
 	root, err := findModuleRoot()
 	if err != nil {
 		return err
@@ -69,14 +65,8 @@ func run(patterns []string, asJSON bool) error {
 			diags[i].Pos.Filename = rel
 		}
 	}
-	if asJSON {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			return err
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "streamlint: %d issue(s) in %d package(s)\n", len(diags), len(selected))

@@ -45,7 +45,7 @@ func Build(data []float64, b int) (*histogram.Histogram, error) {
 	rec := syn.Reconstruct()
 	boundaries := make([]int, 0, 3*b+1)
 	for i := 0; i < len(rec)-1; i++ {
-		//lint:ignore float-eq Reconstruct emits piecewise-constant segments whose values are bit-identical within a segment
+		// Reconstruct's values are bit-identical within a segment.
 		if rec[i] != rec[i+1] {
 			boundaries = append(boundaries, i)
 		}

@@ -62,8 +62,6 @@ func (f *FixedWindow) IncrementalStats() (hits, repairs, fallbacks int64) {
 // maintain runs one maintenance pass: the incremental repair path when it
 // is enabled and applicable, the exact rebuild otherwise. Every mutation
 // funnel (Push, PushBatch, lazy flush, time-window eviction) ends here.
-//
-//streamhist:hotpath
 func (f *FixedWindow) maintain() {
 	if f.incrOn {
 		if f.incrementalPass() {
@@ -120,8 +118,6 @@ func (f *FixedWindow) incrBudgetEff() int {
 // its accounting intact); partially-updated queues on an aborted pass are
 // harmless because the fallback rebuild re-derives every level and
 // verifies every warm seed.
-//
-//streamhist:hotpath
 func (f *FixedWindow) incrementalPass() bool {
 	if !f.incrValid || f.b <= 1 {
 		return false
@@ -195,8 +191,6 @@ func (f *FixedWindow) incrementalPass() bool {
 // array of the level (unused between exact rebuilds) and swapped in, so
 // steady state allocates nothing. Returns false when the repair budget
 // runs out.
-//
-//streamhist:hotpath
 func (f *FixedWindow) incrLevel(k, shift, w int, budget *int) bool {
 	src := f.queues[k-1]
 	dst := f.prev[k-1][:0]
@@ -285,8 +279,6 @@ func (f *FixedWindow) incrLevel(k, shift, w int, budget *int) bool {
 // power-of-two-aligned positions (the memo-friendly schedule
 // gallopEndpoint documents) and binary-searches the bracket, so a repair
 // costs O(log drift) probes rather than O(log interval-length).
-//
-//streamhist:hotpath
 func (f *FixedWindow) repairEndpoint(lo, g, k int, thr, t float64) (int, float64) {
 	l, lval := lo, t
 	h, p := g-1, g

@@ -49,7 +49,6 @@ func quantileGK(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore float-eq phi ranges over exact literals and 0.5 is exactly representable
 		if phi == 0.5 {
 			medianEst = v
 		}
@@ -60,7 +59,6 @@ func quantileGK(cfg Config) (*Table, error) {
 		rankHi := quantile.RankOf(data, v)
 		ties := 0
 		for _, x := range data {
-			//lint:ignore float-eq counting exact ties: v is returned verbatim from the quantized stream
 			if x == v {
 				ties++
 			}

@@ -15,7 +15,7 @@ type funcAnalysis struct {
 	fn  fnBody
 	cfg *CFG
 	// must: intersection join, defers keep locks held — "is the guard
-	// provably held at this access" (mutex-discipline, atomicmix).
+	// provably held at this access" (mutex-discipline).
 	must map[*CFGNode]lockFact
 	// mayHeld: union join, defers keep locks held — "might this lock be
 	// held here" (lockorder's nesting edges).

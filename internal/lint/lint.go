@@ -1,26 +1,22 @@
 // Package lint implements streamlint, the project's static-analysis suite.
 // It is built only on the standard library's go/ast, go/parser, go/types
-// and go/importer packages. Since PR 7 it carries an intraprocedural
-// CFG + forward-dataflow engine (cfg.go, flow.go, locks.go) that the
-// concurrency rules run on, and enforces nine project-specific rules:
+// and go/importer packages. It carries an intraprocedural CFG +
+// forward-dataflow engine (cfg.go, flow.go, locks.go) that the
+// concurrency rules run on, and enforces five project-specific rules:
 //
-//	float-eq            no ==/!= on floating-point operands (use tolerances)
 //	mutex-discipline    fields annotated "guarded by <mu>" are only touched
 //	                    while <mu> is held (flow-sensitive must-held facts)
 //	unlockpath          a Lock is released on every exit path, including
 //	                    panic unwinds of calls made while holding it
 //	lockorder           the whole-program lock-acquisition graph is acyclic;
 //	                    a cycle is reported with its witness path
-//	goroleak            every go statement's loop has a reachable stop
-//	                    signal (channel receive, ctx.Done, WaitGroup.Wait)
-//	atomicmix           a field accessed via sync/atomic is never read or
-//	                    written plainly outside its guarding lock
 //	unchecked-err       no silently dropped error results
-//	hotpath-alloc       packages tagged //streamhist:hotpath do not call
-//	                    fmt.Sprintf / fmt.Errorf / reflect outside error
-//	                    paths
 //	invariant-coverage  types with a checkInvariants method call it from
 //	                    every exported mutating method
+//
+// Each rule guards an invariant that no test names when it breaks: a
+// lock-order inversion or a leaked lock shows only as a hang, a guarded
+// field read without its lock or a dropped error often not at all.
 //
 // Rules apply to production code only; _test.go files are never analyzed.
 // A diagnostic can be suppressed with an explicit, justified escape hatch:
@@ -29,7 +25,8 @@
 //
 // placed on the offending line, on the line directly above it, or in the
 // doc comment of a function to suppress the rule for the whole function.
-// A directive without a rule name and a reason is itself a diagnostic.
+// A directive without a rule name and a reason, or naming no rule of
+// AllRules, is itself a diagnostic.
 package lint
 
 import (
@@ -70,14 +67,10 @@ type ProgramRule interface {
 // AllRules returns every streamlint rule, in reporting order.
 func AllRules() []Rule {
 	return []Rule{
-		FloatEq{},
 		MutexDiscipline{},
 		UnlockPath{},
 		LockOrder{},
-		GoroLeak{},
-		AtomicMix{},
 		UncheckedErr{},
-		HotpathAlloc{},
 		InvariantCoverage{},
 	}
 }
@@ -169,10 +162,15 @@ func (s *suppressions) covers(d Diagnostic) bool {
 }
 
 // collectSuppressions scans a package's comments for //lint:ignore
-// directives. Malformed directives are returned as diagnostics so a typo
-// cannot silently disable a rule.
+// directives. Malformed directives and directives naming no rule are
+// returned as diagnostics, so neither a typo nor a directive for a
+// deleted rule can linger.
 func collectSuppressions(p *Package) (*suppressions, []Diagnostic) {
 	sup := &suppressions{lines: make(map[string]map[int]map[string]bool)}
+	known := make(map[string]bool)
+	for _, r := range AllRules() {
+		known[r.Name()] = true
+	}
 	var bad []Diagnostic
 	for _, file := range p.Files {
 		// Directives inside function doc comments cover the whole body.
@@ -199,6 +197,14 @@ func collectSuppressions(p *Package) (*suppressions, []Diagnostic) {
 						Pos:  pos,
 						Rule: "ignore-syntax",
 						Msg:  "malformed //lint:ignore directive: want //lint:ignore <rule> <reason>",
+					})
+					continue
+				}
+				if !known[rule] {
+					bad = append(bad, Diagnostic{
+						Pos:  pos,
+						Rule: "ignore-syntax",
+						Msg:  fmt.Sprintf("//lint:ignore names unknown rule %q", rule),
 					})
 					continue
 				}

@@ -1,9 +1,6 @@
 package lint_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -86,24 +83,12 @@ func runGolden(t *testing.T, name string, rules []lint.Rule) {
 	}
 }
 
-func TestFloatEqGolden(t *testing.T) {
-	runGolden(t, "floateq", []lint.Rule{lint.FloatEq{}})
-}
-
 func TestMutexDisciplineGolden(t *testing.T) {
 	runGolden(t, "mutexd", []lint.Rule{lint.MutexDiscipline{}})
 }
 
 func TestUncheckedErrGolden(t *testing.T) {
 	runGolden(t, "errcheck", []lint.Rule{lint.UncheckedErr{}})
-}
-
-func TestHotpathAllocGolden(t *testing.T) {
-	runGolden(t, "hotpathd", []lint.Rule{lint.HotpathAlloc{}})
-}
-
-func TestHotpathAllocFuncGolden(t *testing.T) {
-	runGolden(t, "hotpathfn", []lint.Rule{lint.HotpathAlloc{}})
 }
 
 func TestInvariantCoverageGolden(t *testing.T) {
@@ -116,14 +101,6 @@ func TestUnlockPathGolden(t *testing.T) {
 
 func TestLockOrderGolden(t *testing.T) {
 	runGolden(t, "lockorderd", []lint.Rule{lint.LockOrder{}})
-}
-
-func TestGoroLeakGolden(t *testing.T) {
-	runGolden(t, "goroleakd", []lint.Rule{lint.GoroLeak{}})
-}
-
-func TestAtomicMixGolden(t *testing.T) {
-	runGolden(t, "atomicmixd", []lint.Rule{lint.AtomicMix{}})
 }
 
 // TestIgnoreEdgeCases pins down the suppression corner cases: a directive
@@ -142,12 +119,12 @@ func TestIgnoreEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := []lint.Rule{lint.MutexDiscipline{}, lint.UnlockPath{}, lint.AtomicMix{}}
+	rules := []lint.Rule{lint.MutexDiscipline{}, lint.UnlockPath{}, lint.UncheckedErr{}}
 	diags := lint.Run([]*lint.Package{pkg}, rules)
 
 	expected := []struct{ rule, substr string }{
 		{"ignore-syntax", "malformed //lint:ignore directive"},
-		{"mutex-discipline", "not held at this access in readPlain"}, // atomicmix on the same line is suppressed
+		{"mutex-discipline", "not held at this access in sendPlain"}, // unchecked-err on the same line is suppressed
 		{"mutex-discipline", "not held at this access in unguarded"}, // embedded-mutex guard enforced
 		{"unlockpath", "not released on every return path of missingReason"},
 	}
@@ -172,35 +149,9 @@ func TestIgnoreEdgeCases(t *testing.T) {
 	}
 }
 
-// TestWriteJSON pins the -json output contract: one object per line with
-// exactly the file/line/rule/msg keys, decodable line by line.
-func TestWriteJSON(t *testing.T) {
-	diags := []lint.Diagnostic{
-		{Pos: token.Position{Filename: "a.go", Line: 3, Column: 2}, Rule: "unlockpath", Msg: `mu is "leaked"`},
-		{Pos: token.Position{Filename: "b.go", Line: 10, Column: 1}, Rule: "lockorder", Msg: "cycle A.mu -> B.mu -> A.mu"},
-	}
-	var buf bytes.Buffer
-	if err := lint.WriteJSON(&buf, diags); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"file":"a.go","line":3,"rule":"unlockpath","msg":"mu is \"leaked\""}` + "\n" +
-		`{"file":"b.go","line":10,"rule":"lockorder","msg":"cycle A.mu -> B.mu -> A.mu"}` + "\n"
-	if got := buf.String(); got != want {
-		t.Errorf("WriteJSON output mismatch:\n got: %q\nwant: %q", got, want)
-	}
-	for i, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Errorf("line %d is not standalone JSON: %v", i+1, err)
-		}
-		if len(obj) != 4 {
-			t.Errorf("line %d has %d keys, want 4 (file, line, rule, msg)", i+1, len(obj))
-		}
-	}
-}
-
-// TestIgnoreSyntax checks that a malformed //lint:ignore directive is
-// itself reported, so a typo cannot silently disable a rule.
+// TestIgnoreSyntax checks that a malformed //lint:ignore directive, or
+// one naming no rule, is itself reported, so neither a typo nor a
+// directive for a deleted rule can linger.
 func TestIgnoreSyntax(t *testing.T) {
 	dir, err := filepath.Abs(filepath.Join("testdata", "ignoresyntax"))
 	if err != nil {
@@ -211,8 +162,8 @@ func TestIgnoreSyntax(t *testing.T) {
 		t.Fatal(err)
 	}
 	diags := lint.Run([]*lint.Package{pkg}, nil)
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 malformed-directive reports: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics, want 2 malformed-directive reports and 1 unknown-rule report: %v", len(diags), diags)
 	}
 	for _, d := range diags {
 		if d.Rule != "ignore-syntax" {

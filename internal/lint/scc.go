@@ -1,9 +1,8 @@
 package lint
 
 // tarjanSCC computes the strongly connected components of a directed
-// graph over nodes 0..n-1, returned in reverse topological order. Both
-// the goroleak rule (loops of a goroutine body's CFG) and the lockorder
-// rule (cycles of the lock-acquisition graph) run on it.
+// graph over nodes 0..n-1, returned in reverse topological order. The
+// lockorder rule finds the cycles of the lock-acquisition graph with it.
 func tarjanSCC(n int, succs func(int) []int) [][]int {
 	const unvisited = -1
 	index := make([]int, n)

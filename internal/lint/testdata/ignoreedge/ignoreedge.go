@@ -8,29 +8,31 @@
 package ignoreedge
 
 import (
+	"errors"
 	"sync"
-	"sync/atomic"
 )
 
-// mixed.n is annotated as guarded AND accessed atomically, so a plain
-// unlocked access trips both mutex-discipline and atomicmix at once.
+// mixed.n is guarded by mu, and send returns an error, so an unlocked
+// send(m.n) that drops the error trips both mutex-discipline and
+// unchecked-err at once.
 type mixed struct {
 	mu sync.Mutex
 	n  int64 // guarded by mu
 }
 
-// bump does its atomic add under the guard, keeping both rules happy.
-func bump(m *mixed) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	atomic.AddInt64(&m.n, 1)
+// send stands in for a call whose error matters.
+func send(n int64) error {
+	if n < 0 {
+		return errors.New("negative")
+	}
+	return nil
 }
 
-// readPlain suppresses only atomicmix; mutex-discipline still fires on
-// the very same line. (Expected: mutex-discipline at the return.)
-func readPlain(m *mixed) int64 {
-	//lint:ignore atomicmix stale reads are tolerated in this sampler
-	return m.n
+// sendPlain suppresses only unchecked-err; mutex-discipline still fires
+// on the very same line. (Expected: mutex-discipline at the call.)
+func sendPlain(m *mixed) {
+	//lint:ignore unchecked-err a lost sample is tolerated here
+	send(m.n)
 }
 
 // embedBox promotes Lock/Unlock from an embedded sync.Mutex; the guard

@@ -1,9 +1,13 @@
-// Package ignoresyntax seeds malformed suppression directives: both must
-// be reported as ignore-syntax diagnostics rather than silently accepted.
+// Package ignoresyntax seeds malformed suppression directives and one
+// naming no rule: all three must be reported as ignore-syntax diagnostics
+// rather than silently accepted.
 package ignoresyntax
 
 //lint:ignore
 var missingEverything int
 
-//lint:ignore float-eq
+//lint:ignore unchecked-err
 var missingReason float64
+
+//lint:ignore no-such-rule the rule this names does not exist
+var unknownRule int

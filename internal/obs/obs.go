@@ -1,5 +1,3 @@
-//streamhist:hotpath
-
 // Package obs is the project's observability substrate: a stdlib-only,
 // race-safe metrics registry exposing counters, gauges and latency
 // quantile tracks in the Prometheus text format.

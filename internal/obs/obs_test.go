@@ -282,17 +282,20 @@ func TestDisabledHandlesAllocateNothing(t *testing.T) {
 
 // TestEnabledCounterAllocatesNothing asserts steady-state updates on live
 // handles are allocation-free too (registration may allocate; updates may
-// not).
+// not): counters, gauges and the latency tracks every request observes.
 func TestEnabledCounterAllocatesNothing(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("x_total", "x")
 	g := reg.Gauge("x", "x")
+	tr := reg.Track("x_seconds", "x")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Add(1)
+		g.Set(2)
+		tr.Observe(0.001)
 	})
 	if allocs != 0 {
-		t.Errorf("enabled counter/gauge updates allocate %v per op", allocs)
+		t.Errorf("enabled counter/gauge/track updates allocate %v per op", allocs)
 	}
 }
 

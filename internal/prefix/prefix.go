@@ -1,5 +1,3 @@
-//streamhist:hotpath
-
 // Package prefix implements the prefix-sum stores used by every histogram
 // construction algorithm in this library. Maintaining SUM[1..i] and
 // SQSUM[1..i] (equation 3 of Guha & Koudas, ICDE 2002) lets SQERROR[i,j] —

@@ -203,8 +203,6 @@ func NewAuditor(interval int, seed int64) *Auditor {
 
 // ObserveBatch feeds values, in stream order, into the value shadow and
 // the interval count. Allocation-free; no-op on a nil auditor.
-//
-//streamhist:hotpath
 func (a *Auditor) ObserveBatch(vs []float64) {
 	if a == nil || len(vs) == 0 {
 		return
@@ -223,8 +221,6 @@ func (a *Auditor) ObserveBatch(vs []float64) {
 
 // Due reports whether enough points have arrived since the last audit
 // pass (false on nil).
-//
-//streamhist:hotpath
 func (a *Auditor) Due() bool {
 	return a != nil && a.sinceAudit >= a.interval
 }

@@ -1,5 +1,3 @@
-//streamhist:hotpath
-
 // Package segment implements the two classical time-series segmentation
 // heuristics that bracket APCA in the literature the paper's similarity
 // experiments build on: bottom-up merging (start from singletons, greedily

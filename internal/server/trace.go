@@ -100,9 +100,8 @@ func (s *Server) traceware(next http.Handler) http.Handler {
 
 // setTraceParent threads the active request's span into a stream's
 // fixed-window maintainer so a rebuild the request forces (lazy ingest
-// flushes at the next query) is attributed to this request.
-//
-//lint:ignore mutex-discipline runs with the stream's lock held (inside Engine.View)
+// flushes at the next query) is attributed to this request. Call with
+// the stream's lock held (inside Engine.View).
 func (s *Server) setTraceParent(r *http.Request, fw *core.FixedWindow) {
 	if s.tr != nil {
 		fw.SetTraceParent(spanFromContext(r.Context()))

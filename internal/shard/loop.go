@@ -231,8 +231,6 @@ func (sh *shard) process(batch []*request) {
 // failBatch replies err to every still-unreplied planned request and
 // releases the key-quota slots of states created for this batch but
 // never installed. Call with sh.mu held.
-//
-//lint:ignore mutex-discipline runs under process()'s sh.mu
 func (sh *shard) failBatch(plans []plan, newStates map[string]*State, err error) {
 	for range newStates {
 		sh.releaseKeySlot()

@@ -208,9 +208,8 @@ func (sh *shard) loadStreams() error {
 
 // recoveredState builds a fresh stream state during recovery (checkpoint
 // load or mid-replay creation). Quota is not enforced here — data
-// already on disk is never refused.
-//
-//lint:ignore mutex-discipline runs single-threaded inside loadStreams
+// already on disk is never refused. It runs single-threaded inside
+// loadStreams.
 func (sh *shard) recoveredState(key string) (*State, error) {
 	st, err := sh.eng.cfg.Factory(key)
 	if err != nil {

@@ -204,9 +204,24 @@ func (sh *shard) quarantine(p any) *LockedPanic {
 	sh.tracer().Instant(trace.EvPanic, uint8(sh.id), 0, 0, 1, 0)
 	sh.logger().Error("panic while shard lock held; shard quarantined", "shard", sh.id, "panic", fmt.Sprint(p))
 	if sh.eng.cfg.RestoreOnPanic && sh.dir != "" {
-		go sh.restoreFromDisk()
+		sh.startRestore()
 	}
 	return lp
+}
+
+// startRestore runs restoreFromDisk in the background unless the shard
+// is stopping; wait joins a restore already running.
+func (sh *shard) startRestore() {
+	sh.restoreMu.Lock()
+	defer sh.restoreMu.Unlock()
+	if sh.stopping {
+		return
+	}
+	sh.restores.Add(1)
+	go func() {
+		defer sh.restores.Done()
+		sh.restoreFromDisk()
+	}()
 }
 
 // restoreFromDisk rebuilds the shard's streams from its stripe — the

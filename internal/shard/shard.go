@@ -245,6 +245,9 @@ type shard struct {
 	quarantined atomic.Bool
 	probeWake   chan struct{}
 	supDone     chan struct{}
+	restoreMu   sync.Mutex
+	stopping    bool           // guarded by restoreMu; no self-restore starts once set
+	restores    sync.WaitGroup // running self-restores, joined by wait
 
 	infMu    sync.Mutex
 	inflight map[string]int // guarded by infMu
@@ -561,8 +564,6 @@ func (e *Engine) Ensure(key string) error {
 // createState runs the factory under the engine's key quota and
 // normalizes instrumentation. Call with sh.mu held; on success the
 // caller must either installState the result or releaseKeySlot.
-//
-//lint:ignore mutex-discipline helper runs under the caller's sh.mu; it touches no guarded fields
 func (sh *shard) createState(key string) (*State, error) {
 	if err := sh.reserveKeySlot(); err != nil {
 		return nil, err
@@ -751,9 +752,9 @@ func (e *Engine) CheckpointAll() error {
 	return first
 }
 
-// Close stops every shard: loops drain, a final checkpoint is taken per
-// dirty, non-quarantined shard, and the striped WAL is sealed. Safe to
-// call more than once.
+// Close stops every shard: loops drain, a running panic self-restore
+// finishes, a final checkpoint is taken per dirty, non-quarantined
+// shard, and the striped WAL is sealed. Safe to call more than once.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		var wg sync.WaitGroup
@@ -785,19 +786,15 @@ func (e *Engine) Abort() {
 			sh.stopOnce.Do(func() { close(sh.stop) })
 		}
 		for _, sh := range e.shards {
-			<-sh.loopDone
-			if sh.supDone != nil {
-				<-sh.supDone
-			}
-			if sh.ckptDone != nil {
-				<-sh.ckptDone
-			}
+			sh.wait()
 		}
 	})
 }
 
-func (sh *shard) close() error {
-	sh.stopOnce.Do(func() { close(sh.stop) })
+// wait returns once the shard's goroutines have exited: the loop, the
+// supervisor, the checkpoint loop and a running self-restore. No
+// self-restore starts after it. Call after closing sh.stop.
+func (sh *shard) wait() {
 	<-sh.loopDone
 	if sh.supDone != nil {
 		<-sh.supDone
@@ -805,6 +802,15 @@ func (sh *shard) close() error {
 	if sh.ckptDone != nil {
 		<-sh.ckptDone
 	}
+	sh.restoreMu.Lock()
+	sh.stopping = true
+	sh.restoreMu.Unlock()
+	sh.restores.Wait()
+}
+
+func (sh *shard) close() error {
+	sh.stopOnce.Do(func() { close(sh.stop) })
+	sh.wait()
 	var err error
 	if sh.dir != "" {
 		if sh.quarantined.Load() {

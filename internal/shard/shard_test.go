@@ -7,8 +7,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"streamhist/internal/checkpoint"
 	"streamhist/internal/core"
 	"streamhist/internal/leakcheck"
 )
@@ -366,6 +370,76 @@ func TestEngineCrashRecovery(t *testing.T) {
 		if got := e2.Seen(fmt.Sprintf("t-%d", i)); got != 2 {
 			t.Errorf("stream t-%d recovered seen = %d, want 2", i, got)
 		}
+	}
+}
+
+// TestCloseWaitsForSelfRestore: a panic under the shard lock starts a
+// self-restore from disk, and Close does not return while that restore
+// is still rebuilding the shard. Once joined, the restore has lifted the
+// quarantine, so close takes its final checkpoint of the restored
+// streams, and no goroutine of the engine outlives Close.
+func TestCloseWaitsForSelfRestore(t *testing.T) {
+	before := leakcheck.Take()
+	var fired, restoring atomic.Bool
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unpark)
+	factory := testFactory(t)
+	e, err := NewEngine(Config{
+		Shards: 1, DataDir: t.TempDir(), RestoreOnPanic: true,
+		Factory: func(key string) (*State, error) {
+			if restoring.CompareAndSwap(true, false) {
+				close(parked)
+				<-release
+			}
+			return factory(key)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Ingest("a", 0, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	e.SetFailpoint(func(point string) {
+		if point == "ingest.apply" && fired.CompareAndSwap(false, true) {
+			restoring.Store(true)
+			panic("one-shot boom")
+		}
+	})
+	if _, _, err := e.Ingest("a", 0, []float64{4}); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("ingest whose apply panicked: err = %v, want ErrQuarantined", err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the self-restore did not reach the factory within 2s")
+	}
+	dir := e.shards[0].dir
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (err %v) while the self-restore was still rebuilding the shard", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	unpark()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if e.Quarantined() {
+		t.Error("shard still quarantined after Close joined its self-restore")
+	}
+	leakcheck.Check(t, before)
+	// The restore replayed the panicked batch from the log; the final
+	// checkpoint holds all four points.
+	if _, seen, err := checkpoint.Latest(nil, dir); err != nil || seen != 4 {
+		t.Errorf("final checkpoint at seen=%d (err %v), want 4", seen, err)
 	}
 }
 

@@ -1,5 +1,3 @@
-//streamhist:hotpath
-
 package trace
 
 import (

@@ -1,5 +1,3 @@
-//streamhist:hotpath
-
 package trace
 
 import (
@@ -17,9 +15,8 @@ import (
 // payloads travel in args. namer (may be nil) resolves (type, code) to a
 // display name, e.g. an HTTP path.
 //
-// The JSON is built by hand with strconv: the export is cold but lives in
-// a hotpath-tagged package, and the flat structure doesn't warrant
-// reflection-based encoding.
+// The JSON is built by hand with strconv: the flat structure doesn't
+// warrant reflection-based encoding.
 func WriteChrome(w io.Writer, events []Event, namer func(EventType, uint8) string) error {
 	var b bytes.Buffer
 	b.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)

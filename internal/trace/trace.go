@@ -1,5 +1,3 @@
-//streamhist:hotpath
-
 // Package trace is the project's flight recorder: a fixed-capacity,
 // preallocated ring buffer of typed events giving span-level visibility
 // into rebuilds, WAL activity and HTTP requests, with bounded overhead.

@@ -175,7 +175,8 @@ func (s *StreamingEqualDepth) Histogram() (*VHistogram, error) {
 	for i <= s.b {
 		e := edges[i]
 		j := i
-		//lint:ignore float-eq GK returns duplicated edges verbatim for heavy values; merging needs exact identity
+		// GK returns duplicated edges verbatim for heavy values, so a
+		// merged run's edges compare exactly equal.
 		for j < s.b && edges[j+1] == e {
 			j++
 		}

@@ -1,5 +1,3 @@
-//streamhist:hotpath
-
 // Package vopt implements the optimal V-optimal histogram construction
 // algorithm of Jagadish et al. (VLDB 1998), reproduced as Figure 2
 // ("Algorithm OptimalHistogram") of Guha & Koudas (ICDE 2002). Given n data
