@@ -115,4 +115,12 @@ func TestSummaryInvariantCorruption(t *testing.T) {
 		q.starts = append(q.starts[:i+1], q.starts[i+2:]...)
 		s.checkInvariants()
 	})
+	// Push checks the summary it extended: a corrupt stored entry that the
+	// push leaves in place is caught there.
+	requireInvariantPanic(t, "push over a negative floor", func() {
+		s, q, i := corruptibleSummary(t)
+		_, end := startEnd(q, i)
+		end.floor = -1
+		s.Push(1)
+	})
 }

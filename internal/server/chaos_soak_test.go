@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,8 +22,8 @@ import (
 )
 
 // The chaos soak runs the full daemon — ingest handlers, the sharded
-// engine's loops, striped WALs, checkpoint loops, per-shard breakers and
-// supervisors — under a seeded, randomized fault schedule with
+// engine's loops, striped WALs, per-shard degraded modes and upkeep
+// loops — under a seeded, randomized fault schedule with
 // concurrent tenants, and checks the acknowledged-durability contract:
 // every value acknowledged by a non-degraded 200 must survive a crash,
 // per stream. Each seed flips a random subset of fault rules on and off
@@ -38,7 +39,28 @@ const (
 	soakClients  = 3
 	soakShards   = 3
 	soakDuration = 150 * time.Millisecond
+	// soakStopDeadline bounds each Abort and Close: a shard goroutine
+	// that ignores its stop signal would make them wait forever.
+	soakStopDeadline = 30 * time.Second
 )
+
+// stopWithin runs stop and fails the test with every goroutine's stack
+// if it has not returned within soakStopDeadline, so a hang names the
+// goroutine that did not exit instead of running into go test's timeout.
+func stopWithin(t *testing.T, what string, stop func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stop()
+	}()
+	select {
+	case <-done:
+	case <-time.After(soakStopDeadline):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s did not return within %v; goroutines:\n%s", what, soakStopDeadline, buf[:runtime.Stack(buf, true)])
+	}
+}
 
 // soakKey maps a client to its stream: client 0 drives the reserved
 // default stream, the rest their own tenant streams, so one soak covers
@@ -222,7 +244,7 @@ func runSoakSeed(t *testing.T, seed int64) (sawDegraded bool) {
 		t.Fatalf("seed %d: %v", seed, msg)
 	}
 
-	// Re-convergence: with the faults gone the shard supervisors must
+	// Re-convergence: with the faults gone the shards' upkeep loops must
 	// re-anchor and the daemon must serve durable, non-degraded acks on
 	// every route family again.
 	waitFor(t, fmt.Sprintf("seed %d re-convergence", seed), func() bool {
@@ -237,9 +259,9 @@ func runSoakSeed(t *testing.T, seed int64) (sawDegraded bool) {
 	})
 	sawDegraded = reg.Counter("streamhist_degraded_entries_total", "").Value() > 0
 
-	// Crash: stop the shard loops, supervisors and checkpoint loops
-	// without the graceful final checkpoint, then recover from disk.
-	s.eng.Abort()
+	// Crash: stop the shard loops and upkeep loops without the graceful
+	// final checkpoint, then recover from disk.
+	stopWithin(t, "Abort", s.eng.Abort)
 	var final [soakClients]int64
 	for id := 0; id < soakClients; id++ {
 		final[id] = s.eng.Seen(soakKey(id))
@@ -250,7 +272,7 @@ func runSoakSeed(t *testing.T, seed int64) (sawDegraded bool) {
 	if err != nil {
 		t.Fatalf("seed %d: recovery: %v", seed, err)
 	}
-	defer s2.Close()
+	defer stopWithin(t, "Close", func() { _ = s2.Close() })
 	for id := 0; id < soakClients; id++ {
 		got := s2.eng.Seen(soakKey(id))
 		want := maxDurable[id].Load()
@@ -295,8 +317,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("%d/%d seeds exercised degraded mode", degradedSeeds, seeds)
 
-	// No goroutine leaks: every soaked daemon's shard loops, supervisors
-	// and checkpoint loops must have exited. The snapshot diff names the
-	// offending stack instead of reporting a bare count.
+	// No goroutine leaks: every soaked daemon's shard loops and upkeep
+	// loops must have exited. The snapshot diff names the offending stack
+	// instead of reporting a bare count.
 	leakcheck.Check(t, before)
 }

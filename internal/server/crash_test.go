@@ -394,7 +394,7 @@ func TestDiskFullAtRotate(t *testing.T) {
 	}
 	waitFor(t, "degraded mode after disk-full rotate", func() bool { return s.eng.Degraded() })
 
-	// Space returns; the supervisor re-anchors and appends flow again.
+	// Space returns; the upkeep loop re-anchors and appends flow again.
 	chaos.Clear()
 	waitFor(t, "reanchor", func() bool { return !s.eng.Degraded() })
 	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "5\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {

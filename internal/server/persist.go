@@ -74,9 +74,9 @@ type Options struct {
 	// streams on exit.
 	DataDir string
 	// CheckpointInterval is the period of each shard's automatic
-	// checkpoint loop; 0 disables the loops (checkpoints then happen only
-	// at Close and via explicit Checkpoint calls, and the WALs grow until
-	// one happens).
+	// checkpoints; 0 disables them (checkpoints then happen only at Close
+	// and via explicit Checkpoint calls, and the WALs grow until one
+	// happens).
 	CheckpointInterval time.Duration
 	// SyncEveryAppend fsyncs the WAL on every acknowledged ingest. When
 	// false, a crash loses at most the un-fsynced suffix of acknowledged
@@ -90,7 +90,7 @@ type Options struct {
 	FS faults.FS
 
 	// OnPersistError selects the degraded-mode policy once a shard's WAL
-	// appends trip its circuit breaker: OnPersistDegrade (the default)
+	// appends open its circuit breaker: OnPersistDegrade (the default)
 	// accepts ingests memory-only with "degraded":true in the response;
 	// OnPersistRefuse fails them with 503/degraded until the log
 	// recovers. Degradation is per shard — healthy shards keep full
@@ -100,13 +100,11 @@ type Options struct {
 	// from its last checkpoint plus WAL replay after a panic quarantined
 	// it, instead of waiting for an orchestrator restart.
 	RestoreOnPanic bool
-	// BreakerThreshold is the consecutive WAL-append failures that trip
-	// a shard's breaker into degraded mode; 0 means the resilience
-	// default (3).
+	// BreakerThreshold is the consecutive WAL-append failures that put a
+	// shard in degraded mode, opening its breaker; 0 means 3.
 	BreakerThreshold int
 	// BreakerBackoff is the first recovery-probe interval; doubles per
-	// failed probe up to BreakerMaxBackoff. Zeros mean the resilience
-	// defaults (100ms, 30s).
+	// failed probe up to BreakerMaxBackoff. Zeros mean 100ms and 30s.
 	BreakerBackoff    time.Duration
 	BreakerMaxBackoff time.Duration
 

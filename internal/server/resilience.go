@@ -1,6 +1,6 @@
 // Self-healing glue at the HTTP layer. The durability machinery itself —
-// per-shard WAL circuit breakers, degraded-mode ingestion, recovery
-// supervisors that probe the disk and re-anchor the log, and panic
+// per-shard degraded mode (the WAL circuit breaker), upkeep loops that
+// checkpoint, probe the disk and re-anchor the log, and panic
 // containment with state quarantine — lives in internal/shard; this file
 // keeps the pieces that are about HTTP: adaptive Retry-After hints and
 // the panic-recovery middleware.
@@ -10,16 +10,16 @@
 //   - A 200 ingest response without "degraded":true means the batch is
 //     durable to the configured fsync policy — a crash cannot silently
 //     lose it.
-//   - When a shard's WAL appends keep failing its breaker trips and that
-//     shard enters degraded mode. Under OnPersistDegrade ingests keep
+//   - When a shard's WAL appends keep failing that shard enters degraded
+//     mode: its breaker opens. Under OnPersistDegrade ingests keep
 //     flowing memory-only and every response carries "degraded":true —
 //     an explicit marker that those points are NOT yet durable. Under
 //     OnPersistRefuse ingests are refused with 503/degraded. Other
 //     shards are unaffected.
-//   - A supervisor goroutine per shard probes the disk on the breaker's
-//     jittered exponential backoff and re-anchors the shard's log on the
-//     first success, so previously-degraded points become durable the
-//     moment the shard reports healthy again.
+//   - An upkeep goroutine per shard probes the disk on a jittered
+//     exponential backoff and re-anchors the shard's log on the first
+//     success, so previously-degraded points become durable the moment
+//     the shard reports healthy again.
 //   - A panic that strikes while a shard's state lock is held leaves its
 //     summaries in an unknown half-mutated state: the shard quarantines
 //     (its mutating requests refused, /healthz unhealthy) and, with

@@ -10,7 +10,6 @@ import (
 
 	"streamhist/internal/faults"
 	"streamhist/internal/obs"
-	"streamhist/internal/resilience"
 	"streamhist/internal/trace"
 )
 
@@ -51,7 +50,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestDegradedModeAndReanchor drives the full self-healing cycle: WAL
 // appends start failing, the breaker trips into degraded mode (ingests
 // acknowledged memory-only with "degraded":true), the disk heals, the
-// supervisor re-anchors, and every point — including the degraded ones —
+// upkeep loop re-anchors, and every point — including the degraded ones —
 // is durable across a restart.
 func TestDegradedModeAndReanchor(t *testing.T) {
 	dir := t.TempDir()
@@ -95,10 +94,10 @@ func TestDegradedModeAndReanchor(t *testing.T) {
 		t.Fatalf("readyz while degraded (degrade policy stays ready): %d %s", rec.Code, rec.Body)
 	}
 
-	// The disk heals; the supervisor's next probe re-anchors.
+	// The disk heals; the upkeep loop's next probe re-anchors.
 	chaos.Clear()
 	waitFor(t, "reanchor", func() bool { return !s.eng.Degraded() })
-	if got := s.eng.BreakerState(DefaultStream); got != resilience.Closed {
+	if got := s.eng.ShardStatuses()[s.eng.ShardFor(DefaultStream)].Breaker; got != "closed" {
 		t.Errorf("breaker after recovery: %v", got)
 	}
 	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "6\n"); rec.Code != http.StatusOK || ingestResp(t, rec) {
@@ -197,7 +196,7 @@ func TestOpenRejectsUnknownPolicy(t *testing.T) {
 
 // TestCheckpointWatchdogEscalates: checkpoints keep failing while the
 // WAL keeps growing, so the loop escalates to degraded mode; when the
-// disk heals the supervisor re-anchors (which both checkpoints and
+// disk heals the upkeep loop re-anchors (which both checkpoints and
 // truncates) and the server converges back to healthy.
 func TestCheckpointWatchdogEscalates(t *testing.T) {
 	dir := t.TempDir()

@@ -8,8 +8,8 @@ import (
 	"streamhist/internal/leakcheck"
 )
 
-// TestCloseStopsAllGoroutines opens a durable daemon — supervisor,
-// checkpoint loop and WAL all running — serves traffic, and asserts
+// TestCloseStopsAllGoroutines opens a durable daemon — shard loops,
+// upkeep loops and WAL all running — serves traffic, and asserts
 // Close tears every background goroutine down, using the same
 // snapshot-and-diff helper as the chaos soak so a leak is reported with
 // the stack that is still running.

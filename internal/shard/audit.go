@@ -172,16 +172,12 @@ func (e *Engine) ShardStatuses() []ShardStatus {
 		sh.mu.RLock()
 		n := len(sh.streams)
 		sh.mu.RUnlock()
-		br := "closed"
-		if sh.br != nil {
-			br = sh.br.State().String()
-		}
 		out[i] = ShardStatus{
 			ID:          sh.id,
 			Streams:     n,
 			Degraded:    sh.degraded.Load(),
 			Quarantined: sh.quarantined.Load(),
-			Breaker:     br,
+			Breaker:     sh.breakerState().String(),
 		}
 	}
 	return out

@@ -185,10 +185,10 @@ func (sh *shard) process(batch []*request) {
 		default:
 			if err := sh.w.AppendBatch(recs); err != nil {
 				sh.rm().appendFailures.Inc()
-				if sh.br.Failure() {
+				if sh.appendFails++; sh.appendFails >= sh.eng.cfg.BreakerThreshold {
 					sh.enterDegraded("wal append failures tripped the breaker", err)
 				}
-				// Only a shard already in degraded mode (breaker tripped)
+				// Only a shard already in degraded mode (breaker open)
 				// downgrades the ack; until then a failed append is an error —
 				// every 200 stays either durable or explicitly degraded.
 				if !sh.degraded.Load() || sh.eng.cfg.OnPersistError == onPersistRefuse {
@@ -197,7 +197,7 @@ func (sh *shard) process(batch []*request) {
 				}
 				degradedAck = true
 			} else {
-				sh.br.Success()
+				sh.appendFails = 0
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func newCkptMetrics(reg *obs.Registry) ckptMetrics {
 // (metrics disabled) is fully usable.
 type resilienceMetrics struct {
 	reg             *obs.Registry // for the labeled transition counter; nil disables
-	breakerState    *obs.Gauge    // current state as its numeric value (0 closed, 1 open, 2 half_open)
+	breakerState    *obs.Gauge    // highest state over the shards (0 closed, 1 open, 2 half_open)
 	appendFailures  *obs.Counter  // WAL appends that failed on the ingest path
 	degradedEntries *obs.Counter  // times the server entered degraded mode
 	degradedBatches *obs.Counter  // ingest batches acknowledged memory-only

@@ -6,10 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"streamhist/internal/checkpoint"
-	"streamhist/internal/resilience"
 	"streamhist/internal/wal"
 )
 
@@ -331,61 +329,3 @@ func (sh *shard) checkpoint() error {
 	sh.cm().duration.ObserveSince(start)
 	return nil
 }
-
-func (sh *shard) checkpointLoop(interval time.Duration) {
-	defer close(sh.ckptDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	retry := resilience.Retry{Base: interval, Max: 8 * interval}
-	var fails int
-	var sizeAtFirstFail int64
-	for {
-		select {
-		case <-t.C:
-			if sh.degraded.Load() || sh.quarantined.Load() {
-				// The supervisor owns recovery; a checkpoint now would
-				// either fight the re-anchor or persist suspect state.
-				continue
-			}
-			err := sh.checkpoint()
-			if err == nil {
-				fails = 0
-				continue
-			}
-			fails++
-			if fails == 1 {
-				sizeAtFirstFail = sh.w.SizeBytes()
-			}
-			sh.logger().Error("periodic checkpoint failed", "shard", sh.id, "err", err, "consecutive", fails)
-			// Watchdog: checkpoints keep failing while the WAL keeps
-			// growing — replay-on-restart is getting worse without bound,
-			// so escalate: trip the breaker and let the supervisor force a
-			// re-anchor (which both checkpoints and truncates) when the
-			// disk answers again.
-			if fails >= ckptWatchdogFailures && sh.w.SizeBytes() > sizeAtFirstFail {
-				sh.rm().watchdog.Inc()
-				sh.br.Trip()
-				sh.enterDegraded("checkpoint watchdog: repeated failures with a growing wal", err)
-				fails = 0
-				continue
-			}
-			// Backoff: a failing disk gets geometrically fewer checkpoint
-			// attempts, not one per tick.
-			if d := retry.Delay(fails); d > 0 {
-				if !sh.sleep(d) {
-					return
-				}
-				select {
-				case <-t.C: // drop the tick that fired during the backoff
-				default:
-				}
-			}
-		case <-sh.stop:
-			return
-		}
-	}
-}
-
-// ckptWatchdogFailures is how many consecutive periodic-checkpoint
-// failures (with the WAL still growing) escalate to degraded mode.
-const ckptWatchdogFailures = 3

@@ -1,8 +1,8 @@
 // Package shard is the keyed multi-stream engine behind streamhistd: N
 // shard loops, each owning a hash-partitioned map of per-key summary
 // states, a striped write-ahead log, per-shard checkpoints, and the full
-// per-shard self-healing stack (circuit breaker, degraded mode, recovery
-// supervisor, panic quarantine).
+// per-shard self-healing stack (degraded mode as the WAL circuit breaker,
+// an upkeep loop that checkpoints and probes, panic quarantine).
 //
 // Writes are message-passing: an ingest enqueues onto its shard's
 // bounded mailbox and the shard loop drains it. The loop keeps only order
@@ -62,7 +62,6 @@ import (
 	"streamhist/internal/faults"
 	"streamhist/internal/obs"
 	"streamhist/internal/quality"
-	"streamhist/internal/resilience"
 	"streamhist/internal/trace"
 	"streamhist/internal/wal"
 )
@@ -115,7 +114,7 @@ type Config struct {
 	// WAL default.
 	SegmentBytes int64
 	// CheckpointInterval is the per-shard periodic checkpoint period; 0
-	// disables the loops.
+	// disables periodic checkpoints.
 	CheckpointInterval time.Duration
 
 	// OnPersistError selects the degraded-mode policy ("degrade" or
@@ -125,8 +124,11 @@ type Config struct {
 	// RestoreOnPanic rebuilds a quarantined shard from its stripe on disk
 	// instead of waiting for a process restart.
 	RestoreOnPanic bool
-	// BreakerThreshold / BreakerBackoff / BreakerMaxBackoff configure each
-	// shard's WAL circuit breaker; zeros mean the resilience defaults.
+	// BreakerThreshold is the consecutive WAL append failures that put a
+	// shard in degraded mode (open its breaker); 0 means 3. A degraded
+	// shard's first recovery probe waits BreakerBackoff, 0 meaning 100ms,
+	// and each failed probe doubles the wait up to BreakerMaxBackoff, 0
+	// meaning 30s.
 	BreakerThreshold  int
 	BreakerBackoff    time.Duration
 	BreakerMaxBackoff time.Duration
@@ -184,6 +186,16 @@ func (c *Config) setDefaults() error {
 	if c.Factory == nil {
 		return fmt.Errorf("shard: Config.Factory is required")
 	}
+	if c.BreakerThreshold <= 0 {
+		c.BreakerThreshold = 3
+	}
+	if c.BreakerBackoff <= 0 {
+		c.BreakerBackoff = 100 * time.Millisecond
+	}
+	if c.BreakerMaxBackoff <= 0 {
+		c.BreakerMaxBackoff = 30 * time.Second
+	}
+	c.BreakerMaxBackoff = max(c.BreakerMaxBackoff, c.BreakerBackoff)
 	return nil
 }
 
@@ -195,6 +207,7 @@ type Engine struct {
 	keyCount atomic.Int64 // live streams across all shards
 	cm       ckptMetrics
 	rm       resilienceMetrics
+	brMu     sync.Mutex // orders writes of rm.breakerState; see setBreakerGauge
 	// qm is the audit instrumentation; nil when auditing is off
 	// (quality.Metrics methods are nil-safe).
 	qm *quality.Metrics
@@ -227,6 +240,9 @@ type shard struct {
 	applied  int64             // guarded by mu; cumulative points applied, names checkpoints
 	dirtyGen int64             // guarded by mu; bumped per mutation batch
 	ckptGen  int64             // guarded by mu; dirtyGen at the last durable checkpoint
+	// appendFails counts consecutive failed WAL appends; guarded by mu.
+	// BreakerThreshold of them put the shard in degraded mode.
+	appendFails int
 
 	mailbox  chan *request
 	stop     chan struct{}
@@ -234,17 +250,18 @@ type shard struct {
 	loopDone chan struct{}
 
 	// Durability (nil / zero without Config.DataDir).
-	dir      string
-	w        *wal.WAL
-	ckptMu   sync.Mutex // serializes checkpointing and re-anchoring
-	ckptDone chan struct{}
+	dir    string
+	w      *wal.WAL
+	ckptMu sync.Mutex // serializes checkpointing and re-anchoring
 
-	// Self-healing (br and supDone nil without Config.DataDir).
-	br          *resilience.Breaker
+	// Self-healing (wake and upkeepDone nil without Config.DataDir).
+	// degraded is the breaker: closed when false, half-open while
+	// probing, open otherwise.
 	degraded    atomic.Bool
+	probing     atomic.Bool
 	quarantined atomic.Bool
-	probeWake   chan struct{}
-	supDone     chan struct{}
+	wake        chan struct{} // enterDegraded's wake-up of upkeep
+	upkeepDone  chan struct{}
 	restoreMu   sync.Mutex
 	stopping    bool           // guarded by restoreMu; no self-restore starts once set
 	restores    sync.WaitGroup // running self-restores, joined by wait
@@ -311,20 +328,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		e.keyCount.Store(total)
 	}
+	if cfg.DataDir != "" {
+		e.rm.breakerState.Set(float64(brClosed))
+	}
 	for _, sh := range e.shards {
-		if cfg.DataDir != "" {
-			// The breaker must exist before the loop can fail an append.
-			sh.br = sh.newBreaker()
-			sh.rm().breakerState.Set(float64(resilience.Closed))
-			sh.breakerGauge().Set(float64(resilience.Closed))
-		}
 		go sh.loop()
 		if cfg.DataDir != "" {
-			go sh.supervisor()
-			if cfg.CheckpointInterval > 0 {
-				sh.ckptDone = make(chan struct{})
-				go sh.checkpointLoop(cfg.CheckpointInterval)
-			}
+			sh.breakerGauge().Set(float64(brClosed))
+			go sh.upkeep()
 		}
 	}
 	return e, nil
@@ -342,8 +353,8 @@ func (e *Engine) newShard(id int) *shard {
 	}
 	if e.cfg.DataDir != "" {
 		sh.dir = shardDir(e.cfg.DataDir, id)
-		sh.probeWake = make(chan struct{}, 1)
-		sh.supDone = make(chan struct{})
+		sh.wake = make(chan struct{}, 1)
+		sh.upkeepDone = make(chan struct{})
 	}
 	sh.streamsGauge = e.cfg.Metrics.LabeledGauge("streamhist_shard_streams",
 		shardLabel(id), "Live streams per shard.")
@@ -714,11 +725,6 @@ func (e *Engine) QuarantinedFor(key string) bool {
 	return e.shardFor(key).quarantined.Load()
 }
 
-// DegradedFor reports whether key's shard is in degraded mode.
-func (e *Engine) DegradedFor(key string) bool {
-	return e.shardFor(key).degraded.Load()
-}
-
 // Quarantined reports whether any shard's state is quarantined.
 func (e *Engine) Quarantined() bool {
 	for _, sh := range e.shards {
@@ -727,16 +733,6 @@ func (e *Engine) Quarantined() bool {
 		}
 	}
 	return false
-}
-
-// BreakerState returns the state of the breaker on key's shard
-// (resilience.Closed on a memory-only engine).
-func (e *Engine) BreakerState(key string) resilience.State {
-	sh := e.shardFor(key)
-	if sh.br == nil {
-		return resilience.Closed
-	}
-	return sh.br.State()
 }
 
 // CheckpointAll checkpoints every dirty shard (clean shards are
@@ -792,15 +788,12 @@ func (e *Engine) Abort() {
 }
 
 // wait returns once the shard's goroutines have exited: the loop, the
-// supervisor, the checkpoint loop and a running self-restore. No
-// self-restore starts after it. Call after closing sh.stop.
+// upkeep loop and a running self-restore. No self-restore starts after
+// it. Call after closing sh.stop.
 func (sh *shard) wait() {
 	<-sh.loopDone
-	if sh.supDone != nil {
-		<-sh.supDone
-	}
-	if sh.ckptDone != nil {
-		<-sh.ckptDone
+	if sh.upkeepDone != nil {
+		<-sh.upkeepDone
 	}
 	sh.restoreMu.Lock()
 	sh.stopping = true

@@ -92,8 +92,8 @@ type Options struct {
 }
 
 // WAL is an open write-ahead log. Methods are safe for concurrent use:
-// the shard loop appends while its checkpoint loop rotates and drops
-// covered segments.
+// the shard loop appends while its upkeep loop rotates and drops covered
+// segments.
 type WAL struct {
 	mu        sync.Mutex
 	dir       string
