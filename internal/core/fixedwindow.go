@@ -76,6 +76,7 @@ type FixedWindow struct {
 	memo  []memoEnt
 	epoch uint64
 	shift int // window slide between the prev queues and this rebuild
+	seek  int // endpoint index the last evalHErr lookup returned
 
 	// Incremental cover repair (see incremental.go). incrValid marks the
 	// queues as a maintainable cover of a window of lastW points starting
@@ -612,7 +613,11 @@ func (f *FixedWindow) bisectEndpoint(l, h, k int, thr, val float64) (int, float6
 // never changes (it depends only on the completed queue one level below),
 // so a memo hit is exact; the gallop, binary-search and warm-verification
 // phases of adjacent intervals probe overlapping positions, and the memo
-// collapses those repeats to array loads.
+// collapses those repeats to array loads. A miss locates the last
+// endpoint before c by resuming from the previous miss's answer
+// (seekEndpointBefore): the probes of one level cluster around the
+// moving interval start, so the lookup is a short gallop rather than a
+// binary search over the whole queue below.
 //
 // Contract: the memo is keyed by position only — every call between two
 // epoch bumps must use the same k (rebuild bumps the epoch per level).
@@ -622,28 +627,44 @@ func (f *FixedWindow) evalHErr(c, k int) float64 {
 		f.memoHits++
 		return e.val
 	}
-	v := f.herrAt(c, k)
+	idx := -1
+	if k > 1 && c > 0 {
+		f.seek = seekEndpointBefore(f.queues[k-2], c, f.seek)
+		idx = f.seek
+	}
+	v := f.herrScan(c, k, idx)
 	f.memoMisses++
 	f.memo[c] = memoEnt{stamp: f.epoch, val: v}
 	return v
 }
 
-// herrAt computes the approximate HERROR[c,k]: the SSE of the best
+// herrAt computes the approximate HERROR[c,k] with a cold binary-search
+// lookup of the last endpoint before c. Reference evaluates every probe
+// through it, so the oracle never shares the production lookup.
+func (f *FixedWindow) herrAt(c, k int) float64 {
+	idx := -1
+	if k > 1 && c > 0 {
+		idx = lastEndpointBefore(f.queues[k-2], c)
+	}
+	return f.herrScan(c, k, idx)
+}
+
+// herrScan computes the approximate HERROR[c,k]: the SSE of the best
 // k-bucket histogram over window positions [0..c], minimizing the last
 // bucket boundary over the stored endpoints of queue k-1 (plus the
 // boundary candidate c-1 valued via the start of the interval containing
-// it, see DESIGN.md). SQERROR terms come from the sliding prefix sums in
-// O(1), through a fixed-right-endpoint evaluator that hoists the terms at
-// c out of the scan.
-func (f *FixedWindow) herrAt(c, k int) float64 {
+// it, see DESIGN.md). idx is lastEndpointBefore(queues[k-2], c), the last
+// interval whose endpoint B <= c-1; it is unused when k <= 1 or c == 0.
+// SQERROR terms come from the sliding prefix sums in O(1), through a
+// fixed-right-endpoint evaluator that hoists the terms at c out of the
+// scan.
+func (f *FixedWindow) herrScan(c, k, idx int) float64 {
 	f.evals++
 	if k <= 1 || c == 0 {
 		return f.sums.SQError(0, c)
 	}
 	q := f.queues[k-2]
 	best := math.Inf(1)
-	// idx: last interval whose endpoint B <= c-1.
-	idx := lastEndpointBefore(q, c)
 	// Boundary candidate: i = c-1 inside interval idx+1, valued with that
 	// interval's start error (a lower bound within (1+delta) of the true
 	// HERROR[c-1,k-1]); its last bucket [c..c] has zero SQERROR.
@@ -662,8 +683,8 @@ func (f *FixedWindow) herrAt(c, k int) float64 {
 	// (pinned by the reference-vs-production equivalence suite).
 	psum, psq := f.sums.Anchored()
 	sumHi, sqHi := psum[c+1], psq[c+1]
-	for i := idx; i >= 0; i-- {
-		f.candidates++
+	i := idx
+	for ; i >= 0; i-- {
 		b1 := q[i].B + 1
 		var se float64
 		if c > b1 {
@@ -675,12 +696,14 @@ func (f *FixedWindow) herrAt(c, k int) float64 {
 			}
 		}
 		if se >= best {
+			i-- // the candidate that stopped the scan was inspected too
 			break
 		}
 		if v := q[i].HErrB + se; v < best {
 			best = v
 		}
 	}
+	f.candidates += int64(idx - i)
 	if math.IsInf(best, 1) {
 		// No stored boundary precedes c: a single bucket covers [0..c].
 		best = f.sums.SQError(0, c)
@@ -702,6 +725,49 @@ func lastEndpointBefore(q []iv, c int) int {
 		}
 	}
 	return res
+}
+
+// seekEndpointBefore returns lastEndpointBefore(q, c), searching from i,
+// the answer of an earlier lookup: it gallops from i toward c at doubling
+// distances and bisects the bracket, so a lookup near the previous one
+// costs O(log distance) comparisons instead of O(log len(q)). Any i gives
+// the same answer; one outside [-1, len(q)) is clamped.
+func seekEndpointBefore(q []iv, c, i int) int {
+	// Invariant: lo == -1 or q[lo].B < c, and hi == len(q) or q[hi].B >= c.
+	lo, hi := -1, len(q)
+	if i >= hi {
+		i = hi - 1
+	}
+	if i >= 0 && q[i].B >= c {
+		hi = i // answer lies left of i: gallop backward
+		for step := 1; hi-step >= 0; step <<= 1 {
+			if q[hi-step].B < c {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	} else {
+		if i > lo {
+			lo = i
+		}
+		for step := 1; lo+step < hi; step <<= 1 {
+			if q[lo+step].B >= c {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if q[mid].B < c {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Result bundles the extracted histogram and its exact SSE over the window.

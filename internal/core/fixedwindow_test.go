@@ -322,3 +322,59 @@ func TestDeltaTradeoff(t *testing.T) {
 		t.Errorf("coarse delta used more evaluations (%d) than fine (%d)", ce, fe)
 	}
 }
+
+// TestSeekEndpointBefore checks the resumed lookup evalHErr uses against
+// the cold binary search Reference keeps, over random covers and probe
+// sequences that move forward, stay put, move back, jump to either end
+// and fall before the first or past the last endpoint. The cursor
+// carries over from one cover to the next, as it does from one level to
+// the next, and arbitrary hints, out of range included, are clamped.
+func TestSeekEndpointBefore(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(q []iv, c, hint int) int {
+		t.Helper()
+		got := seekEndpointBefore(q, c, hint)
+		if want := lastEndpointBefore(q, c); got != want {
+			t.Fatalf("%d intervals, c=%d, hint %d: got %d, want %d", len(q), c, hint, got, want)
+		}
+		return got
+	}
+	for _, c := range []int{0, 1, 7} {
+		for _, hint := range []int{-5, -1, 0, 3} {
+			check(nil, c, hint) // empty queue
+		}
+	}
+	seek, c := -1, 0
+	for trial := 0; trial < 300; trial++ {
+		w := 1 + rng.Intn(400)
+		var q []iv
+		for lo := 0; lo < w; {
+			b := lo + rng.Intn(1+rng.Intn(16))
+			if b >= w {
+				b = w - 1
+			}
+			q = append(q, iv{A: lo, B: b})
+			lo = b + 1
+		}
+		for probe := 0; probe < 200; probe++ {
+			switch rng.Intn(6) {
+			case 0: // repeated
+			case 1:
+				c -= 1 + rng.Intn(8) // decreasing
+			case 2:
+				c += rng.Intn(40)
+			case 3:
+				c = rng.Intn(q[0].B + 1) // at or before the first endpoint
+			case 4:
+				c = q[len(q)-1].B + 1 + rng.Intn(3) // past the last endpoint
+			case 5:
+				c = rng.Intn(w)
+			}
+			if c < 0 {
+				c = 0
+			}
+			seek = check(q, c, seek)
+			check(q, c, rng.Intn(len(q)+10)-5) // any hint
+		}
+	}
+}
