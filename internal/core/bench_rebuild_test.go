@@ -104,10 +104,11 @@ func BenchmarkPushIncrementalAmortized(b *testing.B) {
 
 // The gates below hold the rebuild engines at the headline configuration
 // n=4096, B=12, eps=0.1 with the paper's growth factor delta = eps/(2B),
-// over the quantized utilization trace with seed 17. They count work and
-// allocations instead of timing pushes, so an unchanged tree passes them
-// on any machine; wall-clock push cost is measured end to end by
-// perfbench's dashboard workload, where the flush is most of a query.
+// over the quantized utilization trace with seed 17; TestRebuildWork also
+// pins the daemon's defaults, n=4096, B=16, delta = eps = 0.1. They count
+// work and allocations instead of timing pushes, so an unchanged tree
+// passes them on any machine; wall-clock push cost is measured end to end
+// by perfbench's dashboard workload, where the flush is most of a query.
 const (
 	headN       = 4096
 	headBuckets = 12
@@ -119,13 +120,17 @@ func gateValues(n int) []float64 {
 	return datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 17, Quantize: true}), n)
 }
 
-// gateWindow returns a maintainer at the default growth factor;
-// incremental selects the cover-repair engine. The gates fill its window
-// with one PushBatch, so every later push slides the window, and the
-// incremental engine's first fallback period starts at that rebuild.
-func gateWindow(t *testing.T, n, b int, incremental bool) *FixedWindow {
+// gateWindow returns a maintainer at growth factor delta, or at the
+// default eps/(2B) when delta is 0; incremental selects the cover-repair
+// engine. The gates fill its window with one PushBatch, so every later
+// push slides the window, and the incremental engine's first fallback
+// period starts at that rebuild.
+func gateWindow(t *testing.T, n, b int, delta float64, incremental bool) *FixedWindow {
 	t.Helper()
-	fw, err := New(n, b, headEps)
+	if delta == 0 {
+		delta = headEps / (2 * float64(b))
+	}
+	fw, err := NewWithDelta(n, b, headEps, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +148,8 @@ func TestPushAllocationFree(t *testing.T) {
 	pos := headN
 	next := func() float64 { pos++; return vals[pos-1] }
 
-	exact := gateWindow(t, headN, headBuckets, false)
-	incr := gateWindow(t, headN, headBuckets, true)
+	exact := gateWindow(t, headN, headBuckets, 0, false)
+	incr := gateWindow(t, headN, headBuckets, 0, true)
 	ref, err := NewReference(headN, headBuckets, headEps, exact.Delta(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -182,23 +187,26 @@ func TestPushAllocationFree(t *testing.T) {
 // Theorem 1 bounds — over one whole fallback period of the incremental
 // engine: K repair passes and one scheduled exact rebuild.
 //
-// At the headline configuration the exact engine's counts are pinned:
-// they are a deterministic function of the search, so a lost memo, a
-// lost warm start or any other change to which positions CreateList
-// probes moves them, and an intended change re-pins them here. The
-// incremental engine must do at least three times less of both than
-// the exact engine over the same points.
+// At the headline configuration and at the daemon's defaults the exact
+// engine's counts are pinned: they are a deterministic function of the
+// search, so a lost memo, a lost warm start, a lost interpolated guess
+// or any other change to which positions CreateList probes moves them,
+// and an intended change re-pins them here. The incremental engine must
+// do at least three times less of both than the exact engine over the
+// same points.
 func TestRebuildWork(t *testing.T) {
 	const minRatio = 3
 	for _, tc := range []struct {
 		n, b                 int
-		wantEvals, wantCands int64 // exact engine over the period; 0 = unpinned
+		delta                float64 // 0 = eps/(2B)
+		wantEvals, wantCands int64   // exact engine over the period; 0 = unpinned
 	}{
-		{headN, headBuckets, 2333987, 347330635},
-		{1024, 8, 0, 0},
+		{headN, headBuckets, 0, 2304145, 340171588},
+		{1024, 8, 0, 0, 0},
+		{4096, 16, headEps, 55143, 500607}, // the daemon's defaults
 	} {
-		exact := gateWindow(t, tc.n, tc.b, false)
-		incr := gateWindow(t, tc.n, tc.b, true)
+		exact := gateWindow(t, tc.n, tc.b, tc.delta, false)
+		incr := gateWindow(t, tc.n, tc.b, tc.delta, true)
 		period := incr.incrEveryEff() + 1
 		vals := gateValues(tc.n + period)
 		exact.PushBatch(vals[:tc.n])
@@ -214,17 +222,17 @@ func TestRebuildWork(t *testing.T) {
 		evals, cands := e1-e0, c1-c0
 		ievals, icands := ie1-ie0, ic1-ic0
 		per := float64(period)
-		t.Logf("n=%d B=%d over %d pushes: exact %.1f evals, %.1f candidates per push; incremental %.1f, %.1f (x%.1f, x%.1f)",
-			tc.n, tc.b, period, float64(evals)/per, float64(cands)/per, float64(ievals)/per, float64(icands)/per,
+		t.Logf("n=%d B=%d delta=%g over %d pushes: exact %.1f evals, %.1f candidates per push; incremental %.1f, %.1f (x%.1f, x%.1f)",
+			tc.n, tc.b, exact.Delta(), period, float64(evals)/per, float64(cands)/per, float64(ievals)/per, float64(icands)/per,
 			float64(evals)/float64(ievals), float64(cands)/float64(icands))
 
 		if evals < minRatio*ievals || cands < minRatio*icands {
-			t.Errorf("n=%d B=%d: incremental engine did %d evaluations and %d candidates against the exact engine's %d and %d, want at most 1/%d of each",
-				tc.n, tc.b, ievals, icands, evals, cands, minRatio)
+			t.Errorf("n=%d B=%d delta=%g: incremental engine did %d evaluations and %d candidates against the exact engine's %d and %d, want at most 1/%d of each",
+				tc.n, tc.b, exact.Delta(), ievals, icands, evals, cands, minRatio)
 		}
 		if hits, _, falls := incr.IncrementalStats(); hits != int64(period-1) || falls != 1 {
-			t.Errorf("n=%d B=%d: %d repair passes and %d fallbacks, want one whole period (%d and 1)",
-				tc.n, tc.b, hits, falls, period-1)
+			t.Errorf("n=%d B=%d delta=%g: %d repair passes and %d fallbacks, want one whole period (%d and 1)",
+				tc.n, tc.b, exact.Delta(), hits, falls, period-1)
 		}
 		if tc.wantEvals != 0 {
 			// Other architectures may fuse multiply-adds in the prefix sums,
@@ -232,8 +240,8 @@ func TestRebuildWork(t *testing.T) {
 			if runtime.GOARCH != "amd64" {
 				t.Logf("counts pinned for amd64 arithmetic; not checked on %s", runtime.GOARCH)
 			} else if evals != tc.wantEvals || cands != tc.wantCands {
-				t.Errorf("n=%d B=%d: exact engine did %d evaluations and %d candidates over %d pushes, pinned %d and %d",
-					tc.n, tc.b, evals, cands, period, tc.wantEvals, tc.wantCands)
+				t.Errorf("n=%d B=%d delta=%g: exact engine did %d evaluations and %d candidates over %d pushes, pinned %d and %d",
+					tc.n, tc.b, exact.Delta(), evals, cands, period, tc.wantEvals, tc.wantCands)
 			}
 		}
 	}

@@ -473,10 +473,15 @@ func (f *FixedWindow) exportCounters() {
 // cover at this level, shifted by the window slide: consecutive windows
 // differ by a one-point shift (a batch flush slides by the burst size), so
 // a stable cover verifies in O(1) probes per interval instead of the
-// O(log interval-length) of the gallop + binary search. The guess is
-// accepted only if the search's own post-condition holds — predicate true
-// at the guess, false just past it — so the produced cover is the one the
-// cold search (Reference) builds.
+// O(log interval-length) of the gallop + binary search. When the interval
+// starts where a previous interval started, the guess is that interval's
+// shifted endpoint. Otherwise the interval is desynced: its threshold
+// (1+delta)*t differs from the old interval's, so the old endpoint is
+// usually far off, and interpolateEndpoint reads the crossing of the
+// threshold off the previous cover's stored errors instead. Either guess
+// is accepted only if the search's own post-condition holds — predicate
+// true at the guess, false just past it — so the produced cover is the one
+// the cold search (Reference) builds, and a bad guess costs probes only.
 func (f *FixedWindow) createList(a, b, k int) {
 	q := &f.queues[k-1]
 	prev := f.prev[k-1]
@@ -486,22 +491,26 @@ func (f *FixedWindow) createList(a, b, k int) {
 		t := f.evalHErr(lo, k)
 		c, herrC := lo, t
 		if lo < b {
+			thr := (1 + f.delta) * t
 			oldPos := lo + f.shift
 			for j < len(prev) && prev[j].B < oldPos {
 				j++
 			}
 			if j < len(prev) {
 				g := prev[j].B - f.shift
+				if prev[j].A != oldPos {
+					g = interpolateEndpoint(prev[j:], f.shift, lo, t, thr)
+				}
 				if g < lo {
 					g = lo
 				}
 				if g > b {
 					g = b
 				}
-				c, herrC = f.warmEndpoint(lo, b, k, t, g)
+				c, herrC = f.warmEndpoint(lo, b, k, thr, t, g)
 			} else {
 				f.warmMisses++ // cover outgrew the previous window
-				c, herrC = f.gallopEndpoint(lo, b, k, (1+f.delta)*t, t)
+				c, herrC = f.gallopEndpoint(lo, b, k, thr, t)
 			}
 		}
 		*q = append(*q, iv{A: lo, B: c, HErrA: t, HErrB: herrC})
@@ -509,8 +518,47 @@ func (f *FixedWindow) createList(a, b, k int) {
 	}
 }
 
+// interpolateEndpoint guesses the last position at or after lo where
+// HERROR stays within thr, reading the previous cover as a piecewise
+// linear function through its stored (A, HErrA) and (B, HErrB) points,
+// shifted by the slide into this window's positions and started at the
+// probed (lo, t). It returns the linear interpolation of thr between the
+// last stored point within thr and the first beyond it, or the last
+// stored point when none exceeds thr. prev starts at the previous
+// interval that contains lo; HERROR is non-decreasing, so the walk ends
+// near the true endpoint and visits O(1) intervals when the covers are
+// alike.
+func interpolateEndpoint(prev []iv, shift, lo int, t, thr float64) int {
+	p, pv := lo, t
+	for i := range prev {
+		if x := prev[i].A - shift; x > p {
+			if prev[i].HErrA > thr {
+				return interpolate(p, pv, x, prev[i].HErrA, thr)
+			}
+			p, pv = x, prev[i].HErrA
+		}
+		x, v := prev[i].B-shift, prev[i].HErrB
+		if v > thr {
+			return interpolate(p, pv, x, v, thr)
+		}
+		p, pv = x, v
+	}
+	return p
+}
+
+// interpolate returns the position in [p, x) where the line through
+// (p, pv) and (x, v) reaches thr, for pv <= thr < v, rounded down.
+func interpolate(p int, pv float64, x int, v, thr float64) int {
+	frac := (thr - pv) / (v - pv)
+	if !(frac >= 0) { // NaN from infinite errors
+		frac = 0
+	}
+	return p + int(frac*float64(x-p))
+}
+
 // warmEndpoint locates the interval endpoint starting from a warm-start
-// guess g in [lo..hi]. When the cover is stable across the window slide
+// guess g in [lo..hi], for the threshold thr = (1+delta)*t and the value t
+// at lo. When the cover is stable across the window slide
 // the guess verifies with at most two probes — predicate true at g, false
 // at g+1, the same post-condition gallopEndpoint establishes — so the
 // interval costs O(1) evaluations. When the cover drifted, it gallops
@@ -518,8 +566,7 @@ func (f *FixedWindow) createList(a, b, k int) {
 // bracket, costing O(log drift) instead of O(log interval-length). Under
 // the monotone predicate both strategies locate the identical endpoint
 // the cold search would return.
-func (f *FixedWindow) warmEndpoint(lo, hi, k int, t float64, g int) (int, float64) {
-	thr := (1 + f.delta) * t
+func (f *FixedWindow) warmEndpoint(lo, hi, k int, thr, t float64, g int) (int, float64) {
 	val := t
 	if g > lo {
 		v := f.evalHErr(g, k)

@@ -165,6 +165,53 @@ func TestRebuildEquivalenceBatched(t *testing.T) {
 	}
 }
 
+// TestRebuildEquivalenceDaemonDefaults checks the production engine
+// against the reference at the daemon's defaults (n=4096, B=16,
+// delta = eps = 0.1) on the quantized utilization trace. There intervals
+// span tens of positions and half the warm guesses are interpolated, which
+// the small windows above barely exercise. It runs 64 one-point slides,
+// then 256-point bursts, lazy and batched, then a burst longer than the
+// window and more one-point slides, comparing after every flush.
+func TestRebuildEquivalenceDaemonDefaults(t *testing.T) {
+	const n, b = 4096, 16
+	opt := newExact(t, n, b, 0.1, 0.1)
+	ref := refFor(t, opt)
+	vals := gateValues(3 * n)
+	pos := 0
+	next := func(k int) []float64 { pos += k; return vals[pos-k : pos] }
+	batch := func(vs []float64) {
+		ref.PushBatch(vs)
+		opt.PushBatch(vs)
+		requireSameState(t, "daemon-batch", ref.FixedWindow, opt)
+	}
+	slides := func(k int) {
+		for _, v := range next(k) {
+			ref.Push(v)
+			opt.PushLazy(v)
+			requireSameState(t, "daemon-slide", ref.FixedWindow, opt)
+		}
+	}
+	batch(next(n))
+	slides(64)
+	for round := 0; round < 4; round++ {
+		if round%2 == 0 {
+			batch(next(256))
+			continue
+		}
+		vs := next(256)
+		ref.PushBatch(vs)
+		for _, v := range vs {
+			opt.PushLazy(v)
+		}
+		requireSameState(t, "daemon-lazy-burst", ref.FixedWindow, opt)
+	}
+	batch(next(n + 100))
+	slides(16)
+	if seeded, _ := opt.WarmStats(); seeded == 0 {
+		t.Fatal("no warm guess verified")
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Incremental cover repair. Unlike the exact rebuild, the incremental
 // engine is NOT bit-identical to the reference: stored HERROR
