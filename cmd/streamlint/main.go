@@ -10,7 +10,8 @@
 // arguments) analyzes the whole module; "./internal/prefix" restricts the
 // report to one package; a trailing "/..." matches a subtree. The whole
 // module is always loaded and type-checked — patterns only filter which
-// packages' diagnostics are reported.
+// packages' diagnostics are reported. A pattern that matches no package
+// is a usage error, so a typo cannot pass as a clean report.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load or usage error.
 package main
@@ -19,7 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"streamhist/internal/lint"
@@ -59,6 +62,13 @@ func run(patterns []string) error {
 			selected = append(selected, p)
 		}
 	}
+	for _, pat := range patterns {
+		if !slices.ContainsFunc(selected, func(p *lint.Package) bool {
+			return matchesAny(root, p.Dir, []string{pat})
+		}) {
+			return fmt.Errorf("pattern %q matches no package", pat)
+		}
+	}
 	diags := lint.Run(selected, lint.AllRules())
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil {
@@ -94,7 +104,8 @@ func findModuleRoot() (string, error) {
 }
 
 // matchesAny reports whether the package directory matches any pattern
-// (none means everything).
+// (none means everything). Each pattern is cleaned first, so
+// "./internal/shard/" selects the package "internal/shard" does.
 func matchesAny(root, dir string, patterns []string) bool {
 	if len(patterns) == 0 {
 		return true
@@ -105,16 +116,11 @@ func matchesAny(root, dir string, patterns []string) bool {
 	}
 	rel = filepath.ToSlash(rel)
 	for _, pat := range patterns {
-		pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
-		switch {
-		case pat == "...":
+		pat = path.Clean(filepath.ToSlash(pat))
+		if pat == "..." || pat == rel {
 			return true
-		case strings.HasSuffix(pat, "/..."):
-			prefix := strings.TrimSuffix(pat, "/...")
-			if rel == prefix || strings.HasPrefix(rel, prefix+"/") || prefix == "." {
-				return true
-			}
-		case rel == pat || (pat == "." && rel == "."):
+		}
+		if prefix, ok := strings.CutSuffix(pat, "/..."); ok && (rel == prefix || strings.HasPrefix(rel, prefix+"/")) {
 			return true
 		}
 	}
