@@ -296,6 +296,39 @@ func TestNonFiniteInputRejected(t *testing.T) {
 	}
 }
 
+// TestOverflowingSquareRejected pins that a finite value whose square
+// overflows, which would make every summary's sums of squares +Inf for
+// good, is refused like NaN: 400 bad_request naming its line, and the
+// stream's seen does not move.
+func TestOverflowingSquareRejected(t *testing.T) {
+	s := newTestServer(t)
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n"); rec.Code != http.StatusOK {
+		t.Fatalf("seed ingest: %d %s", rec.Code, rec.Body)
+	}
+	for _, body := range []string{"1e160\n", "4\n-1.4e154\n5\n", "1.7976931348623157e308\n"} {
+		rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("ingest %q = %d %q, want 400", body, rec.Code, rec.Body)
+			continue
+		}
+		env := decodeEnvelope(t, rec.Body.String())
+		line := "line 1"
+		if strings.HasPrefix(body, "4") {
+			line = "line 2"
+		}
+		if env.Error.Code != errBadRequest || !strings.Contains(env.Error.Message, line) {
+			t.Errorf("ingest %q error = %+v, want %s naming %s", body, env.Error, errBadRequest, line)
+		}
+	}
+	rec := do(t, s, http.MethodGet, "/v1/streams/default/stats", "")
+	var st struct {
+		Seen int64 `json:"seen"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Seen != 3 {
+		t.Errorf("stats after refused input = %d %q (%v), want seen 3", rec.Code, rec.Body, err)
+	}
+}
+
 func TestSnapshotEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n")

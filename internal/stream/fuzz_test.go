@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzReader feeds arbitrary bytes through the stream parser: it must
-// never panic, every value it accepts is finite, and writing the values
-// back out and re-parsing must be lossless.
+// never panic, every value it accepts is finite and has a finite square,
+// and writing the values back out and re-parsing must be lossless.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte("1\n2.5\n-3e4\n"))
 	f.Add([]byte("# comment\n\n7\n"))
@@ -17,6 +17,8 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("1e309\n")) // overflows float64
 	f.Add([]byte("1\nNaN\n-Inf\n"))
+	f.Add([]byte("1.3e154\n"))
+	f.Add([]byte("-1e160\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		values, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
@@ -25,6 +27,9 @@ func FuzzReader(f *testing.F) {
 		for _, v := range values {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("parser accepted non-finite %v from %q", v, data)
+			}
+			if math.IsInf(v*v, 0) {
+				t.Fatalf("parser accepted %v, whose square overflows, from %q", v, data)
 			}
 		}
 		var buf bytes.Buffer

@@ -88,9 +88,11 @@ func parseSimple(b []byte) (f float64, ok bool) {
 }
 
 // parseValue parses one stream value. A stream carries finite values
-// only: NaN and ±Inf parse as numbers, but they poison every summary's
-// sums and cannot be encoded in a JSON answer, so they are rejected
-// like malformed text.
+// whose squares are finite too: NaN and ±Inf parse as numbers, but they
+// poison every summary's sums and cannot be encoded in a JSON answer, and
+// a value above sqrt(MaxFloat64), about 1.34e154, overflows the sums of
+// squares the summaries keep (agglom's running total, core's prefix
+// squares) to +Inf for good. Both are rejected like malformed text.
 func parseValue(text []byte) (float64, error) {
 	v, err := ParseFloatBytes(text)
 	if err != nil {
@@ -98,6 +100,9 @@ func parseValue(text []byte) (float64, error) {
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("non-finite value %q", text)
+	}
+	if math.IsInf(v*v, 0) {
+		return 0, fmt.Errorf("value %q out of range: its square overflows", text)
 	}
 	return v, nil
 }

@@ -135,10 +135,12 @@ func TestAppendValuesMatchesReadAll(t *testing.T) {
 }
 
 // TestNonFiniteValuesRejected checks that both line parsers refuse NaN
-// and ±Inf in every spelling strconv accepts, naming the line, while
-// ParseFloatBytes itself still returns them as strconv does.
+// and ±Inf in every spelling strconv accepts, and finite values whose
+// square overflows, naming the line, while ParseFloatBytes itself still
+// returns them as strconv does.
 func TestNonFiniteValuesRejected(t *testing.T) {
-	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "inf", "-infinity", "1e400"} {
+	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "inf", "-infinity", "1e400",
+		"1.4e154", "-1e160", "1.7976931348623157e308"} {
 		in := "1\n" + bad + "\n2\n"
 		if _, err := AppendValues(nil, strings.NewReader(in), nil); err == nil || !strings.Contains(err.Error(), "line 2") {
 			t.Errorf("AppendValues(%q) error = %v, want a line 2 error", in, err)
@@ -153,6 +155,13 @@ func TestNonFiniteValuesRejected(t *testing.T) {
 	}
 	if v, err := ParseFloatBytes([]byte("NaN")); err != nil || !math.IsNaN(v) {
 		t.Errorf("ParseFloatBytes(NaN) = %v, %v, want NaN as strconv returns", v, err)
+	}
+	// The largest magnitude a stream accepts is just below sqrt(MaxFloat64).
+	for _, ok := range []string{"1.3e154", "-1.3e154"} {
+		got, err := AppendValues(nil, strings.NewReader("1\n"+ok+"\n"), nil)
+		if err != nil || len(got) != 2 {
+			t.Errorf("AppendValues(%q) = %v, %v, want it accepted", ok, got, err)
+		}
 	}
 }
 
