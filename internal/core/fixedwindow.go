@@ -550,7 +550,7 @@ func interpolateEndpoint(prev []iv, shift, lo int, t, thr float64) int {
 // (p, pv) and (x, v) reaches thr, for pv <= thr < v, rounded down.
 func interpolate(p int, pv float64, x int, v, thr float64) int {
 	frac := (thr - pv) / (v - pv)
-	if !(frac >= 0) { // NaN from infinite errors
+	if !(frac >= 0) { // NaN: a stored error is NaN after an overflow
 		frac = 0
 	}
 	return p + int(frac*float64(x-p))
@@ -558,10 +558,10 @@ func interpolate(p int, pv float64, x int, v, thr float64) int {
 
 // warmEndpoint locates the interval endpoint starting from a warm-start
 // guess g in [lo..hi], for the threshold thr = (1+delta)*t and the value t
-// at lo. When the cover is stable across the window slide
-// the guess verifies with at most two probes — predicate true at g, false
-// at g+1, the same post-condition gallopEndpoint establishes — so the
-// interval costs O(1) evaluations. When the cover drifted, it gallops
+// at lo. When the cover is stable across the window slide the guess
+// verifies with at most two probes — predicate true at g, false at g+1,
+// the same post-condition gallopEndpoint establishes — so the interval
+// costs O(1) evaluations. When the cover drifted, it gallops
 // from the guess toward the true endpoint and binary-searches the
 // bracket, costing O(log drift) instead of O(log interval-length). Under
 // the monotone predicate both strategies locate the identical endpoint
