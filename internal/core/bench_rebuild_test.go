@@ -201,9 +201,9 @@ func TestRebuildWork(t *testing.T) {
 		delta                float64 // 0 = eps/(2B)
 		wantEvals, wantCands int64   // exact engine over the period; 0 = unpinned
 	}{
-		{headN, headBuckets, 0, 2304145, 340171588},
+		{headN, headBuckets, 0, 2256169, 334470048},
 		{1024, 8, 0, 0, 0},
-		{4096, 16, headEps, 55143, 500607}, // the daemon's defaults
+		{4096, 16, headEps, 54086, 491863}, // the daemon's defaults
 	} {
 		exact := gateWindow(t, tc.n, tc.b, tc.delta, false)
 		incr := gateWindow(t, tc.n, tc.b, tc.delta, true)

@@ -477,8 +477,8 @@ func (f *FixedWindow) exportCounters() {
 // starts where a previous interval started, the guess is that interval's
 // shifted endpoint. Otherwise the interval is desynced: its threshold
 // (1+delta)*t differs from the old interval's, so the old endpoint is
-// usually far off, and interpolateEndpoint reads the crossing of the
-// threshold off the previous cover's stored errors instead. Either guess
+// usually far off, and interpolateEndpoint reads the threshold's crossing
+// off the previous cover's stored errors instead. Either guess
 // is accepted only if the search's own post-condition holds — predicate
 // true at the guess, false just past it — so the produced cover is the one
 // the cold search (Reference) builds, and a bad guess costs probes only.
@@ -521,15 +521,20 @@ func (f *FixedWindow) createList(a, b, k int) {
 // interpolateEndpoint guesses the last position at or after lo where
 // HERROR stays within thr, reading the previous cover as a piecewise
 // linear function through its stored (A, HErrA) and (B, HErrB) points,
-// shifted by the slide into this window's positions and started at the
-// probed (lo, t). It returns the linear interpolation of thr between the
-// last stored point within thr and the first beyond it, or the last
-// stored point when none exceeds thr. prev starts at the previous
-// interval that contains lo; HERROR is non-decreasing, so the walk ends
-// near the true endpoint and visits O(1) intervals when the covers are
-// alike.
+// shifted by the slide into this window's positions. prev starts at the
+// previous interval that contains lo past its start. The stored errors
+// sit off this window's (eviction lowers every prefix error, and an
+// incremental pass leaves stale over-estimates), so the walk starts from
+// the old cover's own error at lo, interpolated inside that interval, and
+// looks for the same headroom thr-t above it: a uniform offset cancels.
+// It returns the linear interpolation between the last point within that
+// target and the first beyond it, or the last point when none exceeds it.
+// HERROR is non-decreasing, so the walk ends near the true endpoint and
+// visits O(1) intervals when the covers are alike.
 func interpolateEndpoint(prev []iv, shift, lo int, t, thr float64) int {
-	p, pv := lo, t
+	a, b := prev[0].A-shift, prev[0].B-shift
+	p, pv := lo, prev[0].HErrA+(prev[0].HErrB-prev[0].HErrA)*float64(lo-a)/float64(b-a)
+	thr += pv - t
 	for i := range prev {
 		if x := prev[i].A - shift; x > p {
 			if prev[i].HErrA > thr {
@@ -547,10 +552,11 @@ func interpolateEndpoint(prev []iv, shift, lo int, t, thr float64) int {
 }
 
 // interpolate returns the position in [p, x) where the line through
-// (p, pv) and (x, v) reaches thr, for pv <= thr < v, rounded down.
+// (p, pv) and (x, v) reaches thr, for thr < v, rounded down; p when pv is
+// already past thr or an error is NaN after an overflow.
 func interpolate(p int, pv float64, x int, v, thr float64) int {
 	frac := (thr - pv) / (v - pv)
-	if !(frac >= 0) { // NaN: a stored error is NaN after an overflow
+	if !(frac >= 0) {
 		frac = 0
 	}
 	return p + int(frac*float64(x-p))
