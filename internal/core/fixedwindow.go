@@ -478,10 +478,10 @@ func (f *FixedWindow) exportCounters() {
 // shifted endpoint. Otherwise the interval is desynced: its threshold
 // (1+delta)*t differs from the old interval's, so the old endpoint is
 // usually far off, and interpolateEndpoint reads the threshold's crossing
-// off the previous cover's stored errors instead. Either guess
-// is accepted only if the search's own post-condition holds — predicate
-// true at the guess, false just past it — so the produced cover is the one
-// the cold search (Reference) builds, and a bad guess costs probes only.
+// off the previous cover's stored errors instead. Either guess is
+// accepted only if the search's own post-condition holds — predicate true
+// at the guess, false just past it — so the produced cover is the one the
+// cold search (Reference) builds, and a bad guess costs probes only.
 func (f *FixedWindow) createList(a, b, k int) {
 	q := &f.queues[k-1]
 	prev := f.prev[k-1]
@@ -567,11 +567,11 @@ func interpolate(p int, pv float64, x int, v, thr float64) int {
 // at lo. When the cover is stable across the window slide the guess
 // verifies with at most two probes — predicate true at g, false at g+1,
 // the same post-condition gallopEndpoint establishes — so the interval
-// costs O(1) evaluations. When the cover drifted, it gallops
-// from the guess toward the true endpoint and binary-searches the
-// bracket, costing O(log drift) instead of O(log interval-length). Under
-// the monotone predicate both strategies locate the identical endpoint
-// the cold search would return.
+// costs O(1) evaluations. When the cover drifted, it gallops from the
+// guess toward the true endpoint and binary-searches the bracket, costing
+// O(log drift) instead of O(log interval-length). Under the monotone
+// predicate both strategies locate the identical endpoint the cold search
+// would return.
 func (f *FixedWindow) warmEndpoint(lo, hi, k int, thr, t float64, g int) (int, float64) {
 	val := t
 	if g > lo {
