@@ -92,7 +92,9 @@ func parseSimple(b []byte) (f float64, ok bool) {
 // poison every summary's sums and cannot be encoded in a JSON answer, and
 // a value above sqrt(MaxFloat64), about 1.34e154, overflows the sums of
 // squares the summaries keep (agglom's running total, core's prefix
-// squares) to +Inf for good. Both are rejected like malformed text.
+// squares) to +Inf for good. Both are rejected like malformed text. The
+// bound is per value: a few values below it can still overflow those
+// sums together.
 func parseValue(text []byte) (float64, error) {
 	v, err := ParseFloatBytes(text)
 	if err != nil {

@@ -22,11 +22,12 @@ import (
 // by the next query, as the daemon defers maintenance between queries.
 // The rest are the stream.
 func FuzzCreateList(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	f.Add([]byte{0, 0, 0, 255, 255, 255, 0, 255})
-	f.Add([]byte{213, 17, 92, 92, 92, 4, 200, 13, 54})
+	f.Add([]byte{1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 0, 255})
+	f.Add([]byte{213, 0, 17, 92, 92, 92, 4, 200, 13, 54})
 	f.Add([]byte{255, 1, 9, 9, 9, 9, 200, 201, 202, 203, 7, 7, 7, 7, 7, 120, 121, 0, 0, 0, 0, 0, 0, 255, 3, 3, 3})
 	f.Add([]byte{191, 7, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 0, 5, 5, 5, 5, 250, 250})
+	f.Add([]byte{213, 6, 92, 92, 92, 4, 200, 13, 54, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 0, 5, 5, 250})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
