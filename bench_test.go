@@ -346,7 +346,7 @@ func BenchmarkGKInsert(b *testing.B) {
 
 func BenchmarkPublicAPIRoundTrip(b *testing.B) {
 	// End-to-end through the facade: push + periodic query.
-	fw, err := streamhist.NewFixedWindow(1024, 12, 0.1, streamhist.WithDelta(0.1))
+	fw, err := streamhist.NewFixedWindowWithDelta(1024, 12, 0.1, 0.1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -101,11 +101,24 @@ func main() {
 	}
 }
 
-func newWindow(n, b int, eps, delta float64) (*streamhist.Maintainer, error) {
-	if delta > 0 {
-		return streamhist.NewFixedWindow(n, b, eps, streamhist.WithDelta(delta))
+// newWindow builds the count-based window over the last n points.
+func newWindow(n, b int, eps, delta float64) (*streamhist.FixedWindow, error) {
+	return streamhist.NewFixedWindowWithDelta(n, b, eps, growthFactor(b, eps, delta))
+}
+
+// newTimeWindow builds the time-based window over the trailing span,
+// buffering at most maxPoints points.
+func newTimeWindow(maxPoints, b int, eps, delta float64, span time.Duration) (*streamhist.TimeWindow, error) {
+	return streamhist.NewTimeWindow(maxPoints, b, eps, growthFactor(b, eps, delta), span)
+}
+
+// growthFactor resolves -delta for both window kinds: 0 selects the
+// paper's eps/(2B).
+func growthFactor(b int, eps, delta float64) float64 {
+	if delta == 0 {
+		return eps / (2 * float64(b))
 	}
-	return streamhist.NewFixedWindow(n, b, eps)
+	return delta
 }
 
 func newGenerator(name string, seed int64) (datagen.Generator, error) {
@@ -123,7 +136,7 @@ func newGenerator(name string, seed int64) (datagen.Generator, error) {
 	}
 }
 
-func printSummary(fw *streamhist.Maintainer) {
+func printSummary(fw *streamhist.FixedWindow) {
 	res, err := fw.Histogram()
 	if err != nil {
 		fatal(err)
@@ -135,7 +148,7 @@ func printSummary(fw *streamhist.Maintainer) {
 	}
 }
 
-func answerQueries(fw *streamhist.Maintainer, spec string) error {
+func answerQueries(fw *streamhist.FixedWindow, spec string) error {
 	res, err := fw.Histogram()
 	if err != nil {
 		return err
@@ -162,14 +175,10 @@ func answerQueries(fw *streamhist.Maintainer, spec string) error {
 // runTimeWindow consumes "<unix-seconds> <value>" lines and maintains a
 // time-based window over the trailing span, printing the final summary.
 func runTimeWindow(r io.Reader, maxPoints, b int, eps, delta float64, span time.Duration) error {
-	if delta <= 0 {
-		delta = eps
-	}
-	m, err := streamhist.NewFixedWindow(maxPoints, b, eps, streamhist.WithDelta(delta), streamhist.WithSpan(span))
+	tw, err := newTimeWindow(maxPoints, b, eps, delta, span)
 	if err != nil {
 		return err
 	}
-	tw := m.TimeWindow()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	line := 0

@@ -40,10 +40,24 @@ func TestNewWindowDeltaSelection(t *testing.T) {
 	if fw2.Delta() != 0.7 {
 		t.Errorf("explicit delta = %v", fw2.Delta())
 	}
+	tw, err := newTimeWindow(32, 4, 0.2, 0, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tw.Delta(); got != 0.2/8 {
+		t.Errorf("time window default delta = %v, want eps/(2B)", got)
+	}
+	tw2, err := newTimeWindow(32, 4, 0.2, 0.7, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tw2.Delta() != 0.7 {
+		t.Errorf("time window explicit delta = %v", tw2.Delta())
+	}
 }
 
 func TestAnswerQueries(t *testing.T) {
-	fw, err := streamhist.NewFixedWindow(16, 2, 0.5, streamhist.WithDelta(0.5))
+	fw, err := streamhist.NewFixedWindowWithDelta(16, 2, 0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

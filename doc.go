@@ -37,20 +37,18 @@
 //	res, err := fw.Histogram()
 //	sum := res.Histogram.EstimateRangeSum(100, 900) // positions in window
 //
-// NewFixedWindow takes functional options selecting the maintainer
-// variants: WithDelta for an explicit accuracy/speed growth factor,
-// WithSpan for a time-based window ("the latest T seconds"), and
-// WithConcurrency for goroutine-safety. WithMetrics attaches hot-path
-// instrumentation to a Metrics registry, served in Prometheus text format
-// by its Handler:
+// NewFixedWindowWithDelta takes an explicit accuracy/speed growth factor
+// in place of the paper's eps/(2B), and NewTimeWindow keeps the points of
+// the latest span of stream time instead of the last n. A FixedWindow's
+// SetRegistry attaches hot-path instrumentation to a Metrics registry,
+// served in Prometheus text format by its Handler:
 //
 //	reg := streamhist.NewMetrics()
-//	fw, err := streamhist.NewFixedWindow(4096, 16, 0.1,
-//		streamhist.WithSpan(time.Hour),
-//		streamhist.WithConcurrency(),
-//		streamhist.WithMetrics(reg))
-//	...
+//	fw.SetRegistry(reg)
 //	http.Handle("/metrics", reg.Handler())
+//
+// A maintainer is not safe for concurrent use; a caller that shares one
+// across goroutines guards it with its own mutex.
 //
 // # Serving summaries
 //

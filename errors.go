@@ -11,9 +11,11 @@ import "streamhist/internal/errs"
 var (
 	// ErrBadBuckets reports a bucket budget below 1.
 	ErrBadBuckets = errs.ErrBadBuckets
-	// ErrBadEpsilon reports a non-positive approximation precision.
+	// ErrBadEpsilon reports an approximation precision that is not a
+	// finite positive number.
 	ErrBadEpsilon = errs.ErrBadEpsilon
-	// ErrBadDelta reports a non-positive per-level growth factor.
+	// ErrBadDelta reports a per-level growth factor that is not a finite
+	// positive number.
 	ErrBadDelta = errs.ErrBadDelta
 	// ErrBadWindow reports a non-positive window capacity.
 	ErrBadWindow = errs.ErrBadWindow

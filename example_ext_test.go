@@ -8,16 +8,15 @@ import (
 )
 
 // Time-based windows: points expire by age, not count.
-func ExampleWithSpan() {
-	tw, err := streamhist.NewFixedWindow(100, 4, 0.5,
-		streamhist.WithDelta(0.5), streamhist.WithSpan(10*time.Second))
+func ExampleNewTimeWindow() {
+	tw, err := streamhist.NewTimeWindow(100, 4, 0.5, 0.5, 10*time.Second)
 	if err != nil {
 		panic(err)
 	}
 	base := time.Unix(1_000_000, 0)
 	// Thirty points, one per second: only the last ten survive.
 	for i := 0; i < 30; i++ {
-		if err := tw.PushAt(base.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
+		if err := tw.Push(base.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			panic(err)
 		}
 	}
@@ -30,8 +29,7 @@ func ExampleWithSpan() {
 
 // Snapshot and restore a running summary (restart recovery).
 func ExampleFixedWindow_MarshalBinary() {
-	m, _ := streamhist.NewFixedWindow(8, 2, 0.5, streamhist.WithDelta(0.5))
-	fw := m.FixedWindow()
+	fw, _ := streamhist.NewFixedWindowWithDelta(8, 2, 0.5, 0.5)
 	for i := 1; i <= 10; i++ {
 		fw.Push(float64(i))
 	}

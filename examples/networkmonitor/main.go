@@ -23,7 +23,7 @@ const (
 func main() {
 	// Per-point maintenance over an hour-long window: the fixed-window
 	// algorithm of the paper.
-	fw, err := streamhist.NewFixedWindow(secondsPerHour, buckets, eps, streamhist.WithDelta(eps))
+	fw, err := streamhist.NewFixedWindowWithDelta(secondsPerHour, buckets, eps, eps)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestPipelineStreamToSummaries(t *testing.T) {
 		t.Fatalf("parsed %d values", len(parsed))
 	}
 
-	fw, err := streamhist.NewFixedWindow(512, 8, 0.1, streamhist.WithDelta(0.1))
+	fw, err := streamhist.NewFixedWindowWithDelta(512, 8, 0.1, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,7 @@ func sortFloats(a []float64) {
 // recovery story end to end.
 func TestSnapshotThroughFacade(t *testing.T) {
 	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 153, Quantize: true})
-	m, _ := streamhist.NewFixedWindow(128, 6, 0.2, streamhist.WithDelta(0.2))
-	fw := m.FixedWindow()
+	fw, _ := streamhist.NewFixedWindowWithDelta(128, 6, 0.2, 0.2)
 	agg, _ := streamhist.NewAgglomerative(6, 0.2)
 	for i := 0; i < 1000; i++ {
 		v := g.Next()

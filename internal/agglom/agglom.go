@@ -177,7 +177,7 @@ func New(b int, eps float64) (*Summary, error) {
 	if b <= 0 {
 		return nil, fmt.Errorf("agglom: %w, got %d", errs.ErrBadBuckets, b)
 	}
-	if eps <= 0 {
+	if !(eps > 0 && eps <= math.MaxFloat64) {
 		return nil, fmt.Errorf("agglom: %w, got %g", errs.ErrBadEpsilon, eps)
 	}
 	s := &Summary{

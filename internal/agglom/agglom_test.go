@@ -1,12 +1,14 @@
 package agglom
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"streamhist/internal/datagen"
+	"streamhist/internal/errs"
 	"streamhist/internal/obs"
 	"streamhist/internal/vopt"
 )
@@ -15,11 +17,12 @@ func TestNewRejectsBadArgs(t *testing.T) {
 	if _, err := New(0, 0.1); err == nil {
 		t.Error("zero buckets accepted")
 	}
-	if _, err := New(4, 0); err == nil {
-		t.Error("zero eps accepted")
-	}
-	if _, err := New(4, -1); err == nil {
-		t.Error("negative eps accepted")
+	// eps must be finite and positive: a NaN or infinite one would be
+	// written into every snapshot, which the codec refuses to read back.
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(4, bad); !errors.Is(err, errs.ErrBadEpsilon) {
+			t.Errorf("eps %v: err %v, want ErrBadEpsilon", bad, err)
+		}
 	}
 }
 

@@ -203,21 +203,23 @@ func (f *FixedWindow) SetTraceParent(p trace.SpanID) { f.traceParent = p }
 // New creates a fixed-window maintainer for windows of capacity n, b
 // buckets and precision eps; delta is set to eps/(2B) as in the paper.
 func New(n, b int, eps float64) (*FixedWindow, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("core: %w, got %g", errs.ErrBadEpsilon, eps)
-	}
 	return NewWithDelta(n, b, eps, eps/(2*float64(b)))
 }
 
 // NewWithDelta creates a fixed-window maintainer with an explicit per-level
 // growth factor delta. The paper's worked Example 1 uses delta = eps
 // directly; the analysis uses delta = eps/(2B). Exposing delta makes both
-// reproducible and enables the delta-sensitivity ablation.
+// reproducible and enables the delta-sensitivity ablation. Both must be
+// finite and positive: a NaN or infinite one would be carried into every
+// snapshot, which the codec then refuses to read back.
 func NewWithDelta(n, b int, eps, delta float64) (*FixedWindow, error) {
+	if !(eps > 0 && eps <= math.MaxFloat64) {
+		return nil, fmt.Errorf("core: %w, got %g", errs.ErrBadEpsilon, eps)
+	}
 	if b <= 0 {
 		return nil, fmt.Errorf("core: %w, got %d", errs.ErrBadBuckets, b)
 	}
-	if delta <= 0 {
+	if !(delta > 0 && delta <= math.MaxFloat64) {
 		return nil, fmt.Errorf("core: %w, got delta %g", errs.ErrBadDelta, delta)
 	}
 	sums, err := prefix.NewSlidingSums(n)

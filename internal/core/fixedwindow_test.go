@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"streamhist/internal/datagen"
+	"streamhist/internal/errs"
 	"streamhist/internal/vopt"
 )
 
@@ -16,11 +18,18 @@ func TestNewRejectsBadArgs(t *testing.T) {
 	if _, err := New(8, 0, 0.1); err == nil {
 		t.Error("zero buckets accepted")
 	}
-	if _, err := New(8, 4, 0); err == nil {
-		t.Error("zero eps accepted")
-	}
-	if _, err := NewWithDelta(8, 4, 0.1, 0); err == nil {
-		t.Error("zero delta accepted")
+	// eps and delta must be finite and positive: a NaN or infinite one
+	// would be written into every snapshot, which the codec refuses.
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(8, 4, bad); !errors.Is(err, errs.ErrBadEpsilon) {
+			t.Errorf("New eps %v: err %v, want ErrBadEpsilon", bad, err)
+		}
+		if _, err := NewWithDelta(8, 4, bad, 0.1); !errors.Is(err, errs.ErrBadEpsilon) {
+			t.Errorf("NewWithDelta eps %v: err %v, want ErrBadEpsilon", bad, err)
+		}
+		if _, err := NewWithDelta(8, 4, 0.1, bad); !errors.Is(err, errs.ErrBadDelta) {
+			t.Errorf("NewWithDelta delta %v: err %v, want ErrBadDelta", bad, err)
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"streamhist/internal/errs"
-	"streamhist/internal/obs"
-	"streamhist/internal/trace"
 )
 
 // TimeWindow maintains an approximate histogram over the points of the
@@ -62,18 +60,6 @@ func (tw *TimeWindow) Delta() float64 { return tw.fw.Delta() }
 
 // WindowStart returns the stream position of the oldest in-window point.
 func (tw *TimeWindow) WindowStart() int64 { return tw.fw.WindowStart() }
-
-// SetRegistry attaches instrumentation for the underlying fixed-window
-// maintenance (see FixedWindow.SetRegistry). A nil registry detaches.
-func (tw *TimeWindow) SetRegistry(reg *obs.Registry) { tw.fw.SetRegistry(reg) }
-
-// SetTracer attaches the underlying maintainer to a flight recorder
-// (see FixedWindow.SetTracer). A nil recorder detaches.
-func (tw *TimeWindow) SetTracer(tr *trace.Recorder) { tw.fw.SetTracer(tr) }
-
-// SetTraceParent sets the span the next rebuild is attributed to (see
-// FixedWindow.SetTraceParent).
-func (tw *TimeWindow) SetTraceParent(p trace.SpanID) { tw.fw.SetTraceParent(p) }
 
 // SetIncrementalRebuild toggles incremental cover repair on the
 // underlying maintainer (see FixedWindow.SetIncrementalRebuild). Age

@@ -10,10 +10,12 @@ import "errors"
 var (
 	// ErrBadBuckets reports a bucket budget below 1.
 	ErrBadBuckets = errors.New("bucket budget must be at least 1")
-	// ErrBadEpsilon reports a non-positive approximation precision.
-	ErrBadEpsilon = errors.New("precision must be positive")
-	// ErrBadDelta reports a non-positive per-level growth factor.
-	ErrBadDelta = errors.New("growth factor must be positive")
+	// ErrBadEpsilon reports an approximation precision that is not a
+	// finite positive number.
+	ErrBadEpsilon = errors.New("precision must be finite and positive")
+	// ErrBadDelta reports a per-level growth factor that is not a finite
+	// positive number.
+	ErrBadDelta = errors.New("growth factor must be finite and positive")
 	// ErrBadWindow reports a non-positive window capacity.
 	ErrBadWindow = errors.New("window capacity must be positive")
 	// ErrBadSpan reports a non-positive time-window span.

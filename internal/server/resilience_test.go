@@ -2,12 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"streamhist/internal/errs"
 	"streamhist/internal/faults"
 	"streamhist/internal/obs"
 	"streamhist/internal/trace"
@@ -191,6 +194,34 @@ func TestOpenRejectsUnknownPolicy(t *testing.T) {
 	_, err := Open(Options{Window: 8, Buckets: 2, Eps: 0.2, Delta: 0.2, OnPersistError: "explode"})
 	if err == nil {
 		t.Fatal("Open accepted an unknown OnPersistError policy")
+	}
+}
+
+// TestOpenRejectsNonFiniteEpsDelta: a NaN or infinite eps or delta fails
+// Open with the sentinel error. Accepted, it would be written into every
+// checkpoint, which the codec refuses, so the next Open of the same data
+// dir would fail instead.
+func TestOpenRejectsNonFiniteEpsDelta(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		eps, delta float64
+		want       error
+	}{
+		{"eps NaN", math.NaN(), 0.1, errs.ErrBadEpsilon},
+		{"eps +Inf", math.Inf(1), 0.1, errs.ErrBadEpsilon},
+		{"delta NaN", 0.1, math.NaN(), errs.ErrBadDelta},
+		{"delta +Inf", 0.1, math.Inf(1), errs.ErrBadDelta},
+	} {
+		s, err := Open(Options{Window: 8, Buckets: 2, Eps: tc.eps, Delta: tc.delta,
+			DataDir: t.TempDir(), Logger: quietLogger})
+		if err == nil {
+			_ = s.Close()
+			t.Errorf("%s: Open succeeded", tc.name)
+			continue
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: Open error %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -844,10 +844,16 @@ func bucketsJSON[B interface {
 	return out
 }
 
+// writeJSON answers 200 with v as JSON. v is encoded in full before
+// anything is sent, so a value that does not encode (a stream whose
+// running sum of squares overflowed to +Inf) answers 500 naming the
+// encoding error instead of 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers already sent; nothing useful left to do.
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, errInternal, "encoding the response: %v", err)
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(body, '\n'))
 }

@@ -300,6 +300,27 @@ func TestNonFiniteInputRejected(t *testing.T) {
 	}
 }
 
+// TestUnencodableResponseIsInternalError: values the parser accepts can
+// still overflow a stream's running sum of squares together, and a reply
+// holding the resulting +Inf cannot be encoded as JSON. It must answer
+// 500 with the internal envelope, not 200 with an empty body.
+func TestUnencodableResponseIsInternalError(t *testing.T) {
+	s := newTestServer(t)
+	if rec := do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n1.3e154\n1.3e154\n2\n"); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+	}
+	for _, route := range []string{"stats", "agglom"} {
+		rec := do(t, s, http.MethodGet, "/v1/streams/default/"+route, "")
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("/%s = %d %q, want 500", route, rec.Code, rec.Body)
+			continue
+		}
+		if env := decodeEnvelope(t, rec.Body.String()); env.Error.Code != errInternal || !strings.Contains(env.Error.Message, "unsupported value") {
+			t.Errorf("/%s envelope = %+v, want code %q naming the encoding error", route, env.Error, errInternal)
+		}
+	}
+}
+
 func TestSnapshotEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	do(t, s, http.MethodPost, "/v1/streams/default/ingest", "1\n2\n3\n4\n5\n")

@@ -3,6 +3,7 @@ package similarity
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,27 +102,43 @@ func TestNewIndexRejectsEmpty(t *testing.T) {
 // produce false positives but never false dismissals.
 func TestRangeQueryNoFalseDismissals(t *testing.T) {
 	series := makeFamily(t, 20, 64, 42)
-	idx, err := NewIndex(series, 5, voptBuilder)
-	if err != nil {
-		t.Fatal(err)
-	}
 	queries := makeFamily(t, 8, 64, 43)
-	for _, q := range queries {
-		for _, radius := range []float64{50, 200, 800, 3000} {
-			res, err := idx.RangeQuery(q, radius)
-			if err != nil {
-				t.Fatal(err)
+	for _, builder := range []struct {
+		name string
+		b    Builder
+	}{
+		{"vopt", voptBuilder},
+		{"apca", apca.Build},
+	} {
+		idx, err := NewIndex(series, 5, builder.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			for _, radius := range []float64{50, 200, 800, 3000} {
+				res, err := idx.RangeQuery(q, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.FalseDismissed != 0 {
+					t.Fatalf("%s radius %v: %d false dismissals", builder.name, radius, res.FalseDismissed)
+				}
+				if len(res.Candidates) < len(res.Matches) {
+					t.Fatalf("%s radius %v: fewer candidates (%d) than matches (%d)",
+						builder.name, radius, len(res.Candidates), len(res.Matches))
+				}
+				if res.FalsePositives != len(res.Candidates)-len(res.Matches) {
+					t.Fatalf("%s radius %v: FP accounting wrong: %+v", builder.name, radius, res)
+				}
 			}
-			if res.FalseDismissed != 0 {
-				t.Fatalf("radius %v: %d false dismissals", radius, res.FalseDismissed)
-			}
-			if len(res.Candidates) < len(res.Matches) {
-				t.Fatalf("radius %v: fewer candidates (%d) than matches (%d)",
-					radius, len(res.Candidates), len(res.Matches))
-			}
-			if res.FalsePositives != len(res.Candidates)-len(res.Matches) {
-				t.Fatalf("radius %v: FP accounting wrong: %+v", radius, res)
-			}
+		}
+		// An indexed series matches itself at radius 0.
+		res, err := idx.RangeQuery(series[3], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(res.Matches, 3) {
+			t.Errorf("%s: series 3 does not match itself: %+v", builder.name, res)
 		}
 	}
 }

@@ -5,9 +5,9 @@ import "streamhist/internal/obs"
 // Metrics is a registry of instrumentation series: counters, gauges and
 // latency quantile tracks (the quantile tracks are served by this
 // library's own Greenwald–Khanna summaries — the estimator measuring
-// itself). Attach one to a maintainer with WithMetrics (or the
-// SetRegistry methods) and serve it with Handler or WriteText, which emit
-// Prometheus text exposition format.
+// itself). Attach one to a maintainer with its SetRegistry method and
+// serve it with Handler or WriteText, which emit Prometheus text
+// exposition format.
 //
 // A nil *Metrics everywhere means "disabled" and costs nothing: no
 // allocations, no clock reads, no atomic traffic on the push hot path.

@@ -1,6 +1,8 @@
 package streamhist
 
 import (
+	"time"
+
 	"streamhist/internal/agglom"
 	"streamhist/internal/core"
 	"streamhist/internal/histogram"
@@ -22,9 +24,11 @@ type Histogram = histogram.Histogram
 // points; Histogram and ApproxError query the current window. By default
 // every maintenance pass rebuilds the interval queues exactly, with
 // warm-started, memoized CreateList searches whose output is
-// bit-identical to the paper's cold search; WithIncrementalRebuild
+// bit-identical to the paper's cold search; SetIncrementalRebuild
 // switches to the approximation-bound incremental cover-repair engine
-// that amortizes the per-push full rebuild away.
+// that amortizes the per-push full rebuild away. SetRegistry and
+// SetTracer attach instrumentation. A FixedWindow is not safe for
+// concurrent use; callers that share one guard it with their own mutex.
 type FixedWindow = core.FixedWindow
 
 // FixedWindowResult is the histogram extracted from a FixedWindow together
@@ -48,6 +52,30 @@ type OptimalResult = vopt.Result
 // last span of stream time (the paper's "latest T seconds" framing):
 // points carry timestamps and expire by age rather than by count.
 type TimeWindow = core.TimeWindow
+
+// NewFixedWindow creates a maintainer over windows of the last n points
+// with b buckets and precision eps: the SSE of the maintained histogram is
+// within a (1+eps) factor of the optimal b-bucket SSE of the window. It
+// uses the paper's per-level growth factor delta = eps/(2B); per-point
+// maintenance costs O((b^3/eps^2) log^3 n).
+func NewFixedWindow(n, b int, eps float64) (*FixedWindow, error) {
+	return core.New(n, b, eps)
+}
+
+// NewFixedWindowWithDelta is NewFixedWindow with an explicit per-level
+// growth factor. Larger delta trades accuracy for speed — the graceful
+// tradeoff the paper advertises; its worked Example 1 and its
+// experiments use delta = eps.
+func NewFixedWindowWithDelta(n, b int, eps, delta float64) (*FixedWindow, error) {
+	return core.NewWithDelta(n, b, eps, delta)
+}
+
+// NewTimeWindow creates a maintainer over the points of the last span of
+// stream time, with b buckets, precision eps and growth factor delta; at
+// most maxPoints points are buffered at once.
+func NewTimeWindow(maxPoints, b int, eps, delta float64, span time.Duration) (*TimeWindow, error) {
+	return core.NewTimeWindow(maxPoints, b, eps, delta, span)
+}
 
 // NewAgglomerative creates a whole-stream summary with b buckets and
 // precision eps.

@@ -1,17 +1,13 @@
 package streamhist_test
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"streamhist"
-	"streamhist/internal/apca"
 	"streamhist/internal/datagen"
-	"streamhist/internal/histogram"
-	"streamhist/internal/quantile"
-	"streamhist/internal/query"
-	"streamhist/internal/similarity"
-	"streamhist/internal/wavelet"
 )
 
 // TestFacadeEndToEnd drives the full public API the way the README
@@ -72,155 +68,8 @@ func TestFacadeAgglomerativeAndApproximate(t *testing.T) {
 	}
 }
 
-func TestFacadeBaselines(t *testing.T) {
-	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 3, Quantize: true}), 256)
-
-	wav, err := wavelet.Build(data, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coeffs, err := wavelet.Transform(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := wavelet.Inverse(coeffs)
-	for i, v := range data {
-		if math.Abs(rec[i]-v) > 1e-6 {
-			t.Fatalf("Haar roundtrip broke at %d", i)
-		}
-	}
-	if wav.Len() != len(data) {
-		t.Errorf("wavelet Len = %d", wav.Len())
-	}
-
-	for name, build := range map[string]func([]float64, int) (*streamhist.Histogram, error){
-		"apca":        apca.Build,
-		"equal-width": histogram.EqualWidth,
-		"equal-depth": histogram.EqualDepth,
-		"end-biased":  histogram.EndBiased,
-	} {
-		h, err := build(data, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := h.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-
-	h, err := histogram.New(data, []int{99, 255})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := h.SSE(data), histogram.TotalSSE(data, []int{99, 255}); math.Abs(got-want) > 1e-6*(1+want) {
-		t.Errorf("SSE %v != TotalSSE %v", got, want)
-	}
-}
-
-func TestFacadeQuantiles(t *testing.T) {
-	gk, err := quantile.NewGK(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 1000; i++ {
-		gk.Insert(float64(i))
-	}
-	med, err := gk.Query(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med < 400 || med > 600 {
-		t.Errorf("GK median %v", med)
-	}
-}
-
-func TestFacadeWorkload(t *testing.T) {
-	data := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 5}), 200)
-	queries, err := query.RandomRanges(6, 50, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := streamhist.Optimal(data, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := query.Evaluate(opt.Histogram, data, queries)
-	if m.Count != 50 {
-		t.Errorf("Count = %d", m.Count)
-	}
-	if m.MAE < 0 || m.RMSE < m.MAE {
-		t.Errorf("metric sanity: %+v", m)
-	}
-}
-
-func TestFacadeGenerators(t *testing.T) {
-	gens := map[string]func() (datagen.Generator, error){
-		"walk":    func() (datagen.Generator, error) { return datagen.NewRandomWalk(7, 50, 5, 0, 100, true) },
-		"steps":   func() (datagen.Generator, error) { return datagen.NewStepSignal(8, 20, 0, 50, 2, false) },
-		"zipf":    func() (datagen.Generator, error) { return datagen.NewZipf(9, 1.5, 100) },
-		"mixture": func() (datagen.Generator, error) { return datagen.NewGaussianMixture(10, 3, 0, 100, 5) },
-	}
-	for name, mk := range gens {
-		g, err := mk()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		s := datagen.Series(g, 50)
-		if len(s) != 50 {
-			t.Fatalf("%s: %d values", name, len(s))
-		}
-	}
-}
-
-func TestFacadeSimilarity(t *testing.T) {
-	base := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 11}), 64)
-	corpus := make([][]float64, 10)
-	for i := range corpus {
-		s := make([]float64, len(base))
-		for j := range s {
-			s[j] = base[j] + float64(i)*5
-		}
-		corpus[i] = s
-	}
-	idx, err := similarity.NewIndex(corpus, 4, apca.Build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := idx.RangeQuery(corpus[3], 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FalseDismissed != 0 {
-		t.Errorf("false dismissals: %d", res.FalseDismissed)
-	}
-	found := false
-	for _, m := range res.Matches {
-		if m == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("query did not match itself")
-	}
-	d, err := similarity.Euclidean(corpus[0], corpus[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 5 * math.Sqrt(float64(len(base)))
-	if math.Abs(d-want) > 1e-6 {
-		t.Errorf("Euclidean = %v, want %v", d, want)
-	}
-	subs, err := similarity.SlidingSubsequences(base, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 4 {
-		t.Errorf("subsequences = %d", len(subs))
-	}
-}
-
 func TestFacadeDeltaVariant(t *testing.T) {
-	fw, err := streamhist.NewFixedWindow(64, 4, 0.5, streamhist.WithDelta(0.5))
+	fw, err := streamhist.NewFixedWindowWithDelta(64, 4, 0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +81,95 @@ func TestFacadeDeltaVariant(t *testing.T) {
 	}
 	if _, err := fw.Histogram(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaintainerDefaults checks that each window constructor applies the
+// documented growth factor, and the sentinel error contract.
+func TestMaintainerDefaults(t *testing.T) {
+	fw, err := streamhist.NewFixedWindow(32, 4, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fw.Delta(); got != 0.2/8 {
+		t.Errorf("default delta = %v, want eps/(2B)", got)
+	}
+	if fw.Capacity() != 32 || fw.Buckets() != 4 || fw.Epsilon() != 0.2 {
+		t.Errorf("accessors: n=%d b=%d eps=%v", fw.Capacity(), fw.Buckets(), fw.Epsilon())
+	}
+	tw, err := streamhist.NewTimeWindow(32, 4, 0.2, 0.05, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tw.Span() != time.Minute || tw.Capacity() != 32 || tw.Delta() != 0.05 {
+		t.Errorf("time window: Span = %v, Capacity = %d, Delta = %v", tw.Span(), tw.Capacity(), tw.Delta())
+	}
+
+	for _, tc := range []struct {
+		name string
+		err  error
+		call func() error
+	}{
+		{"bad epsilon", streamhist.ErrBadEpsilon, func() error {
+			_, err := streamhist.NewFixedWindow(32, 4, 0)
+			return err
+		}},
+		{"bad epsilon span", streamhist.ErrBadEpsilon, func() error {
+			_, err := streamhist.NewTimeWindow(32, 4, -1, 0.1, time.Second)
+			return err
+		}},
+		{"bad buckets", streamhist.ErrBadBuckets, func() error {
+			_, err := streamhist.NewFixedWindow(32, 0, 0.2)
+			return err
+		}},
+		{"bad window", streamhist.ErrBadWindow, func() error {
+			_, err := streamhist.NewFixedWindow(0, 4, 0.2)
+			return err
+		}},
+		{"bad span", streamhist.ErrBadSpan, func() error {
+			_, err := streamhist.NewTimeWindow(32, 4, 0.2, 0.1, -time.Second)
+			return err
+		}},
+		{"bad delta", streamhist.ErrBadDelta, func() error {
+			_, err := streamhist.NewFixedWindowWithDelta(32, 4, 0.2, -1)
+			return err
+		}},
+	} {
+		err := tc.call()
+		if err == nil {
+			t.Errorf("%s: no error", tc.name)
+			continue
+		}
+		if !errors.Is(err, tc.err) {
+			t.Errorf("%s: error %v does not wrap the sentinel", tc.name, err)
+		}
+	}
+}
+
+func TestPushBatchMatchesPushLazy(t *testing.T) {
+	a, _ := streamhist.NewFixedWindowWithDelta(32, 4, 0.3, 0.3)
+	b, _ := streamhist.NewFixedWindowWithDelta(32, 4, 0.3, 0.3)
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 102, Quantize: true})
+	batch := datagen.Series(g, 100)
+	a.PushBatch(batch)
+	for _, v := range batch {
+		b.PushLazy(v)
+	}
+	if x, y := a.ApproxError(), b.ApproxError(); x != y {
+		t.Errorf("batch error %v != lazy error %v", x, y)
+	}
+}
+
+func TestAgglomerativePushBatch(t *testing.T) {
+	a, _ := streamhist.NewAgglomerative(4, 0.2)
+	b, _ := streamhist.NewAgglomerative(4, 0.2)
+	g := datagen.NewUtilization(datagen.UtilizationConfig{Seed: 103, Quantize: true})
+	batch := datagen.Series(g, 200)
+	a.PushBatch(batch)
+	for _, v := range batch {
+		b.Push(v)
+	}
+	if x, y := a.ApproxError(), b.ApproxError(); x != y {
+		t.Errorf("batch %v != loop %v", x, y)
 	}
 }

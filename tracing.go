@@ -5,7 +5,7 @@ import "streamhist/internal/trace"
 // Tracer is the library's flight recorder: a fixed-capacity, preallocated
 // ring buffer of typed span events (push, rebuild, per-level CreateList
 // stats, memo/warm summaries, WAL and checkpoint activity, HTTP
-// requests). Attach one to a maintainer with WithTracing; the daemon
+// requests). Attach one to a maintainer with SetTracer; the daemon
 // wires the same recorder through every layer and serves the ring at
 // /debug/trace/events (JSON) and /debug/trace/chrome (Perfetto-loadable).
 //
