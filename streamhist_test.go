@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"streamhist"
+	"streamhist/internal/apca"
 	"streamhist/internal/datagen"
+	"streamhist/internal/similarity"
 )
 
 // TestFacadeEndToEnd drives the full public API the way the README
@@ -171,5 +173,52 @@ func TestAgglomerativePushBatch(t *testing.T) {
 	}
 	if x, y := a.ApproxError(), b.ApproxError(); x != y {
 		t.Errorf("batch %v != loop %v", x, y)
+	}
+}
+
+func TestFacadeSimilarity(t *testing.T) {
+	base := datagen.Series(datagen.NewUtilization(datagen.UtilizationConfig{Seed: 11}), 64)
+	corpus := make([][]float64, 10)
+	for i := range corpus {
+		s := make([]float64, len(base))
+		for j := range s {
+			s[j] = base[j] + float64(i)*5
+		}
+		corpus[i] = s
+	}
+	idx, err := similarity.NewIndex(corpus, 4, apca.Build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := idx.RangeQuery(corpus[3], 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FalseDismissed != 0 {
+		t.Errorf("false dismissals: %d", res.FalseDismissed)
+	}
+	found := false
+	for _, m := range res.Matches {
+		if m == 3 {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("query did not match itself")
+	}
+	d, err := similarity.Euclidean(corpus[0], corpus[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 5 * math.Sqrt(float64(len(base)))
+	if math.Abs(d-want) > 1e-6 {
+		t.Errorf("Euclidean = %v, want %v", d, want)
+	}
+	subs, err := similarity.SlidingSubsequences(base, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != 4 {
+		t.Errorf("subsequences = %d", len(subs))
 	}
 }
